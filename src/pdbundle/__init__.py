@@ -14,9 +14,7 @@ from .persistence import (
     PairSet,
     PersistenceDiagram,
     diagram,
-    persistent_betti,
     reduce_pairs,
-    vietoris_rips,
 )
 from .vineyard import (
     PairBijection,
@@ -62,7 +60,6 @@ __all__ = [
     "filtration_at", "gen_image_fibration", "gen_instability",
     "gen_monodromy", "induced_indexing", "intersection_trace",
     "loop_monodromy", "merge_cells", "monodromy_scan", "order_constancy_check",
-    "path_vineyard", "persistent_betti", "propagate", "reduce_pairs",
-    "representative_point", "simplex_order_compare", "transposition_update",
-    "validate", "vietoris_rips",
+    "path_vineyard", "propagate", "reduce_pairs", "representative_point",
+    "simplex_order_compare", "transposition_update", "validate",
 ]

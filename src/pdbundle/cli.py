@@ -92,12 +92,8 @@ def _load_stratification(cfg: RunConfig):
 
 def cmd_ph(cfg: RunConfig) -> None:
     obj = _read_json(cfg.input)
-    raw_simplices = obj.get("simplices")
-    if raw_simplices is None:
+    if not isinstance(obj, dict) or obj.get("simplices") is None:
         raise ValidationError("input: missing key 'simplices'")
-    problems = validate(raw_simplices)
-    if problems:
-        raise ValidationError("; ".join(problems))
     K, values = filtered_complex_from_json(obj)
     problems = validate([list(s) for s in K.simplices], values)
     if problems:

@@ -7,8 +7,8 @@ so tie-breaking is reproducible across runs.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Simplex = Tuple[int, ...]
@@ -24,7 +24,11 @@ class ValidationError(Exception):
 
 def canonical_simplex(vertices: Sequence[int]) -> Simplex:
     """Sorted vertex tuple; vertices must be distinct non-negative integers."""
-    vs = tuple(sorted(int(v) for v in vertices))
+    if not isinstance(vertices, (list, tuple)) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in vertices):
+        raise ValidationError(f"simplex {vertices!r} must be a list of integer "
+                              f"vertex ids")
+    vs = tuple(sorted(vertices))
     if not vs:
         raise ValidationError("empty simplex")
     if any(v < 0 for v in vs):
@@ -44,13 +48,6 @@ def facets(s: Simplex):
         return
     for i in range(len(s)):
         yield s[:i] + s[i + 1:]
-
-
-def proper_faces(s: Simplex):
-    """All proper nonempty faces of s."""
-    for k in range(1, len(s)):
-        for f in combinations(s, k):
-            yield f
 
 
 def is_face(tau: Simplex, sigma: Simplex) -> bool:
@@ -254,6 +251,8 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValidationError(f"non-finite number {x!r}")
         return Fraction(x)  # exact binary expansion
     if isinstance(x, str):
         try:

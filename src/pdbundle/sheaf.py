@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .complexes import ValidationError, simplex_id
-from .persistence import Element, PairSet
+from .persistence import Element
 from .stratify import PLFibration, Stratification, filtration_at, sample_in_cell
 from .vineyard import PairCache, _pairs_for, composed_bijection
 
@@ -36,7 +36,6 @@ class CellularSheaf:
     vertices: List[int]
     stalks: Dict[int, FrozenSet[Element]]
     morphisms: Dict[Tuple[int, int], Dict[Element, Element]]
-    full_pairs: Dict[int, PairSet]
 
     @property
     def fib(self) -> PLFibration:
@@ -61,8 +60,7 @@ class CellularSheaf:
             self.strat, self.degree, sorted(keep),
             {c: self.stalks[c] for c in sorted(keep)},
             {(f, c): phi for (f, c), phi in self.morphisms.items()
-             if f in keep and c in keep},
-            {c: self.full_pairs[c] for c in sorted(keep)})
+             if f in keep and c in keep})
 
 
 def build_sheaf(strat: Stratification, fib: Optional[PLFibration] = None,
@@ -76,10 +74,8 @@ def build_sheaf(strat: Stratification, fib: Optional[PLFibration] = None,
     K = fib.complex
     cache: PairCache = {}
     stalks: Dict[int, FrozenSet[Element]] = {}
-    full: Dict[int, PairSet] = {}
     for cell in strat.cells:
         pairs = _pairs_for(K, strat.indexings[cell.id], cache)
-        full[cell.id] = pairs
         if degree is None:
             stalks[cell.id] = pairs.elements()
         else:
@@ -95,7 +91,7 @@ def build_sheaf(strat: Stratification, fib: Optional[PLFibration] = None,
                     f"morphism {face} -> {cell.id} is not onto the coface stalk")
             morphisms[(face, cell.id)] = mapping
     return CellularSheaf(strat, degree, [c.id for c in strat.cells],
-                         stalks, morphisms, full)
+                         stalks, morphisms)
 
 
 @dataclass

@@ -7,9 +7,16 @@ vertex. Overlaying the chords with the triangle boundary partitions the base
 into convex cells on which the simplex order is constant; cells are not merged
 across triangle boundaries (a post-processing merge is available separately).
 All geometry is exact rational arithmetic.
+
+Each triangle is cut line by line into convex polygons, the 2-cells. Since
+every line is a full chord of the triangle, every arrangement vertex on the
+closure of a 2-cell is a corner of it: the 0-cells are the polygon corners,
+the 1-cells the polygon sides, and a 2-cell's faces are exactly its corners
+and sides.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,16 +34,12 @@ from .complexes import (
 from .geometry import (
     Line,
     Point,
-    line_intersection,
     line_through,
     on_segment,
     orient,
     point_in_convex,
-    point_on_convex_boundary,
     polygon_centroid,
-    segment_line_chord,
     segment_midpoint,
-    simplify_loop,
     split_convex,
 )
 
@@ -77,6 +80,30 @@ class BaseMesh:
         for key, cnt in edge_count.items():
             if cnt > 2:
                 raise ValidationError(f"mesh edge {key} shared by {cnt} triangles")
+        self._check_conforming(sorted(edge_count))
+
+    def _check_conforming(self, edges: List[Tuple[int, int]]) -> None:
+        """Reject a vertex inside another triangle or on one of its sides, and
+        two edges that properly cross: either breaks the partition of the
+        base into cells. Decided on integer coordinates (all vertices scaled
+        by one common denominator)."""
+        den = math.lcm(*(c.denominator for p in self.vertices for c in p))
+        grid = [(x.numerator * (den // x.denominator),
+                 y.numerator * (den // y.denominator)) for x, y in self.vertices]
+        used = sorted({v for t in self.triangles for v in t})
+        for tri in self.triangles:
+            corners = [grid[v] for v in tri]
+            for v in used:
+                if v not in tri and point_in_convex(corners, grid[v], strict=False):
+                    raise ValidationError(
+                        f"mesh vertex {v} lies in triangle {list(tri)}")
+        for i, e in enumerate(edges):
+            p, q = grid[e[0]], grid[e[1]]
+            for f in edges[i + 1:]:
+                r, s = grid[f[0]], grid[f[1]]
+                if (orient(p, q, r) * orient(p, q, s) < 0
+                        and orient(r, s, p) * orient(r, s, q) < 0):
+                    raise ValidationError(f"mesh edges {e} and {f} cross")
 
     def corners(self, t: int) -> Tuple[Point, Point, Point]:
         a, b, c = self.triangles[t]
@@ -185,9 +212,6 @@ class Cell:
     rep: Point
     triangles: Tuple[int, ...]
 
-    def key(self):
-        return tuple(sorted(self.pieces))
-
 
 def _piece_rep(piece: Piece) -> Point:
     if len(piece) == 1:
@@ -285,10 +309,9 @@ def representative_point(cell: Cell) -> Point:
     return cell.rep
 
 
-def _triangle_lines(fib: PLFibration, t: int) -> List[Tuple[Line, Tuple[Point, Point]]]:
-    """Deduplicated canonical lines from all segment traces on triangle t,
-    each with its chord through the triangle."""
-    corners = list(fib.mesh.corners(t))
+def _triangle_lines(fib: PLFibration, t: int) -> List[Line]:
+    """Deduplicated canonical lines of all segment traces on triangle t. Each
+    is a full chord of the triangle, since its trace segment is."""
     lines: Set[Line] = set()
     n = fib.complex.n
     for i in range(n):
@@ -296,60 +319,38 @@ def _triangle_lines(fib: PLFibration, t: int) -> List[Tuple[Line, Tuple[Point, P
             tr = intersection_trace(fib, i, j, t)
             if tr.kind == "segment":
                 lines.add(line_through(tr.segment[0], tr.segment[1]))
-    out = []
-    for line in sorted(lines):
-        chord = segment_line_chord(corners, line)
-        if chord is not None:
-            out.append((line, chord))
-    return out
+    return sorted(lines)
+
+
+def _loop_edges(loop: Piece) -> List[Piece]:
+    """The sides of a convex loop, each as a sorted endpoint pair."""
+    return [tuple(sorted((loop[i - 1], p))) for i, p in enumerate(loop)]
 
 
 def _arrange_triangle(fib: PLFibration, t: int
                       ) -> Tuple[List[Piece], List[Piece], List[Point]]:
     """Overlay the trace chords with one triangle's boundary: returns the
-    open 2-cells (convex loops), open 1-cells (segments) and 0-cells."""
-    corners = list(fib.mesh.corners(t))
-    lines = _triangle_lines(fib, t)
+    open 2-cells (convex loops), open 1-cells (segments) and 0-cells.
 
-    polys: List[List[Point]] = [corners]
-    for line, _ in lines:
-        nxt: List[List[Point]] = []
-        for poly in polys:
-            neg, pos = split_convex(poly, line)
-            if neg:
-                nxt.append(neg)
-            if pos:
-                nxt.append(pos)
-        polys = nxt
-
-    verts: Set[Point] = set(corners)
-    for _, chord in lines:
-        verts.add(chord[0])
-        verts.add(chord[1])
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            p = line_intersection(lines[i][0], lines[j][0])
-            if p is not None and point_in_convex(corners, p, strict=False):
-                verts.add(p)
-
-    segments: Set[Tuple[Point, Point]] = set()
-    carriers = [chord for _, chord in lines]
-    carriers += [(corners[i], corners[(i + 1) % 3]) for i in range(3)]
-    for a, b in carriers:
-        on_carrier = sorted(v for v in verts if on_segment(v, a, b))
-        for u, w in zip(on_carrier, on_carrier[1:]):
-            segments.add((u, w))
-
-    two_cells = [tuple(simplify_loop(p)) for p in polys]
-    one_cells = [s for s in sorted(segments)]
-    zero_cells = sorted(verts)
-    return sorted(two_cells), one_cells, zero_cells
+    Every line is a full chord of the convex triangle, so an arrangement
+    vertex on the closure of a 2-cell is one of its corners (otherwise a line
+    through that vertex would cut the cell). The 0-cells are therefore the
+    loop corners and the 1-cells the loop sides."""
+    polys = [list(fib.mesh.corners(t))]
+    for line in _triangle_lines(fib, t):
+        polys = [part for poly in polys for part in split_convex(poly, line)
+                 if part]
+    two_cells = sorted(tuple(p) for p in polys)
+    one_cells = sorted({e for loop in two_cells for e in _loop_edges(loop)})
+    zero_cells = sorted({p for loop in two_cells for p in loop})
+    return two_cells, one_cells, zero_cells
 
 
 def build_stratification(fib: PLFibration) -> Stratification:
     """Partition the base mesh into cells of constant simplex order and record
     the face poset (all face relations, any codimension). 1- and 0-cells on
-    shared triangle boundaries are identified across triangles."""
+    shared triangle boundaries are identified across triangles. A 2-cell's
+    faces are its corners and sides, a 1-cell's its two endpoints."""
     cells: List[Cell] = []
     faces: Dict[int, Set[int]] = {}
     seen: Dict[Tuple, int] = {}
@@ -376,16 +377,11 @@ def build_stratification(fib: PLFibration) -> Stratification:
         for seg in one_cells:
             cid = add_cell(1, seg, t)
             one_ids[seg] = cid
-            faces[cid].add(zero_ids[seg[0]])
-            faces[cid].add(zero_ids[seg[1]])
+            faces[cid].update(zero_ids[p] for p in seg)
         for loop in two_cells:
             cid = add_cell(2, loop, t)
-            for p, pid in zero_ids.items():
-                if point_on_convex_boundary(loop, p):
-                    faces[cid].add(pid)
-            for seg, sid in one_ids.items():
-                if point_on_convex_boundary(loop, segment_midpoint(*seg)):
-                    faces[cid].add(sid)
+            faces[cid].update(zero_ids[p] for p in loop)
+            faces[cid].update(one_ids[e] for e in _loop_edges(loop))
 
     return Stratification(fib, cells, {cid: frozenset(f) for cid, f in faces.items()})
 

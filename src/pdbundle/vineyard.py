@@ -54,12 +54,6 @@ class PairBijection:
     def __call__(self, e: Element) -> Element:
         return self.mapping[e]
 
-    def apply_birth(self, e: Element) -> int:
-        return self.mapping[e][0]
-
-    def apply_death(self, e: Element) -> Optional[int]:
-        return self.mapping[e][1]
-
     def inverse(self) -> "PairBijection":
         return PairBijection(self.target, self.source,
                              {v: k for k, v in self.mapping.items()})

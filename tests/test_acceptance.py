@@ -15,13 +15,7 @@ import pytest
 from pdbundle.cli import main
 from pdbundle.complexes import induced_indexing
 from pdbundle.generators import gen_image_fibration, gen_instability, gen_monodromy
-from pdbundle.persistence import (
-    diagrams_by_degree,
-    pairs_betti_count,
-    pairs_for_filtration,
-    persistent_betti,
-    vietoris_rips,
-)
+from pdbundle.persistence import diagrams_by_degree, pairs_for_filtration
 from pdbundle.sheaf import build_sheaf, edge_value_certificate, monodromy_scan
 from pdbundle.stratify import build_stratification, filtration_at
 from pdbundle.vineyard import path_vineyard
@@ -37,6 +31,7 @@ from conftest import (
     random_fibration,
     random_monotone_values,
 )
+from rank_oracle import pairs_betti_count, persistent_betti, vietoris_rips
 
 F = Fraction
 

@@ -227,6 +227,15 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     assert code == 1
     code, _, err = run(["sheaf", "--input", mono, "--degree", "nope"], capsys)
     assert code == 1
+    # malformed simplices and numbers in a filtered complex
+    for text in ('[[0], [1]]',
+                 '{"simplices": [[0], [1, "x"]], "values": {"0": "0"}}',
+                 '{"simplices": "ab", "values": {}}',
+                 '{"simplices": [[0]], "values": {"0": 1e400}}',
+                 '{"simplices": [[0.7]], "values": {"0": "0"}}'):
+        code, _, err = run(["ph", "--input", write(tmp_path, "bad.json", text)],
+                           capsys)
+        assert code == 1 and err.startswith("error:"), (text, err)
 
 
 def test_outputs_byte_identical_across_runs(tmp_path, capsys):

@@ -4,15 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pdbundle.complexes import SimplicialComplex, ValidationError, induced_indexing
-from pdbundle.persistence import (
-    PairSet,
-    diagram,
-    pairs_betti_count,
-    pairs_for_filtration,
-    persistent_betti,
-    reduce_pairs,
-    vietoris_rips,
-)
+from pdbundle.persistence import PairSet, diagram, pairs_for_filtration, reduce_pairs
 
 from conftest import (
     A,
@@ -24,6 +16,7 @@ from conftest import (
     random_complex,
     random_monotone_values,
 )
+from rank_oracle import pairs_betti_count, persistent_betti, vietoris_rips
 
 
 def test_single_vertex():

@@ -4,7 +4,18 @@ from fractions import Fraction
 import pytest
 
 from pdbundle.complexes import SimplicialComplex, ValidationError
-from pdbundle.geometry import on_segment, point_in_convex, point_on_convex_boundary
+from pdbundle.generators import gen_image_fibration
+from pdbundle.geometry import (
+    line_intersection,
+    line_through,
+    on_segment,
+    point_in_convex,
+    point_on_convex_boundary,
+    segment_line_chord,
+    segment_midpoint,
+    simplify_loop,
+    split_convex,
+)
 from pdbundle.persistence import pairs_for_filtration
 from pdbundle.stratify import (
     BaseMesh,
@@ -18,7 +29,16 @@ from pdbundle.stratify import (
     sample_in_cell,
 )
 
-from conftest import A, B, C, D, deg1_pairs, quadrant_of, random_fibration
+from conftest import (
+    MESHES,
+    A,
+    B,
+    C,
+    D,
+    deg1_pairs,
+    quadrant_of,
+    random_fibration,
+)
 
 F = Fraction
 
@@ -32,6 +52,20 @@ def test_mesh_validation():
     # clockwise input is flipped to counterclockwise
     from pdbundle.geometry import orient
     assert orient(*mesh.corners(0)) > 0
+    # T-junction: vertex (1,1) lies on the side (2,0)-(0,2) of triangle 0, so
+    # (3/2, 1/2) would lie inside 1-cells of two triangles
+    with pytest.raises(ValidationError, match="vertex 3 lies in triangle"):
+        BaseMesh([(0, 0), (2, 0), (0, 2), (1, 1), (2, 2)],
+                 [(0, 1, 2), (1, 4, 3), (3, 4, 2)])
+    # a vertex strictly inside another triangle
+    with pytest.raises(ValidationError, match="vertex 3 lies in triangle"):
+        BaseMesh([(0, 0), (4, 0), (0, 4), (1, 1)], [(0, 1, 2), (0, 1, 3)])
+    # overlapping triangles whose edges cross, no vertex inside the other
+    with pytest.raises(ValidationError, match="cross"):
+        BaseMesh([(0, 0), (4, 0), (2, 4), (0, 3), (4, 3), (2, -1)],
+                 [(0, 1, 2), (3, 4, 5)])
+    # an unused vertex is not part of the mesh and may lie anywhere
+    BaseMesh([(0, 0), (4, 0), (0, 4), (1, 1)], [(0, 1, 2)])
 
 
 def test_fibration_rejects_non_monotone():
@@ -304,3 +338,71 @@ def test_random_stratifications_partition_oracle():
             cell = strat.locate(p)
             assert pairs_for_filtration(K, filtration_at(fib, p)) == \
                 pairs_for_filtration(K, strat.rep_values[cell.id])
+
+
+def brute_force_triangle(fib, t):
+    """Oracle for one triangle's cells and face relations: 0-cells from every
+    pairwise line intersection, 1-cells by testing each vertex against every
+    chord and side, and faces by testing each 2-cell's boundary against every
+    0- and 1-cell. Returns the cell pieces by dimension and the face
+    relations as (cell piece, face piece) pairs."""
+    corners = list(fib.mesh.corners(t))
+    lines = set()
+    for i in range(fib.complex.n):
+        for j in range(i + 1, fib.complex.n):
+            tr = intersection_trace(fib, i, j, t)
+            if tr.kind == "segment":
+                lines.add(line_through(*tr.segment))
+    lines = sorted(lines)
+    chords = [segment_line_chord(corners, line) for line in lines]
+
+    polys = [corners]
+    for line in lines:
+        polys = [part for poly in polys for part in split_convex(poly, line)
+                 if part]
+    two = {tuple(simplify_loop(p)) for p in polys}
+
+    zero = set(corners) | {p for chord in chords for p in chord}
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            p = line_intersection(lines[i], lines[j])
+            if p is not None and point_in_convex(corners, p, strict=False):
+                zero.add(p)
+
+    one = set()
+    for a, b in chords + [(corners[i], corners[i - 1]) for i in range(3)]:
+        on_carrier = sorted(v for v in zero if on_segment(v, a, b))
+        one.update(zip(on_carrier, on_carrier[1:]))
+
+    faces = {(seg, (p,)) for seg in one for p in seg}
+    mids = [(seg, segment_midpoint(*seg)) for seg in one]
+    for loop in two:
+        xs, ys = [q[0] for q in loop], [q[1] for q in loop]
+        box = (min(xs), max(xs), min(ys), max(ys))
+
+        def on_boundary(p):  # bounding-box test first, for speed only
+            return (box[0] <= p[0] <= box[1] and box[2] <= p[1] <= box[3]
+                    and point_on_convex_boundary(loop, p))
+        faces.update((loop, (p,)) for p in zero if on_boundary(p))
+        faces.update((loop, seg) for seg, mid in mids if on_boundary(mid))
+    cells = {0: {(p,) for p in zero}, 1: one, 2: two}
+    return cells, faces
+
+
+def _random_2x2_ppm(rng):
+    return "P3\n2 2 15\n" + " ".join(str(rng.randint(0, 15)) for _ in range(12))
+
+
+def test_cells_and_faces_match_brute_force_oracle():
+    rng = random.Random(35)
+    fibs = [random_fibration(rng, mesh_name=name)
+            for _ in range(15) for name in sorted(MESHES)]
+    fibs += [gen_image_fibration(_random_2x2_ppm(rng))[0] for _ in range(4)]
+    for fib in fibs:
+        strat = build_stratification(fib)
+        for t in range(len(fib.mesh.triangles)):
+            mine = [c for c in strat.cells if t in c.triangles]
+            cells = {d: {c.pieces[0] for c in mine if c.dim == d} for d in range(3)}
+            faces = {(c.pieces[0], strat.cell(f).pieces[0])
+                     for c in mine for f in strat.faces_of(c.id)}
+            assert (cells, faces) == brute_force_triangle(fib, t)
