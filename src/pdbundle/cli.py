@@ -22,6 +22,7 @@ from .serialize import (
     fibration_from_json,
     fibration_to_json,
     filtered_complex_from_json,
+    mapping_to_json,
     monodromy_to_json,
     sections_to_json,
     sheaf_to_json,
@@ -150,12 +151,8 @@ def cmd_vineyard(cfg: RunConfig) -> None:
         filts.append(filtration_at(fib, (as_fraction(p[0]), as_fraction(p[1]))))
     vines, loop = path_vineyard(fib.complex, filts)
     _write_text(cfg.output, vines_to_csv(fib.complex, vines))
-    K = fib.complex
-    from .serialize import element_to_json
     loop_json = {
-        "loop_permutation": sorted(
-            [element_to_json(K, e), element_to_json(K, img)]
-            for e, img in loop.mapping.items()),
+        "loop_permutation": mapping_to_json(fib.complex, loop.mapping),
         "nontrivial": any(k != v for k, v in loop.mapping.items()),
     }
     sys.stdout.write(canonical_dumps(loop_json))

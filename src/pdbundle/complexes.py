@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 Simplex = Tuple[int, ...]
 
@@ -135,26 +135,29 @@ def validate(simplices: Sequence[Sequence[int]],
             problems.append(f"{len(values)} filtration values for "
                             f"{len(listed)} simplices")
         else:
-            for i, s in enumerate(listed):
-                for f in facets(s):
-                    j = index_of[f]
-                    if values[j] > values[i]:
-                        problems.append(
-                            f"non-monotone: f({simplex_id(f)}) = {values[j]} > "
-                            f"{values[i]} = f({simplex_id(s)})")
+            problems.extend(monotonicity_violations(listed, index_of, values))
     return problems
 
 
-def check_monotone(K: SimplicialComplex, values: Sequence) -> None:
+def monotonicity_violations(simplices: Sequence[Simplex],
+                            index_of: Dict[Simplex, int], values: Sequence,
+                            where: str = "") -> Iterator[str]:
+    """One message per face whose value exceeds its coface's, in listing
+    order; `where` follows 'non-monotone' in each message."""
+    for i, s in enumerate(simplices):
+        for f in facets(s):
+            j = index_of[f]
+            if values[j] > values[i]:
+                yield (f"non-monotone{where}: f({simplex_id(f)}) = {values[j]} > "
+                       f"{values[i]} = f({simplex_id(s)})")
+
+
+def check_monotone(K: SimplicialComplex, values: Sequence, where: str = "") -> None:
     """Raise ValidationError if values are not a filtration on K."""
     if len(values) != K.n:
         raise ValidationError(f"{len(values)} filtration values for {K.n} simplices")
-    for i in range(K.n):
-        for j in K.facet_indices(i):
-            if values[j] > values[i]:
-                raise ValidationError(
-                    f"non-monotone: f({simplex_id(K.simplices[j])}) > "
-                    f"f({simplex_id(K.simplices[i])})")
+    for problem in monotonicity_violations(K.simplices, K.index_of, values, where):
+        raise ValidationError(problem)
 
 
 def simplex_order_compare(values: Sequence, i: int, j: int) -> int:

@@ -105,6 +105,19 @@ def reduce_pairs(K: SimplicialComplex, idx: SimplexIndexing) -> PairSet:
     return PairSet(pairs=frozenset(pairs), essential=essential)
 
 
+class PairCache(dict):
+    """The pair sets of one complex, keyed by indexing. A pair set is reduced
+    on its first lookup and kept."""
+
+    def __init__(self, K: SimplicialComplex):
+        super().__init__()
+        self.K = K
+
+    def __missing__(self, idx: SimplexIndexing) -> PairSet:
+        pairs = self[idx] = reduce_pairs(self.K, idx)
+        return pairs
+
+
 @dataclass(frozen=True)
 class PersistenceDiagram:
     """Multiset of (birth, death) points for one homology degree; an infinite

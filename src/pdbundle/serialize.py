@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import (
     SimplicialComplex,
@@ -17,7 +17,7 @@ from .complexes import (
     parse_simplex_id,
     simplex_id,
 )
-from .persistence import Element, PairSet
+from .persistence import Element, PairSet, diagrams_by_degree
 from .sheaf import CellularSheaf, MonodromyReport, SheafSection
 from .stratify import BaseMesh, Cell, PLFibration, Stratification
 
@@ -48,11 +48,6 @@ def complex_to_json(K: SimplicialComplex) -> Dict:
 def complex_from_json(obj: Dict) -> SimplicialComplex:
     simplices = _require(obj, "simplices", list, "complex")
     return SimplicialComplex(simplices)
-
-
-def values_map_to_json(K: SimplicialComplex, values: Sequence) -> Dict[str, str]:
-    return {simplex_id(s): format_rational(values[i])
-            for i, s in enumerate(K.simplices)}
 
 
 def values_map_from_json(obj: Dict, K: SimplicialComplex) -> List[Fraction]:
@@ -127,17 +122,23 @@ def element_to_json(K: SimplicialComplex, e: Element) -> List[str]:
             "inf" if d is None else simplex_id(K.simplices[d])]
 
 
-def pairset_to_json(K: SimplicialComplex, pairs: PairSet) -> List[List[str]]:
-    return sorted(element_to_json(K, e) for e in pairs.elements())
-
-
 def elements_to_json(K: SimplicialComplex, elements) -> List[List[str]]:
     return sorted(element_to_json(K, e) for e in elements)
 
 
+def pairset_to_json(K: SimplicialComplex, pairs: PairSet) -> List[List[str]]:
+    return elements_to_json(K, pairs.elements())
+
+
+def mapping_to_json(K: SimplicialComplex,
+                    mapping: Mapping[Element, Element]) -> List[List[List[str]]]:
+    """A bijection of pair-set elements as sorted [element, image] pairs."""
+    return sorted([element_to_json(K, e), element_to_json(K, img)]
+                  for e, img in mapping.items())
+
+
 def diagrams_to_json(K: SimplicialComplex, pairs: PairSet,
                      values: Sequence) -> Dict:
-    from .persistence import diagrams_by_degree
     degrees = {}
     for q, dg in diagrams_by_degree(pairs, K, values).items():
         degrees[str(q)] = {
@@ -147,7 +148,7 @@ def diagrams_to_json(K: SimplicialComplex, pairs: PairSet,
         }
     return {
         "degrees": degrees,
-        "pairs": sorted(element_to_json(K, e) for e in pairs.elements()),
+        "pairs": pairset_to_json(K, pairs),
     }
 
 
@@ -167,15 +168,10 @@ def cell_to_json(cell: Cell, stalk_json: List[List[str]]) -> Dict:
 
 
 def stratification_to_json(strat: Stratification) -> Dict:
-    from .vineyard import PairCache, _pairs_for
     K = strat.fib.complex
-    cache: PairCache = {}
-    cells = []
-    for cell in strat.cells:
-        ps = _pairs_for(K, strat.indexings[cell.id], cache)
-        cells.append(cell_to_json(cell, pairset_to_json(K, ps)))
     return {
-        "cells": cells,
+        "cells": [cell_to_json(cell, pairset_to_json(K, strat.cell_pairs(cell.id)))
+                  for cell in strat.cells],
         "face_relations": sorted(
             [f, c.id] for c in strat.cells for f in strat.faces_of(c.id)),
     }
@@ -195,13 +191,10 @@ def sheaf_to_json(sheaf: CellularSheaf) -> Dict:
         })
     edges = []
     for (face, coface) in sheaf.edges():
-        phi = sheaf.morphisms[(face, coface)]
         edges.append({
             "face": face,
             "coface": coface,
-            "morphism": sorted(
-                [element_to_json(K, e), element_to_json(K, img)]
-                for e, img in phi.items()),
+            "morphism": mapping_to_json(K, sheaf.morphisms[(face, coface)]),
         })
     return {
         "degree": sheaf.degree,
@@ -241,9 +234,7 @@ def monodromy_to_json(sheaf: CellularSheaf, report: MonodromyReport) -> Dict:
         loops.append({
             "zero_cell": loop.zero_cell,
             "cell_cycle": loop.cycle,
-            "permutation": sorted(
-                [element_to_json(K, e), element_to_json(K, img)]
-                for e, img in loop.permutation.items()),
+            "permutation": mapping_to_json(K, loop.permutation),
             "nontrivial": loop.nontrivial,
         })
     return {

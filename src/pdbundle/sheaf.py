@@ -1,24 +1,26 @@
 """Compatible cellular sheaf over the stratification graph: pair-set stalks,
-update-rule morphisms, section propagation, global-section enumeration, loop
-monodromy, and synthesis of bundle sections with an exact continuity check.
+update-rule morphisms, section propagation, global sections and obstructed
+seeds, loop monodromy, and synthesis of bundle sections with an exact
+continuity check.
 
 The sheaf lives on the graph with one vertex per stratification cell and one
 edge per face relation. The stalk at a cell is its pair set (optionally
 restricted to one homology degree); the morphism from a face cell into a
 coface cell is the canonical composed update bijection between their induced
-indexings, restricted accordingly.
+indexings, restricted accordingly. Global sections and obstructed seeds are
+both read off one pass over the étalé graph of the sheaf.
 """
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .complexes import ValidationError, simplex_id
+from .complexes import ValidationError
 from .persistence import Element
 from .stratify import PLFibration, Stratification, filtration_at, sample_in_cell
-from .vineyard import PairCache, _pairs_for, composed_bijection
+from .vineyard import composed_bijection
 
 
 class InvariantError(Exception):
@@ -31,11 +33,26 @@ def _element_sort_key(e: Element):
 
 @dataclass
 class CellularSheaf:
+    """Stalks and face-to-coface morphisms on a set of cells. On construction
+    the morphisms are also laid out as two-way edge transport:
+    `transport[u][w]` carries the stalk of cell u to that of an adjacent cell
+    w, by the morphism when w is a coface of u and by its inverse when w is a
+    face. Neighbours are listed in edge order."""
+
     strat: Stratification
     degree: Optional[int]
     vertices: List[int]
     stalks: Dict[int, FrozenSet[Element]]
     morphisms: Dict[Tuple[int, int], Dict[Element, Element]]
+    transport: Dict[int, Dict[int, Dict[Element, Element]]] = field(
+        init=False, repr=False)
+
+    def __post_init__(self):
+        self.transport = {v: {} for v in self.vertices}
+        for face, coface in self.edges():
+            phi = self.morphisms[(face, coface)]
+            self.transport[face][coface] = phi
+            self.transport[coface][face] = {y: x for x, y in phi.items()}
 
     @property
     def fib(self) -> PLFibration:
@@ -43,12 +60,6 @@ class CellularSheaf:
 
     def edges(self) -> List[Tuple[int, int]]:
         return sorted(self.morphisms.keys())
-
-    def stalk(self, cid: int) -> FrozenSet[Element]:
-        return self.stalks[cid]
-
-    def morphism(self, face: int, coface: int) -> Dict[Element, Element]:
-        return self.morphisms[(face, coface)]
 
     def restrict(self, cells) -> "CellularSheaf":
         """Sub-sheaf on a subset of vertices (edges with both ends kept)."""
@@ -63,19 +74,16 @@ class CellularSheaf:
              if f in keep and c in keep})
 
 
-def build_sheaf(strat: Stratification, fib: Optional[PLFibration] = None,
+def build_sheaf(strat: Stratification,
                 degree: Optional[int] = None) -> CellularSheaf:
     """Construct the compatible cellular sheaf for a stratification. With a
     degree, stalks keep only the pairs whose birth simplex has that dimension
     (essential births included); update bijections preserve the degree, so the
     restriction is again a sheaf of bijections."""
-    if fib is None:
-        fib = strat.fib
-    K = fib.complex
-    cache: PairCache = {}
+    K = strat.fib.complex
     stalks: Dict[int, FrozenSet[Element]] = {}
     for cell in strat.cells:
-        pairs = _pairs_for(K, strat.indexings[cell.id], cache)
+        pairs = strat.cell_pairs(cell.id)
         if degree is None:
             stalks[cell.id] = pairs.elements()
         else:
@@ -83,8 +91,8 @@ def build_sheaf(strat: Stratification, fib: Optional[PLFibration] = None,
     morphisms: Dict[Tuple[int, int], Dict[Element, Element]] = {}
     for cell in strat.cells:
         for face in sorted(strat.faces_of(cell.id)):
-            bij = composed_bijection(K, strat.indexings[face],
-                                     strat.indexings[cell.id], cache)
+            bij = composed_bijection(strat.pairs, strat.indexings[face],
+                                     strat.indexings[cell.id])
             mapping = bij.restrict(stalks[face])
             if set(mapping.values()) != set(stalks[cell.id]):
                 raise InvariantError(
@@ -123,16 +131,6 @@ class Obstruction:
     cycle: List[int]
 
 
-def _neighbors(sheaf: CellularSheaf) -> Dict[int, List[Tuple[int, bool]]]:
-    """Adjacency with direction flags: (other, True) when the edge goes up
-    from this cell (this cell is the face)."""
-    nbrs: Dict[int, List[Tuple[int, bool]]] = {v: [] for v in sheaf.vertices}
-    for face, coface in sheaf.edges():
-        nbrs[face].append((coface, True))
-        nbrs[coface].append((face, False))
-    return nbrs
-
-
 def propagate(sheaf: CellularSheaf, v0: int, x0: Element,
               order_seed: Optional[int] = None):
     """Breadth-first propagation of the section constraints from one seed.
@@ -141,9 +139,6 @@ def propagate(sheaf: CellularSheaf, v0: int, x0: Element,
     traversal order (order_seed only shuffles it, for testing)."""
     if x0 not in sheaf.stalks[v0]:
         raise ValidationError(f"seed element {x0} not in the stalk of cell {v0}")
-    inverse: Dict[Tuple[int, int], Dict[Element, Element]] = {
-        k: {v: u for u, v in phi.items()} for k, phi in sheaf.morphisms.items()}
-    nbrs = _neighbors(sheaf)
     rng = random.Random(order_seed) if order_seed is not None else None
 
     assignment: Dict[int, Element] = {v0: x0}
@@ -151,12 +146,11 @@ def propagate(sheaf: CellularSheaf, v0: int, x0: Element,
     queue = deque([v0])
     while queue:
         u = queue.popleft()
-        out = nbrs[u]
+        out = sheaf.transport[u].items()
         if rng is not None:
             out = list(out)
             rng.shuffle(out)
-        for w, up in out:
-            phi = sheaf.morphisms[(u, w)] if up else inverse[(w, u)]
+        for w, phi in out:
             forced = phi[assignment[u]]
             if w not in assignment:
                 assignment[w] = forced
@@ -180,7 +174,6 @@ def propagate(sheaf: CellularSheaf, v0: int, x0: Element,
 
 
 def connected_components(sheaf: CellularSheaf) -> List[List[int]]:
-    nbrs = _neighbors(sheaf)
     seen: Set[int] = set()
     comps: List[List[int]] = []
     for cid in sheaf.vertices:
@@ -192,7 +185,7 @@ def connected_components(sheaf: CellularSheaf) -> List[List[int]]:
         while queue:
             u = queue.popleft()
             comp.append(u)
-            for w, _ in nbrs[u]:
+            for w in sheaf.transport[u]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -200,19 +193,47 @@ def connected_components(sheaf: CellularSheaf) -> List[List[int]]:
     return comps
 
 
+def _etale_pass(sheaf: CellularSheaf
+                ) -> Tuple[List[SheafSection], List[Tuple[int, Element]]]:
+    """Sections and obstructed seeds from one breadth-first pass over the
+    étalé graph: one node per (cell, stalk element), joined along the edge
+    transport. The transport maps are bijections, so a component meets every
+    cell of its connected component of cells. It is a section when it meets
+    each of them once; otherwise each of its nodes is an obstructed seed.
+
+    Seeds are taken by cell id, then element, so every component starts at
+    its smallest cell: sections come out ordered by cell component and then
+    by their element there, and obstructed seeds by (cell, element)."""
+    seeds = [(v, x) for v in sheaf.vertices
+             for x in sorted(sheaf.stalks[v], key=_element_sort_key)]
+    component: Dict[Tuple[int, Element], int] = {}
+    is_section: List[bool] = []
+    sections: List[SheafSection] = []
+    for seed in seeds:
+        if seed in component:
+            continue
+        index = component[seed] = len(is_section)
+        nodes = [seed]
+        for u, x in nodes:  # nodes grows while it is read: the BFS queue
+            for w, phi in sheaf.transport[u].items():
+                node = (w, phi[x])
+                if node not in component:
+                    component[node] = index
+                    nodes.append(node)
+        assignment = dict(nodes)
+        is_section.append(len(assignment) == len(nodes))
+        if is_section[-1]:
+            sections.append(SheafSection(assignment))
+    obstructed = [seed for seed in seeds if not is_section[component[seed]]]
+    return sections, obstructed
+
+
 def enumerate_global_sections(sheaf: CellularSheaf) -> List[SheafSection]:
-    """All sections of each connected component, found by propagating from
-    every stalk element of the component's smallest-id vertex. Sections of
+    """All sections of each connected component, ordered by component and
+    then by their element at the component's smallest-id cell. Sections of
     different components combine independently (cartesian product); they are
     emitted per component, not multiplied out."""
-    sections: List[SheafSection] = []
-    for comp in connected_components(sheaf):
-        root = comp[0]
-        for x in sorted(sheaf.stalks[root], key=_element_sort_key):
-            result = propagate(sheaf, root, x)
-            if isinstance(result, SheafSection):
-                sections.append(result)
-    return sections
+    return _etale_pass(sheaf)[0]
 
 
 def walk_permutation(sheaf: CellularSheaf, walk: Sequence[int]
@@ -223,11 +244,8 @@ def walk_permutation(sheaf: CellularSheaf, walk: Sequence[int]
     mapping: Dict[Element, Element] = {
         e: e for e in sheaf.stalks[walk[0]]}
     for u, w in zip(walk, walk[1:]):
-        if (u, w) in sheaf.morphisms:
-            phi = sheaf.morphisms[(u, w)]
-        elif (w, u) in sheaf.morphisms:
-            phi = {v: k for k, v in sheaf.morphisms[(w, u)].items()}
-        else:
+        phi = sheaf.transport[u].get(w)
+        if phi is None:
             raise ValidationError(f"cells {u} and {w} are not adjacent in the sheaf")
         mapping = {e: phi[x] for e, x in mapping.items()}
     return mapping
@@ -265,9 +283,6 @@ class LoopClass:
 class MonodromyReport:
     loops: List[LoopClass]
     obstructed_seeds: List[Tuple[int, Element]]
-
-    def nontrivial_loops(self) -> List[LoopClass]:
-        return [l for l in self.loops if l.nontrivial]
 
 
 def _link_cycle(sheaf: CellularSheaf, v: int) -> Optional[List[int]]:
@@ -323,21 +338,7 @@ def monodromy_scan(sheaf: CellularSheaf) -> MonodromyReport:
         perm = loop_monodromy(sheaf, cycle)
         loops.append(LoopClass(cell.id, cycle, perm,
                                any(k != v for k, v in perm.items())))
-    obstructed: List[Tuple[int, Element]] = []
-    settled: Set[Tuple[int, Element]] = set()
-    for cell in sheaf.strat.cells:
-        if cell.id not in members:
-            continue
-        for x in sorted(sheaf.stalks[cell.id], key=_element_sort_key):
-            if (cell.id, x) in settled:
-                continue
-            result = propagate(sheaf, cell.id, x)
-            if isinstance(result, SheafSection):
-                for u, e in result.assignment.items():
-                    settled.add((u, e))
-            else:
-                obstructed.append((cell.id, x))
-    return MonodromyReport(loops, obstructed)
+    return MonodromyReport(loops, _etale_pass(sheaf)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +359,30 @@ class BundleSection:
     boundary_points_checked: int
 
 
-def _eval_element(fib: PLFibration, e: Element, p, hint: int):
-    values = filtration_at(fib, p, triangle_hint=hint)
+def _pair_values(values: Sequence, e: Element):
     b, d = e
     return (values[b], None if d is None else values[d])
+
+
+def _certify_edge(sheaf: CellularSheaf, face: int, coface: int,
+                  matches: Sequence[Tuple[Element, Element]], points: int,
+                  rng: random.Random) -> int:
+    """Check that each (face element, coface element) match evaluates to the
+    same exact values at `points` points of the face cell: its representative
+    and random interior samples. The filtration is evaluated once per point.
+    Raises InvariantError at the first mismatch; returns the checks made."""
+    fcell = sheaf.strat.cell(face)
+    pts = [fcell.rep]
+    pts += [sample_in_cell(fcell, rng) for _ in range(max(0, points - 1))]
+    for p in pts:
+        values = filtration_at(sheaf.fib, p, triangle_hint=fcell.triangles[0])
+        for e, img in matches:
+            lhs, rhs = _pair_values(values, e), _pair_values(values, img)
+            if lhs != rhs:
+                raise InvariantError(
+                    f"discontinuous across edge ({face}, {coface}) at {p}: "
+                    f"face pair {e} evaluates to {lhs}, coface pair {img} to {rhs}")
+    return len(pts) * len(matches)
 
 
 def bundle_section(sheaf: CellularSheaf, section: SheafSection,
@@ -384,23 +405,13 @@ def bundle_section(sheaf: CellularSheaf, section: SheafSection,
         pts = [cell.rep]
         pts += [sample_in_cell(cell, rng) for _ in range(max(0, samples_per_cell - 1))]
         for p in pts:
-            b, d = _eval_element(fib, e, p, cell.triangles[0])
-            samples.append(BundleSectionSample(cid, p, b, d))
-    checked = 0
-    for face, coface in sheaf.edges():
-        if face not in section.assignment or coface not in section.assignment:
-            continue
-        fcell = strat.cell(face)
-        pts = [fcell.rep]
-        pts += [sample_in_cell(fcell, rng) for _ in range(max(0, boundary_samples - 1))]
-        for p in pts:
-            lhs = _eval_element(fib, section.assignment[face], p, fcell.triangles[0])
-            rhs = _eval_element(fib, section.assignment[coface], p, fcell.triangles[0])
-            if lhs != rhs:
-                raise InvariantError(
-                    f"bundle section discontinuous across edge ({face}, {coface}) "
-                    f"at {p}: face pair evaluates to {lhs}, coface pair to {rhs}")
-            checked += 1
+            values = filtration_at(fib, p, triangle_hint=cell.triangles[0])
+            samples.append(BundleSectionSample(cid, p, *_pair_values(values, e)))
+    chosen = section.assignment
+    checked = sum(
+        _certify_edge(sheaf, face, coface, [(chosen[face], chosen[coface])],
+                      boundary_samples, rng)
+        for face, coface in sheaf.edges() if face in chosen and coface in chosen)
     return BundleSection(samples, checked)
 
 
@@ -409,22 +420,7 @@ def edge_value_certificate(sheaf: CellularSheaf, samples_per_edge: int = 5,
     """Check, for every edge morphism and every pair in the face stalk, that
     the pair and its image evaluate to the same exact values at sampled points
     of the face cell. Returns the number of equality checks performed."""
-    fib = sheaf.fib
-    strat = sheaf.strat
     rng = random.Random(seed)
-    checked = 0
-    for (face, coface), phi in sorted(sheaf.morphisms.items()):
-        fcell = strat.cell(face)
-        pts = [fcell.rep]
-        pts += [sample_in_cell(fcell, rng) for _ in range(max(0, samples_per_edge - 1))]
-        for p in pts:
-            values = filtration_at(fib, p, triangle_hint=fcell.triangles[0])
-            for e, img in phi.items():
-                lhs = (values[e[0]], None if e[1] is None else values[e[1]])
-                rhs = (values[img[0]], None if img[1] is None else values[img[1]])
-                if lhs != rhs:
-                    raise InvariantError(
-                        f"edge ({face}, {coface}): pair {e} maps to {img} but "
-                        f"values differ at {p}: {lhs} vs {rhs}")
-                checked += 1
-    return checked
+    return sum(_certify_edge(sheaf, face, coface, list(phi.items()),
+                             samples_per_edge, rng)
+               for (face, coface), phi in sorted(sheaf.morphisms.items()))

@@ -27,9 +27,9 @@ from .complexes import (
     SimplicialComplex,
     ValidationError,
     as_fraction,
+    check_monotone,
     induced_indexing,
     order_signature,
-    simplex_id,
 )
 from .geometry import (
     Line,
@@ -42,6 +42,7 @@ from .geometry import (
     segment_midpoint,
     split_convex,
 )
+from .persistence import PairCache, PairSet
 
 # A geometry piece: 1 point = vertex, 2 points = open segment,
 # >= 3 points = open convex polygon (counterclockwise loop).
@@ -53,6 +54,10 @@ class BaseMesh:
     Triangles are normalized to counterclockwise orientation."""
 
     def __init__(self, vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]):
+        for v in vertices:
+            if not isinstance(v, (list, tuple)) or len(v) != 2:
+                raise ValidationError(f"mesh vertex {v!r} must be a list of two "
+                                      f"coordinates")
         self.vertices: List[Point] = [
             (as_fraction(v[0]), as_fraction(v[1])) for v in vertices]
         if len(set(self.vertices)) != len(self.vertices):
@@ -60,9 +65,13 @@ class BaseMesh:
         self.triangles: List[Tuple[int, int, int]] = []
         edge_count: Dict[Tuple[int, int], int] = {}
         for t in triangles:
-            if len(t) != 3 or len(set(t)) != 3:
+            if not isinstance(t, (list, tuple)) or len(t) != 3 or not all(
+                    isinstance(x, int) and not isinstance(x, bool) for x in t):
+                raise ValidationError(f"mesh triangle {t!r} must be a list of "
+                                      f"three integer vertex ids")
+            if len(set(t)) != 3:
                 raise ValidationError(f"bad triangle {list(t)}")
-            a, b, c = (int(x) for x in t)
+            a, b, c = t
             for x in (a, b, c):
                 if not 0 <= x < len(self.vertices):
                     raise ValidationError(f"triangle vertex {x} out of range")
@@ -127,14 +136,9 @@ class PLFibration:
             if len(row) != len(mesh.vertices):
                 raise ValidationError("value row length != number of mesh vertices")
             self.values.append([as_fraction(x) for x in row])
-        for i in range(complex_.n):
-            for j in complex_.facet_indices(i):
-                for v in range(len(mesh.vertices)):
-                    if self.values[j][v] > self.values[i][v]:
-                        raise ValidationError(
-                            f"non-monotone at mesh vertex {v}: "
-                            f"f({simplex_id(complex_.simplices[j])}) > "
-                            f"f({simplex_id(complex_.simplices[i])})")
+        for v in range(len(mesh.vertices)):
+            check_monotone(complex_, [row[v] for row in self.values],
+                           f" at mesh vertex {v}")
 
     def triangle_values(self, i: int, t: int) -> Tuple[Fraction, Fraction, Fraction]:
         """Values of simplex i at the three corners of base triangle t."""
@@ -230,8 +234,9 @@ def _point_in_piece(piece: Piece, p: Point) -> bool:
 
 
 class Stratification:
-    """Cells partitioning the base mesh, their face poset, and the induced
-    simplex indexing at each cell's representative point."""
+    """Cells partitioning the base mesh, their face poset, the induced simplex
+    indexing at each cell's representative point, and the pair sets of those
+    indexings (each reduced once, when first asked for)."""
 
     def __init__(self, fib: PLFibration, cells: List[Cell],
                  faces: Dict[int, FrozenSet[int]]):
@@ -243,6 +248,7 @@ class Stratification:
             for f in fs:
                 self.cofaces[f].add(cid)
         self.indexings: Dict[int, SimplexIndexing] = {}
+        self.pairs = PairCache(fib.complex)
         self.rep_values: Dict[int, List[Fraction]] = {}
         for c in cells:
             vals = filtration_at(fib, c.rep, triangle_hint=c.triangles[0])
@@ -263,6 +269,9 @@ class Stratification:
 
     def cofaces_of(self, cid: int) -> FrozenSet[int]:
         return frozenset(self.cofaces[cid])
+
+    def cell_pairs(self, cid: int) -> PairSet:
+        return self.pairs[self.indexings[cid]]
 
     def locate(self, p: Point) -> Cell:
         """The unique cell containing p; cells of low dimension are tested

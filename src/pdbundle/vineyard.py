@@ -3,9 +3,10 @@ composition, and vineyard extraction along sampled paths.
 
 For a transposition of consecutive simplices the update bijection is either
 the identity or the map that swaps the two simplices inside the pairs that
-contain them. Which case applies is decided here by recomputing the pairs
-under both indexings: the swap changes the pair set whenever it differs from
-the identity on it, so the dichotomy is decidable from the pair sets alone.
+contain them. Which case applies is decided here from the pair sets under
+both indexings, taken from a `PairCache`: the swap changes the pair set
+whenever it differs from the identity on it, so the dichotomy is decidable
+from the pair sets alone.
 """
 from __future__ import annotations
 
@@ -20,9 +21,7 @@ from .complexes import (
     is_face,
     simplex_id,
 )
-from .persistence import Element, PairSet, reduce_pairs
-
-PairCache = Dict[SimplexIndexing, PairSet]
+from .persistence import Element, PairCache
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,37 +77,24 @@ def _swap_element(e: Element, a: int, b: int) -> Element:
     return (sub(birth), None if death is None else sub(death))
 
 
-def _pairs_for(K: SimplicialComplex, idx: SimplexIndexing,
-               cache: Optional[PairCache]) -> PairSet:
-    if cache is None:
-        return reduce_pairs(K, idx)
-    ps = cache.get(idx)
-    if ps is None:
-        ps = reduce_pairs(K, idx)
-        cache[idx] = ps
-    return ps
-
-
-def transposition_update(K: SimplicialComplex, idx: SimplexIndexing, k: int,
-                         cache: Optional[PairCache] = None
+def transposition_update(pairs: PairCache, idx: SimplexIndexing, k: int
                          ) -> Tuple[SimplexIndexing, PairBijection]:
     """Transpose positions k, k+1 of idx and return the updated indexing with
-    the update bijection between the two pair sets.
+    the update bijection between the two pair sets of `pairs`.
 
     Rejects transpositions of a face past its coface (the result would not be
     a compatible indexing)."""
     if not 0 <= k < idx.n - 1:
         raise ValidationError(f"transposition position {k} out of range")
+    K = pairs.K
     a, b = idx.order[k], idx.order[k + 1]
     if is_face(K.simplices[a], K.simplices[b]):
         raise ValidationError(
             f"cannot transpose face {simplex_id(K.simplices[a])} past coface "
             f"{simplex_id(K.simplices[b])}")
     idx2 = idx.transposed(k)
-    before = _pairs_for(K, idx, cache)
-    after = _pairs_for(K, idx2, cache)
-    src = before.elements()
-    tgt = after.elements()
+    src = pairs[idx].elements()
+    tgt = pairs[idx2].elements()
     if src == tgt:
         return idx2, PairBijection.identity(src)
     mapping = {e: _swap_element(e, a, b) for e in src}
@@ -116,15 +102,14 @@ def transposition_update(K: SimplicialComplex, idx: SimplexIndexing, k: int,
     return idx2, bij
 
 
-def apply_transpositions(K: SimplicialComplex, idx: SimplexIndexing,
-                         positions: Sequence[int],
-                         cache: Optional[PairCache] = None
+def apply_transpositions(pairs: PairCache, idx: SimplexIndexing,
+                         positions: Sequence[int]
                          ) -> Tuple[SimplexIndexing, PairBijection]:
     """Compose transposition updates along an explicit position sequence."""
-    bij = PairBijection.identity(_pairs_for(K, idx, cache).elements())
+    bij = PairBijection.identity(pairs[idx].elements())
     cur = idx
     for k in positions:
-        cur, step = transposition_update(K, cur, k, cache)
+        cur, step = transposition_update(pairs, cur, k)
         bij = bij.then(step)
     return cur, bij
 
@@ -151,14 +136,13 @@ def canonical_transpositions(idx0: SimplexIndexing,
     return moves
 
 
-def composed_bijection(K: SimplicialComplex, idx0: SimplexIndexing,
-                       idx1: SimplexIndexing,
-                       cache: Optional[PairCache] = None) -> PairBijection:
+def composed_bijection(pairs: PairCache, idx0: SimplexIndexing,
+                       idx1: SimplexIndexing) -> PairBijection:
     """The update bijection along the canonical transposition sequence from
     idx0 to idx1. The result depends on the sequence in general; fixing the
     canonical one makes downstream constructions deterministic."""
     moves = canonical_transpositions(idx0, idx1)
-    end, bij = apply_transpositions(K, idx0, moves, cache)
+    end, bij = apply_transpositions(pairs, idx0, moves)
     if end != idx1:
         raise ValidationError("canonical sequence failed to reach target indexing")
     return bij
@@ -194,9 +178,9 @@ def path_vineyard(K: SimplicialComplex, filtrations: Sequence[Sequence],
         params = list(range(len(filtrations)))
     if len(params) != len(filtrations):
         raise ValidationError("params and filtrations differ in length")
-    cache: PairCache = {}
+    pairs = PairCache(K)
     indexings = [induced_indexing(f, K) for f in filtrations]
-    first = _pairs_for(K, indexings[0], cache).elements()
+    first = pairs[indexings[0]].elements()
     total = PairBijection.identity(first)
     vines = {e: Vine(samples=[], labels=[]) for e in sorted(first)}
     current = {e: e for e in first}
@@ -210,7 +194,7 @@ def path_vineyard(K: SimplicialComplex, filtrations: Sequence[Sequence],
 
     record(params[0], filtrations[0])
     for j in range(1, len(filtrations)):
-        step = composed_bijection(K, indexings[j - 1], indexings[j], cache)
+        step = composed_bijection(pairs, indexings[j - 1], indexings[j])
         total = total.then(step)
         current = {e0: step(e) for e0, e in current.items()}
         record(params[j], filtrations[j])

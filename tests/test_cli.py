@@ -236,6 +236,14 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
         code, _, err = run(["ph", "--input", write(tmp_path, "bad.json", text)],
                            capsys)
         assert code == 1 and err.startswith("error:"), (text, err)
+    # malformed mesh entries in a fibration
+    for key, bad in (("triangles", [0, 1, 2.7]), ("triangles", [0, 1, "x"]),
+                     ("triangles", 5), ("vertices", 5), ("vertices", ["0"])):
+        fib = json.loads(open(mono, encoding="utf-8").read())
+        fib["mesh"][key][0] = bad
+        code, _, err = run(["stratify", "--input",
+                            write(tmp_path, "bad_mesh.json", fib)], capsys)
+        assert code == 1 and err.startswith("error:"), (bad, err)
 
 
 def test_outputs_byte_identical_across_runs(tmp_path, capsys):

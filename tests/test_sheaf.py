@@ -18,9 +18,14 @@ from pdbundle.sheaf import (
     propagate,
     walk_permutation,
 )
-from pdbundle.stratify import BaseMesh, PLFibration, build_stratification
+from pdbundle.stratify import (
+    BaseMesh,
+    PLFibration,
+    build_stratification,
+    merge_cells,
+)
 
-from conftest import A, B, C, D, quadrant_of, random_fibration
+from conftest import MESHES, A, B, C, D, quadrant_of, random_fibration
 
 F = Fraction
 
@@ -281,3 +286,62 @@ def test_edge_value_certificate_catches_corruption(mono_sheaf1):
     ks = sorted(ophi)
     ophi[ks[0]], ophi[ks[1]] = ophi[ks[1]], ophi[ks[0]]
     assert edge_value_certificate(sheaf2, samples_per_edge=3, seed=2) > 0
+
+
+def _element_key(e):
+    return (e[0], e[1] is None, e[1] if e[1] is not None else -1)
+
+
+def _sections_by_propagation(sheaf):
+    """Oracle: propagate from every element of each component's smallest
+    cell and keep the seeds that extend."""
+    sections = []
+    for comp in connected_components(sheaf):
+        for x in sorted(sheaf.stalks[comp[0]], key=_element_key):
+            result = propagate(sheaf, comp[0], x)
+            if isinstance(result, SheafSection):
+                sections.append(result)
+    return sections
+
+
+def _obstructed_by_propagation(sheaf):
+    """Oracle: propagate from every seed, by (cell, element), that no section
+    found so far passes through; keep the seeds that do not extend."""
+    obstructed, settled = [], set()
+    for v in sheaf.vertices:
+        for x in sorted(sheaf.stalks[v], key=_element_key):
+            if (v, x) in settled:
+                continue
+            result = propagate(sheaf, v, x)
+            if isinstance(result, SheafSection):
+                settled.update(result.assignment.items())
+            else:
+                obstructed.append((v, x))
+    return obstructed
+
+
+def test_etale_pass_matches_per_seed_propagation(mono_strat):
+    # random fibrations over every conftest mesh, all degrees and degree 1,
+    # merged and unmerged, plus the monodromy example and one of its cuts
+    rng = random.Random(2718)
+    sheaves = []
+    for i in range(64):
+        strat = build_stratification(random_fibration(rng, sorted(MESHES)[i % 4]))
+        if i // 4 % 2:
+            strat = merge_cells(strat)
+        sheaves.append(build_sheaf(strat, degree=None if i // 8 % 2 else 1))
+    for degree in (None, 1):
+        sheaves.append(build_sheaf(mono_strat, degree=degree))
+    sheaves.append(sheaves[-1].restrict(
+        c.id for c in mono_strat.cells
+        if not any(p == (0, 0) or (p[1] == 0 and p[0] < 0)
+                   for piece in c.pieces for p in piece)))
+    found = obstructed = 0
+    for sheaf in sheaves:
+        sections = enumerate_global_sections(sheaf)
+        assert sections == _sections_by_propagation(sheaf)
+        seeds = monodromy_scan(sheaf).obstructed_seeds
+        assert seeds == _obstructed_by_propagation(sheaf)
+        found += len(sections)
+        obstructed += len(seeds)
+    assert found > 50 and obstructed > 0

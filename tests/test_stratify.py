@@ -66,6 +66,19 @@ def test_mesh_validation():
                  [(0, 1, 2), (3, 4, 5)])
     # an unused vertex is not part of the mesh and may lie anywhere
     BaseMesh([(0, 0), (4, 0), (0, 4), (1, 1)], [(0, 1, 2)])
+    # malformed entries: a vertex id that is not an int (a float, a string, a
+    # bool), a vertex that is not a coordinate pair, a triangle that is not a
+    # list of three ids
+    corners = [(0, 0), (4, 0), (0, 4)]
+    for vertices, triangles in ((corners, [(0, 1, 2.7)]),
+                                (corners, [(0, 1, "x")]),
+                                (corners, [(0, True, 2)]),
+                                ([(0, 0), 5, (0, 4)], [(0, 1, 2)]),
+                                ([(0, 0), ["0"], (0, 4)], [(0, 1, 2)]),
+                                (corners, [5]),
+                                (corners, [(0, 1)])):
+        with pytest.raises(ValidationError, match="mesh (vertex|triangle)"):
+            BaseMesh(vertices, triangles)
 
 
 def test_fibration_rejects_non_monotone():
