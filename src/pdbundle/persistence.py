@@ -1,8 +1,9 @@
 """Z/2 persistent homology: boundary-matrix reduction, (birth, death) simplex
 pairs and persistence diagrams.
 
-The reduction is the plain left-to-right column algorithm over Z/2 with sparse
-columns stored as sorted position lists.
+The reduction is the plain left-to-right column algorithm over Z/2, kept as a
+decomposition R = D·V (`Reduction`) that is updated in place when two
+consecutive simplices trade positions.
 """
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ from .complexes import (
     SimplicialComplex,
     ValidationError,
     induced_indexing,
+    is_face,
     simplex_dim,
+    simplex_id,
 )
 
 # A pair-set element: (birth intrinsic index, death intrinsic index) for a
@@ -56,66 +59,190 @@ class PairSet:
             raise ValidationError("2*|pairs| + |essential| != N")
 
 
-def _xor_sorted(a: List[int], b: List[int]) -> List[int]:
-    """Symmetric difference of two sorted row lists (Z/2 column addition)."""
-    out: List[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            out.append(a[i]); i += 1
-        elif a[i] > b[j]:
-            out.append(b[j]); j += 1
-        else:
-            i += 1; j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
+def _relabel(bits: int, order: Sequence[int]) -> int:
+    """The bitset over positions `bits` as a bitset over intrinsic ids."""
+    out = 0
+    while bits:
+        one = bits & -bits
+        out |= 1 << order[one.bit_length() - 1]
+        bits ^= one
     return out
 
 
-def reduce_pairs(K: SimplicialComplex, idx: SimplexIndexing) -> PairSet:
-    """Standard column reduction of the Z/2 boundary matrix ordered by idx.
+class Reduction:
+    """A decomposition R = D·V over Z/2 of the boundary matrix D of K ordered
+    by an indexing: R is reduced (no two nonzero columns share their lowest
+    one) and V is upper triangular with unit diagonal. Column c of R with its
+    lowest one in row r gives the pair (r, c); a zero column whose row is no
+    column's lowest one gives an essential birth.
 
-    Column j is paired with the row of its final lowest one; columns that
-    reduce to zero are births, and births never killed are essential.
-    """
-    if idx.n != K.n:
-        raise ValidationError("indexing size does not match complex")
-    if not idx.is_compatible(K):
-        raise ValidationError("indexing not compatible with the face order")
-    n = K.n
-    low_owner: Dict[int, int] = {}          # low row position -> column position
-    reduced: Dict[int, List[int]] = {}      # column position -> sorted rows
-    births: List[int] = []                  # positions of zero columns
-    pairs: List[Tuple[int, int]] = []
-    for j in range(n):
-        col = sorted(idx.position[i] for i in K.facet_indices(idx.order[j]))
-        while col:
-            k = low_owner.get(col[-1])
-            if k is None:
-                break
-            col = _xor_sorted(col, reduced[k])
-        if col:
-            low = col[-1]
-            low_owner[low] = j
-            reduced[j] = col
-            pairs.append((idx.order[low], idx.order[j]))
+    Rows and columns are labelled by intrinsic simplex ids, and every column
+    of R and V is an int bitset over those ids, so transposing two positions
+    moves no entry. `low[c]` is the intrinsic id of the lowest one of column c
+    under the current order (-1 for a zero column) and `owner[r]` the column
+    whose lowest one is r (-1 if none)."""
+
+    __slots__ = ("K", "dims", "order", "position", "R", "V", "low", "owner")
+
+    def __init__(self, K: SimplicialComplex, idx: SimplexIndexing):
+        if idx.n != K.n:
+            raise ValidationError("indexing size does not match complex")
+        if not idx.is_compatible(K):
+            raise ValidationError("indexing not compatible with the face order")
+        n = K.n
+        self.K = K
+        self.dims = [K.dim(i) for i in range(n)]
+        self.order = order = list(idx.order)
+        self.position = position = list(idx.position)
+        # standard left-to-right reduction on bitsets over positions
+        pivot: Dict[int, int] = {}      # lowest position -> column position
+        r_cols: List[int] = []
+        v_cols: List[int] = []
+        for j in range(n):
+            col = 0
+            for f in K.facet_indices(order[j]):
+                col |= 1 << position[f]
+            chain = 1 << j
+            while col:
+                p = col.bit_length() - 1
+                k = pivot.get(p)
+                if k is None:
+                    pivot[p] = j
+                    break
+                col ^= r_cols[k]
+                chain ^= v_cols[k]
+            r_cols.append(col)
+            v_cols.append(chain)
+        self.R = [0] * n
+        self.V = [0] * n
+        for j, c in enumerate(order):
+            self.R[c] = _relabel(r_cols[j], order)
+            self.V[c] = _relabel(v_cols[j], order)
+        self.low = [-1] * n
+        self.owner = [-1] * n
+        for p, j in pivot.items():
+            self.low[order[j]] = order[p]
+            self.owner[order[p]] = order[j]
+
+    def copy(self) -> "Reduction":
+        dup = object.__new__(type(self))
+        dup.K, dup.dims = self.K, self.dims
+        for name in ("order", "position", "R", "V", "low", "owner"):
+            setattr(dup, name, list(getattr(self, name)))
+        return dup
+
+    def indexing(self) -> SimplexIndexing:
+        return SimplexIndexing(self.order)
+
+    def pair_set(self) -> PairSet:
+        low, owner = self.low, self.owner
+        return PairSet(
+            pairs=frozenset((r, c) for c, r in enumerate(low) if r >= 0),
+            essential=frozenset(c for c in range(len(low))
+                                if low[c] < 0 and owner[c] < 0))
+
+    def elements(self) -> FrozenSet[Element]:
+        """`pair_set().elements()`, read off in one pass."""
+        owner = self.owner
+        return frozenset((r, c) if r >= 0 else (c, None)
+                         for c, r in enumerate(self.low) if r >= 0 or owner[c] < 0)
+
+    def transpose(self, k: int) -> bool:
+        """Swap the simplices s, t at positions k, k+1 and update R and V by
+        the case analysis of Cohen-Steiner, Edelsbrunner & Morozov, "Vines and
+        vineyards by updating persistence in linear time" (SoCG 2006), with at
+        most two column additions. Returns whether the pair set changed; when
+        it did, s and t trade places inside the pairs that hold them.
+
+        Rejects a face transposed past its coface (the result would not be a
+        compatible indexing)."""
+        order, position = self.order, self.position
+        if not 0 <= k < len(order) - 1:
+            raise ValidationError(f"transposition position {k} out of range")
+        s, t = order[k], order[k + 1]
+        ds, dt = self.dims[s], self.dims[t]
+        if dt > ds and is_face(self.K.simplices[s], self.K.simplices[t]):
+            raise ValidationError(
+                f"cannot transpose face {simplex_id(self.K.simplices[s])} past "
+                f"coface {simplex_id(self.K.simplices[t])}")
+        order[k], order[k + 1] = t, s
+        position[s], position[t] = k + 1, k
+        if ds != dt:
+            # only simplices of one dimension share a row or a chain
+            return False
+        R, V, low, owner = self.R, self.V, self.low, self.owner
+        s_bit = 1 << s
+        if low[s] < 0 and low[t] < 0:
+            # case 1, both positive: clear V[s, t] (R's column s is zero); the
+            # column l whose lowest one was t now ends in s if it holds s
+            if V[t] & s_bit:
+                V[t] ^= V[s]
+            l = owner[t]
+            if l < 0 or not R[l] & s_bit:
+                return False
+            c = owner[s]
+            if c < 0:
+                # s was essential: l now kills s and t lives forever
+                low[l], owner[s], owner[t] = s, l, -1
+                return True
+            if position[c] < position[l]:
+                R[l] ^= R[c]
+                V[l] ^= V[c]
+                return False
+            R[c] ^= R[l]
+            V[c] ^= V[l]
+            low[c], low[l] = t, s
+            owner[t], owner[s] = c, l
+            return True
+        if not V[t] & s_bit:
+            # cases 2 to 4 without V[s, t]: R and V stay reduced and
+            # triangular as they are
+            return False
+        if low[s] < 0:
+            # case 4, s positive and t negative: R's column s is zero
+            V[t] ^= V[s]
+            return False
+        # s negative: adding column s to column t clears V[s, t]
+        R[t] ^= R[s]
+        V[t] ^= V[s]
+        ls, lt = low[s], low[t]
+        if lt >= 0 and position[ls] < position[lt]:
+            return False                          # case 2, lowest ones kept
+        # case 2 with the lowest ones crossed, or case 3 (t positive): add
+        # column t back into column s, so s and t trade columns' roles
+        R[s] ^= R[t]
+        V[s] ^= V[t]
+        low[s], low[t] = lt, ls
+        owner[ls] = t
+        if lt >= 0:
+            owner[lt] = s
         else:
-            births.append(j)
-    essential = frozenset(idx.order[j] for j in births if j not in low_owner)
-    return PairSet(pairs=frozenset(pairs), essential=essential)
+            # case 3: the column l whose lowest one was t now ends in s
+            l = owner[t]
+            owner[t] = -1
+            if l >= 0:
+                low[l], owner[s] = s, l
+        return True
+
+
+def reduce_pairs(K: SimplicialComplex, idx: SimplexIndexing) -> PairSet:
+    """The pair set of the boundary matrix ordered by idx, from a fresh
+    reduction."""
+    return Reduction(K, idx).pair_set()
 
 
 class PairCache(dict):
-    """The pair sets of one complex, keyed by indexing. A pair set is reduced
-    on its first lookup and kept."""
+    """The reductions of one complex, keyed by indexing. An indexing is
+    reduced on its first lookup and kept; `cache[idx].pair_set()` is its pair
+    set. Walks to other indexings transpose a copy, never the kept one."""
 
     def __init__(self, K: SimplicialComplex):
         super().__init__()
         self.K = K
 
-    def __missing__(self, idx: SimplexIndexing) -> PairSet:
-        pairs = self[idx] = reduce_pairs(self.K, idx)
-        return pairs
+    def __missing__(self, idx: SimplexIndexing) -> Reduction:
+        red = self[idx] = Reduction(self.K, idx)
+        return red
 
 
 @dataclass(frozen=True)

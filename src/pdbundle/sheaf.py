@@ -287,10 +287,14 @@ class MonodromyReport:
 
 def _link_cycle(sheaf: CellularSheaf, v: int) -> Optional[List[int]]:
     """The alternating 2-cell / 1-cell cycle around an interior 0-cell, or
-    None when v is not interior (its link is not a single closed cycle)."""
+    None when v is not interior (its link is not a single closed cycle) or
+    its link leaves the sheaf's cells."""
     strat = sheaf.strat
-    ones = sorted(c for c in strat.cofaces_of(v) if strat.cell(c).dim == 1)
-    twos = sorted(c for c in strat.cofaces_of(v) if strat.cell(c).dim == 2)
+    cofaces = strat.cofaces_of(v)
+    if not cofaces.issubset(sheaf.transport):
+        return None
+    ones = sorted(c for c in cofaces if strat.cell(c).dim == 1)
+    twos = sorted(c for c in cofaces if strat.cell(c).dim == 2)
     if len(ones) < 2 or len(ones) != len(twos):
         return None
     wings: Dict[int, List[int]] = {}

@@ -235,7 +235,7 @@ def _point_in_piece(piece: Piece, p: Point) -> bool:
 
 class Stratification:
     """Cells partitioning the base mesh, their face poset, the induced simplex
-    indexing at each cell's representative point, and the pair sets of those
+    indexing at each cell's representative point, and the reductions of those
     indexings (each reduced once, when first asked for)."""
 
     def __init__(self, fib: PLFibration, cells: List[Cell],
@@ -271,7 +271,7 @@ class Stratification:
         return frozenset(self.cofaces[cid])
 
     def cell_pairs(self, cid: int) -> PairSet:
-        return self.pairs[self.indexings[cid]]
+        return self.pairs[self.indexings[cid]].pair_set()
 
     def locate(self, p: Point) -> Cell:
         """The unique cell containing p; cells of low dimension are tested

@@ -3,10 +3,12 @@ composition, and vineyard extraction along sampled paths.
 
 For a transposition of consecutive simplices the update bijection is either
 the identity or the map that swaps the two simplices inside the pairs that
-contain them. Which case applies is decided here from the pair sets under
-both indexings, taken from a `PairCache`: the swap changes the pair set
-whenever it differs from the identity on it, so the dichotomy is decidable
-from the pair sets alone.
+contain them: the swap applies exactly when the transposition changes the
+pair set. Which case applies is read off a decomposition R = D·V
+(`persistence.Reduction`) that is carried along the transpositions and
+updated at each one with at most two column additions, never reduced again. A
+walk starts from a copy of the reduction a `PairCache` holds for its first
+indexing.
 """
 from __future__ import annotations
 
@@ -18,10 +20,8 @@ from .complexes import (
     SimplicialComplex,
     ValidationError,
     induced_indexing,
-    is_face,
-    simplex_id,
 )
-from .persistence import Element, PairCache
+from .persistence import Element, PairCache, Reduction
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,41 +77,46 @@ def _swap_element(e: Element, a: int, b: int) -> Element:
     return (sub(birth), None if death is None else sub(death))
 
 
+def _walk(red: Reduction, positions: Sequence[int]) -> PairBijection:
+    """Transpose `red` in place at each of `positions` in turn and return the
+    composed update bijection from its pair set before to its pair set after.
+    Only the elements holding the two simplices of a step that changes the
+    pair set are relabelled."""
+    source = red.elements()
+    image = {e: e for e in source}        # source element -> its current image
+    holder: Dict[int, Element] = {}       # simplex -> source element holding it
+    for e in source:
+        for x in e:
+            if x is not None:
+                holder[x] = e
+    order = red.order
+    for k in positions:
+        s, t = order[k], order[k + 1]
+        if red.transpose(k):
+            es, et = holder[s], holder[t]
+            image[es] = _swap_element(image[es], s, t)
+            image[et] = _swap_element(image[et], s, t)
+            holder[s], holder[t] = et, es
+    return PairBijection(source, red.elements(), image)
+
+
 def transposition_update(pairs: PairCache, idx: SimplexIndexing, k: int
                          ) -> Tuple[SimplexIndexing, PairBijection]:
     """Transpose positions k, k+1 of idx and return the updated indexing with
-    the update bijection between the two pair sets of `pairs`.
+    the update bijection between the two pair sets.
 
     Rejects transpositions of a face past its coface (the result would not be
     a compatible indexing)."""
-    if not 0 <= k < idx.n - 1:
-        raise ValidationError(f"transposition position {k} out of range")
-    K = pairs.K
-    a, b = idx.order[k], idx.order[k + 1]
-    if is_face(K.simplices[a], K.simplices[b]):
-        raise ValidationError(
-            f"cannot transpose face {simplex_id(K.simplices[a])} past coface "
-            f"{simplex_id(K.simplices[b])}")
-    idx2 = idx.transposed(k)
-    src = pairs[idx].elements()
-    tgt = pairs[idx2].elements()
-    if src == tgt:
-        return idx2, PairBijection.identity(src)
-    mapping = {e: _swap_element(e, a, b) for e in src}
-    bij = PairBijection(src, tgt, mapping)
-    return idx2, bij
+    return apply_transpositions(pairs, idx, [k])
 
 
 def apply_transpositions(pairs: PairCache, idx: SimplexIndexing,
                          positions: Sequence[int]
                          ) -> Tuple[SimplexIndexing, PairBijection]:
     """Compose transposition updates along an explicit position sequence."""
-    bij = PairBijection.identity(pairs[idx].elements())
-    cur = idx
-    for k in positions:
-        cur, step = transposition_update(pairs, cur, k)
-        bij = bij.then(step)
-    return cur, bij
+    red = pairs[idx].copy()
+    bij = _walk(red, positions)
+    return red.indexing(), bij
 
 
 def canonical_transpositions(idx0: SimplexIndexing,
@@ -142,8 +147,10 @@ def composed_bijection(pairs: PairCache, idx0: SimplexIndexing,
     idx0 to idx1. The result depends on the sequence in general; fixing the
     canonical one makes downstream constructions deterministic."""
     moves = canonical_transpositions(idx0, idx1)
-    end, bij = apply_transpositions(pairs, idx0, moves)
-    if end != idx1:
+    # an empty schedule leaves the kept reduction as it is: no copy needed
+    red = pairs[idx0].copy() if moves else pairs[idx0]
+    bij = _walk(red, moves)
+    if tuple(red.order) != idx1.order:
         raise ValidationError("canonical sequence failed to reach target indexing")
     return bij
 
@@ -167,7 +174,8 @@ def path_vineyard(K: SimplicialComplex, filtrations: Sequence[Sequence],
                   ) -> Tuple[List[Vine], PairBijection]:
     """Track every pair through the update bijections between consecutive
     samples. Returns the vines and the total composition from the first to the
-    last sample (the loop permutation when the path is a loop).
+    last sample (the loop permutation when the path is a loop). The first
+    sample is reduced once, and that reduction is carried through the rest.
 
     Consecutive samples should be close enough that the canonical bijection
     between them matches the crossing structure of the underlying path;
@@ -178,9 +186,9 @@ def path_vineyard(K: SimplicialComplex, filtrations: Sequence[Sequence],
         params = list(range(len(filtrations)))
     if len(params) != len(filtrations):
         raise ValidationError("params and filtrations differ in length")
-    pairs = PairCache(K)
     indexings = [induced_indexing(f, K) for f in filtrations]
-    first = pairs[indexings[0]].elements()
+    red = Reduction(K, indexings[0])
+    first = red.elements()
     total = PairBijection.identity(first)
     vines = {e: Vine(samples=[], labels=[]) for e in sorted(first)}
     current = {e: e for e in first}
@@ -194,7 +202,7 @@ def path_vineyard(K: SimplicialComplex, filtrations: Sequence[Sequence],
 
     record(params[0], filtrations[0])
     for j in range(1, len(filtrations)):
-        step = composed_bijection(pairs, indexings[j - 1], indexings[j])
+        step = _walk(red, canonical_transpositions(indexings[j - 1], indexings[j]))
         total = total.then(step)
         current = {e0: step(e) for e0, e in current.items()}
         record(params[j], filtrations[j])

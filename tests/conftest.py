@@ -1,12 +1,24 @@
+import os
 import random
+import tempfile
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
 
 from pdbundle.complexes import SimplicialComplex
 from pdbundle.generators import MONODROMY_SIMPLICES, monodromy_values_at
 from pdbundle.stratify import BaseMesh, PLFibration
+
+# Property tests draw the same examples on every run and write nothing into
+# the checkout: no example database, and hypothesis's own cache goes to the
+# temporary directory.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "pdbundle-hypothesis"))
 
 # intrinsic indices of the named simplices in the monodromy complex
 A, B, C, D = 7, 8, 9, 10
@@ -79,6 +91,13 @@ def random_fibration(rng: random.Random, mesh_name=None,
             base = max((values[j][v] for j in K.facet_indices(i)), default=0)
             values[i][v] = base + rng.randint(0, max_step)
     return PLFibration(K, mesh, values)
+
+
+def random_ppm(rng: random.Random, width: int, height: int, maxval: int) -> str:
+    """A plain-text P3 image with independent uniform samples in 0..maxval."""
+    samples = " ".join(str(rng.randint(0, maxval))
+                       for _ in range(3 * width * height))
+    return f"P3\n{width} {height} {maxval}\n{samples}\n"
 
 
 def mono_fibration():

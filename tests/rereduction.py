@@ -1,0 +1,151 @@
+"""Update bijections by re-reduction: the oracle of the differential tests in
+test_vineyard.py.
+
+Every transposition here reduces the boundary matrix afresh under the new
+indexing and is a swap exactly when the pair set changed, the way pdbundle
+decided it before it carried an R = D·V decomposition along the schedule. The
+reduction is the column algorithm on sorted row lists and shares no code with
+`pdbundle.persistence.Reduction`; the schedule (`canonical_transpositions`)
+and the bijection type are pdbundle's own.
+"""
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from pdbundle.complexes import (
+    SimplexIndexing,
+    SimplicialComplex,
+    ValidationError,
+    induced_indexing,
+    is_face,
+)
+from pdbundle.persistence import Element, PairSet
+from pdbundle.vineyard import PairBijection, canonical_transpositions
+
+
+def _xor_sorted(a: List[int], b: List[int]) -> List[int]:
+    """Symmetric difference of two sorted row lists (Z/2 column addition)."""
+    out: List[int] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i] < b[j]:
+            out.append(a[i]); i += 1
+        elif a[i] > b[j]:
+            out.append(b[j]); j += 1
+        else:
+            i += 1; j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return out
+
+
+def column_reduction_pairs(K: SimplicialComplex, idx: SimplexIndexing) -> PairSet:
+    """Standard left-to-right column reduction of the boundary matrix ordered
+    by idx, with columns as sorted lists of row positions."""
+    low_owner: Dict[int, int] = {}
+    reduced: Dict[int, List[int]] = {}
+    births: List[int] = []
+    pairs: List[Tuple[int, int]] = []
+    for j in range(K.n):
+        col = sorted(idx.position[i] for i in K.facet_indices(idx.order[j]))
+        while col:
+            k = low_owner.get(col[-1])
+            if k is None:
+                break
+            col = _xor_sorted(col, reduced[k])
+        if col:
+            low_owner[col[-1]] = j
+            reduced[j] = col
+            pairs.append((idx.order[col[-1]], idx.order[j]))
+        else:
+            births.append(j)
+    essential = frozenset(idx.order[j] for j in births if j not in low_owner)
+    return PairSet(pairs=frozenset(pairs), essential=essential)
+
+
+class ReducedPairs(dict):
+    """Pair sets of one complex by indexing, each from a fresh reduction."""
+
+    def __init__(self, K: SimplicialComplex):
+        super().__init__()
+        self.K = K
+
+    def __missing__(self, idx: SimplexIndexing) -> PairSet:
+        pairs = self[idx] = column_reduction_pairs(self.K, idx)
+        return pairs
+
+
+def _swap_element(e: Element, a: int, b: int) -> Element:
+    sub = lambda x: b if x == a else (a if x == b else x)
+    return (sub(e[0]), None if e[1] is None else sub(e[1]))
+
+
+def transposition_update(pairs: ReducedPairs, idx: SimplexIndexing, k: int
+                         ) -> Tuple[SimplexIndexing, PairBijection]:
+    K = pairs.K
+    a, b = idx.order[k], idx.order[k + 1]
+    if is_face(K.simplices[a], K.simplices[b]):
+        raise ValidationError("cannot transpose a face past its coface")
+    idx2 = idx.transposed(k)
+    src, tgt = pairs[idx].elements(), pairs[idx2].elements()
+    if src == tgt:
+        return idx2, PairBijection.identity(src)
+    return idx2, PairBijection(src, tgt, {e: _swap_element(e, a, b) for e in src})
+
+
+def apply_transpositions(pairs: ReducedPairs, idx: SimplexIndexing,
+                         positions: Sequence[int]
+                         ) -> Tuple[SimplexIndexing, PairBijection]:
+    bij = PairBijection.identity(pairs[idx].elements())
+    for k in positions:
+        idx, step = transposition_update(pairs, idx, k)
+        bij = bij.then(step)
+    return idx, bij
+
+
+def composed_bijection(pairs: ReducedPairs, idx0: SimplexIndexing,
+                       idx1: SimplexIndexing) -> PairBijection:
+    end, bij = apply_transpositions(pairs, idx0, canonical_transpositions(idx0, idx1))
+    assert end == idx1
+    return bij
+
+
+def path_vineyard(K: SimplicialComplex, filtrations: Sequence[Sequence]
+                  ) -> Tuple[List[Tuple[list, list]], PairBijection]:
+    """(samples, labels) of every vine, ordered by starting element, and the
+    loop bijection, with the sample parameters 0, 1, 2, ..."""
+    pairs = ReducedPairs(K)
+    indexings = [induced_indexing(f, K) for f in filtrations]
+    first = pairs[indexings[0]].elements()
+    total = PairBijection.identity(first)
+    current = {e: e for e in first}
+    vines: Dict[Element, Tuple[list, list]] = {e: ([], []) for e in first}
+
+    def record(t, values):
+        for e0, (b, d) in current.items():
+            vines[e0][0].append((t, values[b], None if d is None else values[d]))
+            vines[e0][1].append((b, d))
+
+    record(0, filtrations[0])
+    for j in range(1, len(filtrations)):
+        step = composed_bijection(pairs, indexings[j - 1], indexings[j])
+        total = total.then(step)
+        current = {e0: step(e) for e0, e in current.items()}
+        record(j, filtrations[j])
+    return [vines[e] for e in sorted(vines)], total
+
+
+def sheaf_morphisms(strat, pairs: ReducedPairs, degrees: Sequence[Optional[int]]
+                    ) -> Dict[Optional[int], Dict[Tuple[int, int], Dict[Element, Element]]]:
+    """Per degree of `degrees` (None for all degrees), the morphism on every
+    face relation of a stratification, restricted to the face cell's stalk."""
+    K = strat.fib.complex
+    bijections = {(face, cell.id): composed_bijection(
+                      pairs, strat.indexings[face], strat.indexings[cell.id])
+                  for cell in strat.cells for face in strat.faces_of(cell.id)}
+
+    def stalk(cid, degree):
+        ps = pairs[strat.indexings[cid]]
+        return ps.elements() if degree is None else ps.elements_of_degree(K, degree)
+
+    return {degree: {edge: bij.restrict(stalk(edge[0], degree))
+                     for edge, bij in bijections.items()}
+            for degree in degrees}

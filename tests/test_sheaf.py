@@ -163,6 +163,39 @@ def test_enumerate_monodromy_empty_and_loop_nontrivial(mono_sheaf1):
     assert [l for l in report.loops if l.nontrivial]
 
 
+def test_monodromy_scan_on_restricted_sheaves(mono_sheaf1):
+    # a restricted sheaf reports the loops of exactly those 0-cells whose
+    # whole link it keeps, each with the cycle and permutation of the
+    # unrestricted sheaf; a 0-cell whose link leaves the restriction has none
+    rng = random.Random(61)
+    sheaves = [mono_sheaf1]
+    sheaves += [build_sheaf(build_stratification(random_fibration(rng, name)),
+                            degree=degree)
+                for name in ("fan", "square") for degree in (None, 1)
+                for _ in range(3)]
+    reported = 0
+    for sheaf in sheaves:
+        strat = sheaf.strat
+        full = {l.zero_cell: l for l in monodromy_scan(sheaf).loops}
+        cuts = [sorted(rng.sample(sheaf.vertices, len(sheaf.vertices) * 3 // 4))
+                for _ in range(4)]
+        cuts += [sorted(set(sheaf.vertices) - {f}) for f in
+                 rng.sample(sheaf.vertices, min(4, len(sheaf.vertices)))]
+        if sheaf is mono_sheaf1:  # drops the origin's third-quadrant wing
+            cuts.append([c.id for c in strat.cells if quadrant_of(c.rep) != "Q3"])
+        for keep in cuts:
+            sub = sheaf.restrict(keep)
+            loops = monodromy_scan(sub).loops
+            assert [l.zero_cell for l in loops] == [
+                v for v in full if v in keep and strat.cofaces_of(v) <= set(keep)]
+            for loop in loops:
+                assert set(loop.cycle) <= set(keep)
+                assert loop.cycle == full[loop.zero_cell].cycle
+                assert loop.permutation == loop_monodromy(sheaf, loop.cycle)
+            reported += len(loops)
+    assert reported > 10
+
+
 def test_enumerate_two_components():
     # two separate mesh squares -> two sheaf components, sections per component
     K = SimplicialComplex([[0], [1], [0, 1]])

@@ -38,6 +38,7 @@ from conftest import (
     deg1_pairs,
     quadrant_of,
     random_fibration,
+    random_ppm,
 )
 
 F = Fraction
@@ -402,15 +403,11 @@ def brute_force_triangle(fib, t):
     return cells, faces
 
 
-def _random_2x2_ppm(rng):
-    return "P3\n2 2 15\n" + " ".join(str(rng.randint(0, 15)) for _ in range(12))
-
-
 def test_cells_and_faces_match_brute_force_oracle():
     rng = random.Random(35)
     fibs = [random_fibration(rng, mesh_name=name)
             for _ in range(15) for name in sorted(MESHES)]
-    fibs += [gen_image_fibration(_random_2x2_ppm(rng))[0] for _ in range(4)]
+    fibs += [gen_image_fibration(random_ppm(rng, 2, 2, 15))[0] for _ in range(4)]
     for fib in fibs:
         strat = build_stratification(fib)
         for t in range(len(fib.mesh.triangles)):

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from pdbundle.complexes import SimplicialComplex, ValidationError, induced_indexing
+from pdbundle.generators import gen_image_fibration
 from pdbundle.persistence import PairCache, pairs_for_filtration, reduce_pairs
+from pdbundle.sheaf import build_sheaf
+from pdbundle.stratify import build_stratification, filtration_at
 from pdbundle.vineyard import (
     apply_transpositions,
     canonical_transpositions,
@@ -14,7 +17,20 @@ from pdbundle.vineyard import (
     transposition_update,
 )
 
-from conftest import A, B, C, D, mono_values, random_complex, random_monotone_values
+import rereduction
+from conftest import (
+    MESHES,
+    A,
+    B,
+    C,
+    D,
+    mono_fibration,
+    mono_values,
+    random_complex,
+    random_fibration,
+    random_monotone_values,
+    random_ppm,
+)
 
 
 def circle_point(u):
@@ -175,3 +191,84 @@ def test_monodromy_circle_loop(mono_complex):
 def test_path_vineyard_empty_rejected(mono_complex):
     with pytest.raises(ValidationError):
         path_vineyard(mono_complex, [])
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the carried decomposition against re-reduction at every
+# transposition (tests/rereduction.py).
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def differential_strats():
+    """Stratifications of random fibrations over every conftest mesh, random
+    2x2 images, a random binary 3x3 image and the monodromy example, each
+    with the oracle's pair sets (shared by the tests below)."""
+    rng = random.Random(41)
+    fibs = [random_fibration(rng, mesh_name=name)
+            for _ in range(6) for name in sorted(MESHES)]
+    fibs += [gen_image_fibration(random_ppm(rng, 2, 2, 15))[0] for _ in range(3)]
+    fibs.append(gen_image_fibration(random_ppm(rng, 3, 3, 1))[0])
+    fibs.append(mono_fibration())
+    return [(build_stratification(fib), rereduction.ReducedPairs(fib.complex))
+            for fib in fibs]
+
+
+def test_build_sheaf_matches_rereduction(differential_strats):
+    swapping = 0
+    for strat, oracle in differential_strats:
+        expected = rereduction.sheaf_morphisms(strat, oracle, (None, 1))
+        for degree in (None, 1):
+            assert build_sheaf(strat, degree).morphisms == expected[degree]
+        swapping += any(x != y for phi in expected[None].values()
+                        for x, y in phi.items())
+    assert swapping > 5
+
+
+def test_composed_bijection_matches_rereduction(differential_strats):
+    # face to coface is compared through the sheaf morphisms above; here
+    # coface to face, and random pairs of cells
+    rng = random.Random(42)
+    checked = 0
+    for strat, oracle in differential_strats:
+        idx = strat.indexings
+        ends = [(cell.id, face) for cell in strat.cells
+                for face in sorted(strat.faces_of(cell.id))]
+        ends += [tuple(rng.sample(range(len(strat.cells)), 2))
+                 for _ in range(min(8, len(strat.cells) // 2))]
+        for c0, c1 in ends:
+            assert composed_bijection(strat.pairs, idx[c0], idx[c1]) == \
+                rereduction.composed_bijection(oracle, idx[c0], idx[c1])
+            checked += 1
+    for _ in range(60):
+        K = random_complex(rng, max_vertices=6)
+        i0, i1 = (induced_indexing(random_monotone_values(rng, K), K)
+                  for _ in range(2))
+        assert composed_bijection(PairCache(K), i0, i1) == \
+            rereduction.composed_bijection(rereduction.ReducedPairs(K), i0, i1)
+    assert checked > 1000
+
+
+def _closed_path(rng, strat, corners=4, steps=4):
+    """Points along a closed polygon through the representatives of random
+    cells; every base mesh here is convex, so the polygon stays inside."""
+    reps = [strat.cell(c).rep for c in rng.sample(range(len(strat.cells)),
+                                                  min(corners, len(strat.cells)))]
+    points = []
+    for a, b in zip(reps, reps[1:] + reps[:1]):
+        points += [tuple(x + (y - x) * Fraction(j, steps) for x, y in zip(a, b))
+                   for j in range(steps)]
+    return points + points[:1]
+
+
+def test_path_vineyard_matches_rereduction(differential_strats, mono_complex):
+    rng = random.Random(43)
+    families = [(strat.fib.complex,
+                 [filtration_at(strat.fib, p) for p in _closed_path(rng, strat)])
+                for strat, _ in differential_strats]
+    families.append((mono_complex,
+                     [mono_values(*circle_point(k / 16)) for k in range(17)]))
+    for K, filts in families:
+        vines, loop = path_vineyard(K, filts)
+        oracle_vines, oracle_loop = rereduction.path_vineyard(K, filts)
+        assert [(v.samples, v.labels) for v in vines] == oracle_vines
+        assert loop == oracle_loop
