@@ -209,12 +209,6 @@ class SimplexIndexing:
                     return False
         return True
 
-    def transposed(self, k: int) -> "SimplexIndexing":
-        """The indexing with positions k, k+1 swapped."""
-        order = list(self.order)
-        order[k], order[k + 1] = order[k + 1], order[k]
-        return SimplexIndexing(order)
-
     def __eq__(self, other):
         return isinstance(other, SimplexIndexing) and self.order == other.order
 
@@ -248,10 +242,11 @@ def order_signature(values: Sequence) -> Tuple[Tuple[int, ...], ...]:
 
 
 def as_fraction(x) -> Fraction:
-    """Exact conversion of ints, Fractions, floats and 'p/q' strings."""
+    """Exact conversion of ints, Fractions, floats and 'p/q' strings. A bool
+    is rejected, not read as 0 or 1."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):

@@ -4,7 +4,7 @@ decided exactly; there is no epsilon anywhere in this module."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
@@ -44,14 +44,15 @@ def line_through(p: Point, q: Point) -> Line:
 
 
 def normalize_line(a: Fraction, b: Fraction, c: Fraction) -> Line:
-    """Scale (a, b, c) to coprime integers with the first nonzero of (a, b)
-    positive; used to deduplicate coincident lines."""
-    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-    if fa == 0 and fb == 0:
+    """Scale (a, b, c) (ints or Fractions) to coprime integers with the first
+    nonzero of (a, b) positive; used to deduplicate coincident lines."""
+    if a == 0 and b == 0:
         raise ValueError("degenerate line 0*x + 0*y = c")
-    denom = fa.denominator * fb.denominator * fc.denominator
-    ia, ib, ic = (int(fa * denom), int(fb * denom), int(fc * denom))
-    g = gcd(gcd(abs(ia), abs(ib)), abs(ic))
+    denom = lcm(a.denominator, b.denominator, c.denominator)
+    ia, ib, ic = (a.numerator * (denom // a.denominator),
+                  b.numerator * (denom // b.denominator),
+                  c.numerator * (denom // c.denominator))
+    g = gcd(ia, ib, ic)
     ia, ib, ic = ia // g, ib // g, ic // g
     if ia < 0 or (ia == 0 and ib < 0):
         ia, ib, ic = -ia, -ib, -ic

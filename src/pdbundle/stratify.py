@@ -13,6 +13,15 @@ every line is a full chord of the triangle, every arrangement vertex on the
 closure of a 2-cell is a corner of it: the 0-cells are the polygon corners,
 the 1-cells the polygon sides, and a 2-cell's faces are exactly its corners
 and sides.
+
+On one base triangle every simplex value is a single affine form, so the
+fibration there is a small integer table (`TriangleTable`), which the
+`PLFibration` owns: it builds the table of a triangle on first use and keeps
+it. The table holds three integer edge forms for the closed-triangle test
+and one integer row (a, b, c) per simplex over a common denominator, so a
+value at a point is one integer dot product and one `Fraction`. The trace
+line of two simplices is the difference of their rows, read off without
+computing its endpoints.
 """
 from __future__ import annotations
 
@@ -34,7 +43,7 @@ from .complexes import (
 from .geometry import (
     Line,
     Point,
-    line_through,
+    normalize_line,
     on_segment,
     orient,
     point_in_convex,
@@ -47,6 +56,14 @@ from .persistence import PairCache, PairSet
 # A geometry piece: 1 point = vertex, 2 points = open segment,
 # >= 3 points = open convex polygon (counterclockwise loop).
 Piece = Tuple[Point, ...]
+
+
+def _to_grid(points: Sequence[Point]) -> Tuple[int, List[Tuple[int, int]]]:
+    """The common denominator L of the points' coordinates, and the points
+    scaled by L as integer pairs."""
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    return scale, [(x.numerator * (scale // x.denominator),
+                    y.numerator * (scale // y.denominator)) for x, y in points]
 
 
 class BaseMesh:
@@ -96,9 +113,7 @@ class BaseMesh:
         two edges that properly cross: either breaks the partition of the
         base into cells. Decided on integer coordinates (all vertices scaled
         by one common denominator)."""
-        den = math.lcm(*(c.denominator for p in self.vertices for c in p))
-        grid = [(x.numerator * (den // x.denominator),
-                 y.numerator * (den // y.denominator)) for x, y in self.vertices]
+        grid = _to_grid(self.vertices)[1]
         used = sorted({v for t in self.triangles for v in t})
         for tri in self.triangles:
             corners = [grid[v] for v in tri]
@@ -119,10 +134,52 @@ class BaseMesh:
         return (self.vertices[a], self.vertices[b], self.vertices[c])
 
 
+class TriangleTable:
+    """The fibration on one base triangle as exact integer affine forms.
+
+    A point (x, y) = (X/Z, Y/Z) with integers X, Y and Z > 0 lies in the
+    closed triangle iff every form (a, b, c) of `edges` has a·X + b·Y + c·Z
+    >= 0. Simplex i has the value (a·X + b·Y + c·Z) / (den·Z) there, with
+    (a, b, c) = `rows[i]`, and `corner_values[i]` are its values at the
+    three corners scaled to integers by one common positive factor, so the
+    signs of their differences are those of the value differences."""
+
+    __slots__ = ("edges", "rows", "den", "corner_values")
+
+    def __init__(self, corners: Sequence[Point], values: Sequence[Sequence[Fraction]]):
+        scale, q = _to_grid(corners)
+        # edges[k]·(X, Y, Z) = L²·Z·orient(corner k+1, corner k+2, point): the
+        # barycentric coordinate of corner k times L²·Z·orient(corners)
+        self.edges = tuple(
+            ((iy - jy) * scale, (jx - ix) * scale, (jy - iy) * ix - (jx - ix) * iy)
+            for (ix, iy), (jx, jy) in ((q[1], q[2]), (q[2], q[0]), (q[0], q[1])))
+        area2 = sum(e[2] for e in self.edges)   # orient of the integer corners
+        vscale = math.lcm(*(v.denominator for row in values for v in row))
+        self.corner_values = [
+            tuple(v.numerator * (vscale // v.denominator) for v in row)
+            for row in values]
+        rows = [tuple(sum(v * e[m] for v, e in zip(row, self.edges))
+                      for m in range(3)) for row in self.corner_values]
+        den = vscale * area2
+        g = math.gcd(den, *(x for row in rows for x in row))
+        self.den = den // g
+        self.rows = [(a // g, b // g, c // g) for a, b, c in rows]
+
+    def contains(self, X: int, Y: int, Z: int) -> bool:
+        (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = self.edges
+        return (a0 * X + b0 * Y + c0 * Z >= 0 and a1 * X + b1 * Y + c1 * Z >= 0
+                and a2 * X + b2 * Y + c2 * Z >= 0)
+
+    def values(self, X: int, Y: int, Z: int) -> List[Fraction]:
+        dz = self.den * Z
+        return [Fraction(a * X + b * Y + c * Z, dz) for a, b, c in self.rows]
+
+
 class PLFibration:
     """Per-simplex filtration values at every mesh vertex, interpolated
     affinely inside each base triangle. Monotone at every mesh vertex, hence
-    monotone at every base point."""
+    monotone at every base point. `table(t)` is the integer affine table of
+    base triangle t, built on first use and kept."""
 
     def __init__(self, complex_: SimplicialComplex, mesh: BaseMesh,
                  values: Sequence[Sequence]):
@@ -139,11 +196,20 @@ class PLFibration:
         for v in range(len(mesh.vertices)):
             check_monotone(complex_, [row[v] for row in self.values],
                            f" at mesh vertex {v}")
+        self._tables: List[Optional[TriangleTable]] = [None] * len(mesh.triangles)
 
     def triangle_values(self, i: int, t: int) -> Tuple[Fraction, Fraction, Fraction]:
         """Values of simplex i at the three corners of base triangle t."""
         a, b, c = self.mesh.triangles[t]
         return (self.values[i][a], self.values[i][b], self.values[i][c])
+
+    def table(self, t: int) -> TriangleTable:
+        table = self._tables[t]
+        if table is None:
+            table = self._tables[t] = TriangleTable(
+                self.mesh.corners(t),
+                [self.triangle_values(i, t) for i in range(self.complex.n)])
+        return table
 
 
 @dataclass(frozen=True)
@@ -235,7 +301,7 @@ def _point_in_piece(piece: Piece, p: Point) -> bool:
 
 class Stratification:
     """Cells partitioning the base mesh, their face poset, the induced simplex
-    indexing at each cell's representative point, and the reductions of those
+    indexing at each cell's representative point, and the pair sets of those
     indexings (each reduced once, when first asked for)."""
 
     def __init__(self, fib: PLFibration, cells: List[Cell],
@@ -271,12 +337,12 @@ class Stratification:
         return frozenset(self.cofaces[cid])
 
     def cell_pairs(self, cid: int) -> PairSet:
-        return self.pairs[self.indexings[cid]].pair_set()
+        return self.pairs.pair_set(self.indexings[cid])
 
     def locate(self, p: Point) -> Cell:
         """The unique cell containing p; cells of low dimension are tested
         first so boundary points resolve to boundary cells."""
-        t = _containing_triangle(self.fib.mesh, p)
+        t = _containing_triangle(self.fib, *_homogeneous(p))
         if t is None:
             raise ValidationError(f"point {p} outside the mesh")
         for c in self._cells_by_triangle[t]:
@@ -286,30 +352,32 @@ class Stratification:
         raise AssertionError(f"point {p} not covered by any cell (internal bug)")
 
 
-def _containing_triangle(mesh: BaseMesh, p: Point) -> Optional[int]:
-    for t in range(len(mesh.triangles)):
-        if point_in_convex(mesh.corners(t), p, strict=False):
+def _homogeneous(p: Point) -> Tuple[int, int, int]:
+    """Integers (X, Y, Z), Z > 0, with p = (X/Z, Y/Z)."""
+    x, y = p
+    return (x.numerator * y.denominator, y.numerator * x.denominator,
+            x.denominator * y.denominator)
+
+
+def _containing_triangle(fib: PLFibration, X: int, Y: int, Z: int) -> Optional[int]:
+    for t in range(len(fib.mesh.triangles)):
+        if fib.table(t).contains(X, Y, Z):
             return t
     return None
 
 
 def filtration_at(fib: PLFibration, p: Sequence,
                   triangle_hint: Optional[int] = None) -> List[Fraction]:
-    """Affine interpolation of every simplex's vertex values at base point p
-    via barycentric coordinates in a containing triangle."""
+    """Every simplex's value at base point p, read off the integer affine
+    table of a closed triangle containing p (the hinted one if it does)."""
     pt: Point = (as_fraction(p[0]), as_fraction(p[1]))
+    X, Y, Z = _homogeneous(pt)
     t = triangle_hint
-    if t is None or not point_in_convex(fib.mesh.corners(t), pt, strict=False):
-        t = _containing_triangle(fib.mesh, pt)
+    if t is None or not fib.table(t).contains(X, Y, Z):
+        t = _containing_triangle(fib, X, Y, Z)
     if t is None:
         raise ValidationError(f"point {pt} outside the mesh")
-    a, b, c = fib.mesh.corners(t)
-    area2 = orient(a, b, c)
-    la = orient(pt, b, c) / area2
-    lb = orient(a, pt, c) / area2
-    lc = orient(a, b, pt) / area2
-    ia, ib, ic = fib.mesh.triangles[t]
-    return [la * row[ia] + lb * row[ib] + lc * row[ic] for row in fib.values]
+    return fib.table(t).values(X, Y, Z)
 
 
 def representative_point(cell: Cell) -> Point:
@@ -319,15 +387,24 @@ def representative_point(cell: Cell) -> Point:
 
 
 def _triangle_lines(fib: PLFibration, t: int) -> List[Line]:
-    """Deduplicated canonical lines of all segment traces on triangle t. Each
-    is a full chord of the triangle, since its trace segment is."""
+    """Deduplicated canonical lines of all segment traces on triangle t: the
+    zero line of f_i - f_j for each simplex pair whose corner differences
+    have mixed signs or exactly two zeros (the cases in which
+    `intersection_trace` finds a segment). Each is a full chord of the
+    triangle, since its trace segment is."""
+    table = fib.table(t)
+    rows, corners = table.rows, table.corner_values
     lines: Set[Line] = set()
     n = fib.complex.n
     for i in range(n):
+        (u0, u1, u2), (a, b, c) = corners[i], rows[i]
         for j in range(i + 1, n):
-            tr = intersection_trace(fib, i, j, t)
-            if tr.kind == "segment":
-                lines.add(line_through(tr.segment[0], tr.segment[1]))
+            v0, v1, v2 = corners[j]
+            g0, g1, g2 = u0 - v0, u1 - v1, u2 - v2
+            if ((g0 > 0 or g1 > 0 or g2 > 0) and (g0 < 0 or g1 < 0 or g2 < 0)
+                    or (g0 == 0) + (g1 == 0) + (g2 == 0) == 2):
+                ra, rb, rc = rows[j]
+                lines.add(normalize_line(a - ra, b - rb, rc - c))
     return sorted(lines)
 
 
@@ -396,19 +473,20 @@ def build_stratification(fib: PLFibration) -> Stratification:
 
 
 def sample_in_cell(cell: Cell, rng: random.Random, denom: int = 997) -> Point:
-    """A deterministic pseudo-random point in the cell's relative interior."""
+    """A deterministic pseudo-random point in the cell's relative interior,
+    summed in integers over the piece's common coordinate denominator."""
     piece = cell.pieces[rng.randrange(len(cell.pieces))]
     if len(piece) == 1:
         return piece[0]
+    scale, grid = _to_grid(piece)
     if len(piece) == 2:
-        t = Fraction(rng.randint(1, denom - 1), denom)
-        a, b = piece
-        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-    weights = [rng.randint(1, denom) for _ in piece]
-    total = sum(weights)
-    x = sum(w * p[0] for w, p in zip(weights, piece))
-    y = sum(w * p[1] for w, p in zip(weights, piece))
-    return (Fraction(x, total), Fraction(y, total))
+        t = rng.randint(1, denom - 1)
+        weights = [denom - t, t]
+    else:
+        weights = [rng.randint(1, denom) for _ in piece]
+    total = sum(weights) * scale
+    return (Fraction(sum(w * x for w, (x, _) in zip(weights, grid)), total),
+            Fraction(sum(w * y for w, (_, y) in zip(weights, grid)), total))
 
 
 def order_constancy_check(fib: PLFibration, strat: Stratification, cell_id: int,

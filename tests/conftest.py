@@ -93,6 +93,35 @@ def random_fibration(rng: random.Random, mesh_name=None,
     return PLFibration(K, mesh, values)
 
 
+def random_rational_fibration(rng: random.Random, mesh_name=None,
+                              max_vertices: int = 4, max_step: int = 3
+                              ) -> PLFibration:
+    """A random fibration on rational, non-integer data: a conftest mesh
+    moved by a random orientation-preserving rational affine map (sheared,
+    scaled, and shifted off the integer grid) and monotone values built from
+    random steps k/q, with ties among them."""
+    if mesh_name is None:
+        mesh_name = rng.choice(sorted(MESHES))
+    verts, tris = MESHES[mesh_name]
+    sx = Fraction(rng.randint(1, 9), rng.randint(2, 7))
+    sy = Fraction(rng.randint(1, 9), rng.randint(2, 7))
+    shear = Fraction(rng.randint(-3, 3), rng.randint(2, 5))
+    ox = rng.randint(-5, 5) + Fraction(1, rng.randint(2, 7))
+    oy = rng.randint(-5, 5) + Fraction(1, rng.randint(2, 7))
+    mesh = BaseMesh([(sx * x + shear * y + ox, sy * y + oy) for x, y in verts],
+                    tris)
+    K = random_complex(rng, max_vertices=max_vertices)
+    q = rng.randint(2, 5)
+    nmv = len(mesh.vertices)
+    values = [[None] * nmv for _ in range(K.n)]
+    for i in range(K.n):
+        for v in range(nmv):
+            base = max((values[j][v] for j in K.facet_indices(i)),
+                       default=Fraction(rng.randint(-3, 3), q))
+            values[i][v] = base + Fraction(rng.randint(0, max_step * q), q)
+    return PLFibration(K, mesh, values)
+
+
 def random_ppm(rng: random.Random, width: int, height: int, maxval: int) -> str:
     """A plain-text P3 image with independent uniform samples in 0..maxval."""
     samples = " ".join(str(rng.randint(0, maxval))

@@ -78,13 +78,20 @@ def _swap_element(e: Element, a: int, b: int) -> Element:
     return (sub(e[0]), None if e[1] is None else sub(e[1]))
 
 
+def transposed(idx: SimplexIndexing, k: int) -> SimplexIndexing:
+    """The indexing with positions k, k+1 swapped."""
+    order = list(idx.order)
+    order[k], order[k + 1] = order[k + 1], order[k]
+    return SimplexIndexing(order)
+
+
 def transposition_update(pairs: ReducedPairs, idx: SimplexIndexing, k: int
                          ) -> Tuple[SimplexIndexing, PairBijection]:
     K = pairs.K
     a, b = idx.order[k], idx.order[k + 1]
     if is_face(K.simplices[a], K.simplices[b]):
         raise ValidationError("cannot transpose a face past its coface")
-    idx2 = idx.transposed(k)
+    idx2 = transposed(idx, k)
     src, tgt = pairs[idx].elements(), pairs[idx2].elements()
     if src == tgt:
         return idx2, PairBijection.identity(src)

@@ -244,6 +244,20 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
         code, _, err = run(["stratify", "--input",
                             write(tmp_path, "bad_mesh.json", fib)], capsys)
         assert code == 1 and err.startswith("error:"), (bad, err)
+    # a JSON boolean is not a number: not as a path coordinate, a mesh
+    # coordinate or a fibration value
+    path = write(tmp_path, "bool_path.json", [[True, 0], [0, 1]])
+    code, _, err = run(["vineyard", "--input", mono, "--path", path], capsys)
+    assert code == 1 and "cannot interpret True" in err, err
+    for where in ("vertices", "values"):
+        fib = json.loads(open(mono, encoding="utf-8").read())
+        if where == "vertices":
+            fib["mesh"]["vertices"][0][0] = True
+        else:
+            fib["values"][sorted(fib["values"])[0]][0] = True
+        code, _, err = run(["stratify", "--input",
+                            write(tmp_path, "bool_fib.json", fib)], capsys)
+        assert code == 1 and "cannot interpret True" in err, (where, err)
 
 
 def test_outputs_byte_identical_across_runs(tmp_path, capsys):

@@ -17,6 +17,7 @@ from pdbundle.complexes import (
 )
 
 from conftest import A, B, C, D, mono_values, random_complex, random_monotone_values
+from rereduction import transposed
 
 
 def test_canonicalizes_vertex_lists():
@@ -122,4 +123,4 @@ def test_simplex_indexing_validates_permutation():
         SimplexIndexing([0, 0, 1])
     idx = SimplexIndexing([2, 0, 1])
     assert idx.position == (1, 2, 0)
-    assert idx.transposed(0).order == (0, 2, 1)
+    assert transposed(idx, 0).order == (0, 2, 1)
