@@ -32,8 +32,6 @@ from .stratify import (
     filtration_at,
     intersection_trace,
     merge_cells,
-    order_constancy_check,
-    representative_point,
 )
 from .sheaf import (
     CellularSheaf,
@@ -59,7 +57,7 @@ __all__ = [
     "composed_bijection", "diagram", "enumerate_global_sections",
     "filtration_at", "gen_image_fibration", "gen_instability",
     "gen_monodromy", "induced_indexing", "intersection_trace",
-    "loop_monodromy", "merge_cells", "monodromy_scan", "order_constancy_check",
-    "path_vineyard", "propagate", "reduce_pairs", "representative_point",
-    "simplex_order_compare", "transposition_update", "validate",
+    "loop_monodromy", "merge_cells", "monodromy_scan", "path_vineyard",
+    "propagate", "reduce_pairs", "simplex_order_compare",
+    "transposition_update", "validate",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 Simplex = Tuple[int, ...]
@@ -89,8 +90,19 @@ class SimplicialComplex:
     def dim(self, i: int) -> int:
         return simplex_dim(self.simplices[i])
 
-    def facet_indices(self, i: int) -> List[int]:
-        return [self.index_of[f] for f in facets(self.simplices[i])]
+    def facet_indices(self, i: int) -> Tuple[int, ...]:
+        return self._facet_indices[i]
+
+    @cached_property
+    def _facet_indices(self) -> Tuple[Tuple[int, ...], ...]:
+        """The facet indices of every simplex, built on first use."""
+        return tuple(tuple(self.index_of[f] for f in facets(s))
+                     for s in self.simplices)
+
+    @cached_property
+    def ids(self) -> Tuple[str, ...]:
+        """`simplex_id` of every simplex, built on first use."""
+        return tuple(simplex_id(s) for s in self.simplices)
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.simplices == other.simplices

@@ -1,6 +1,7 @@
 """Exact 2-D rational geometry: predicates, canonical line forms, convex
-polygon splitting. Every coordinate is a Fraction and every predicate is
-decided exactly; there is no epsilon anywhere in this module."""
+polygon splitting. Points are pairs of Fractions, except in polygon
+splitting, which works on homogeneous integer points; every predicate is
+decided exactly and there is no epsilon anywhere in this module."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -9,6 +10,23 @@ from typing import List, Optional, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 Line = Tuple[int, int, int]  # A*x + B*y = C, integer, normalized
+# The point (X/Z, Y/Z) as integers (X, Y, Z) with Z > 0 and gcd(X, Y, Z) = 1,
+# so that equal points are equal tuples.
+HPoint = Tuple[int, int, int]
+
+
+def homogeneous(p: Point) -> HPoint:
+    """The canonical homogeneous integer form of a rational point."""
+    x, y = p
+    z = lcm(x.denominator, y.denominator)
+    return (x.numerator * (z // x.denominator), y.numerator * (z // y.denominator), z)
+
+
+def det3(p: HPoint, q: HPoint, r: HPoint) -> int:
+    """The 3×3 determinant of three homogeneous points: orient of the affine
+    points times the positive Zp·Zq·Zr, so it has the sign of orient."""
+    (a, b, c), (d, e, f), (g, h, i) = p, q, r
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def orient(a: Point, b: Point, c: Point) -> Fraction:
@@ -99,24 +117,20 @@ def polygon_centroid(loop: Sequence[Point]) -> Point:
     return (Fraction(sx, n), Fraction(sy, n))
 
 
-def simplify_loop(loop: Sequence[Point]) -> List[Point]:
-    """Drop repeated and collinear-in-the-middle vertices from a convex loop."""
-    pts: List[Point] = []
+def simplify_loop(loop: Sequence[HPoint]) -> List[HPoint]:
+    """Drop repeated vertices, then vertices in the middle of a side, from a
+    convex loop of homogeneous points with nonzero area, keeping the order
+    of the rest."""
+    pts: List[HPoint] = []
     for p in loop:
         if not pts or pts[-1] != p:
             pts.append(p)
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
-    changed = True
-    while changed and len(pts) > 2:
-        changed = False
-        for i in range(len(pts)):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % len(pts)]
-            if collinear(a, b, c):
-                pts.pop(i)
-                changed = True
-                break
-    return pts
+    n = len(pts)
+    if n < 3:
+        return pts
+    return [p for i, p in enumerate(pts) if det3(pts[i - 1], p, pts[(i + 1) % n])]
 
 
 def point_in_convex(loop: Sequence[Point], p: Point, strict: bool = True) -> bool:
@@ -137,19 +151,21 @@ def point_on_convex_boundary(loop: Sequence[Point], p: Point) -> bool:
     return False
 
 
-def split_convex(loop: Sequence[Point], line: Line
-                 ) -> Tuple[Optional[List[Point]], Optional[List[Point]]]:
-    """Split a counterclockwise convex polygon by a line into its (negative
-    side, positive side) parts. A side with empty interior comes back None.
-    Crossing points are exact rationals."""
-    n = len(loop)
-    vals = [line_eval(line, p) for p in loop]
+def split_convex(loop: Sequence[HPoint], line: Line
+                 ) -> Tuple[Optional[List[HPoint]], Optional[List[HPoint]]]:
+    """Split a counterclockwise convex loop of homogeneous points by a line
+    into its (negative side, positive side) parts, both counterclockwise. A
+    side with empty interior comes back None. The line's value at (X, Y, Z)
+    is A·X + B·Y − C·Z, which has the sign of A·x + B·y − C."""
+    a, b, c = line
+    vals = [a * x + b * y - c * z for x, y, z in loop]
     if all(v <= 0 for v in vals):
         return (list(loop), None) if any(v < 0 for v in vals) else (None, None)
     if all(v >= 0 for v in vals):
         return (None, list(loop))
-    neg: List[Point] = []
-    pos: List[Point] = []
+    n = len(loop)
+    neg: List[HPoint] = []
+    pos: List[HPoint] = []
     for i in range(n):
         p, vp = loop[i], vals[i]
         q, vq = loop[(i + 1) % n], vals[(i + 1) % n]
@@ -158,20 +174,18 @@ def split_convex(loop: Sequence[Point], line: Line
         if vp >= 0:
             pos.append(p)
         if (vp < 0 < vq) or (vq < 0 < vp):
-            t = vp / (vp - vq)
-            cross = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            # vq·P − vp·Q is on the line and on the side PQ
+            x = vq * p[0] - vp * q[0]
+            y = vq * p[1] - vp * q[1]
+            z = vq * p[2] - vp * q[2]
+            if z < 0:
+                x, y, z = -x, -y, -z
+            g = gcd(x, y, z)
+            cross = (x // g, y // g, z // g)
             neg.append(cross)
             pos.append(cross)
-    def finish(loop: List[Point]) -> Optional[List[Point]]:
-        loop = simplify_loop(loop)
-        if len(loop) < 3:
-            return None
-        area2 = polygon_area2(loop)
-        if area2 == 0:
-            return None
-        return loop if area2 > 0 else list(reversed(loop))
-
-    return finish(neg), finish(pos)
+    # both sides hold a vertex off the line and two crossings on it
+    return simplify_loop(neg), simplify_loop(pos)
 
 
 def segment_line_chord(loop: Sequence[Point], line: Line

@@ -14,7 +14,6 @@ from .complexes import (
     SimplexIndexing,
     SimplicialComplex,
     ValidationError,
-    induced_indexing,
     is_face,
     simplex_dim,
     simplex_id,
@@ -294,8 +293,3 @@ def diagrams_by_degree(pairs: PairSet, K: SimplicialComplex,
                        values: Sequence) -> Dict[int, PersistenceDiagram]:
     top = max((simplex_dim(s) for s in K.simplices), default=0)
     return {q: diagram(pairs, K, values, q) for q in range(top + 1)}
-
-
-def pairs_for_filtration(K: SimplicialComplex, values: Sequence) -> PairSet:
-    """Convenience: reduce under the indexing induced by the values."""
-    return reduce_pairs(K, induced_indexing(values, K))

@@ -118,8 +118,7 @@ def fibration_from_json(obj: Dict) -> PLFibration:
 
 def element_to_json(K: SimplicialComplex, e: Element) -> List[str]:
     b, d = e
-    return [simplex_id(K.simplices[b]),
-            "inf" if d is None else simplex_id(K.simplices[d])]
+    return [K.ids[b], "inf" if d is None else K.ids[d]]
 
 
 def elements_to_json(K: SimplicialComplex, elements) -> List[List[str]]:

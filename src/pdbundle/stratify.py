@@ -6,7 +6,8 @@ inside each base triangle, empty, a chord, the whole triangle, or a single
 vertex. Overlaying the chords with the triangle boundary partitions the base
 into convex cells on which the simplex order is constant; cells are not merged
 across triangle boundaries (a post-processing merge is available separately).
-All geometry is exact rational arithmetic.
+All geometry is exact: integer arithmetic, with `Fraction`s only in the
+points of a `Cell`.
 
 Each triangle is cut line by line into convex polygons, the 2-cells. Since
 every line is a full chord of the triangle, every arrangement vertex on the
@@ -22,6 +23,11 @@ and one integer row (a, b, c) per simplex over a common denominator, so a
 value at a point is one integer dot product and one `Fraction`. The trace
 line of two simplices is the difference of their rows, read off without
 computing its endpoints.
+
+Polygons and cell orders are integer too. A triangle is cut by its trace
+lines in homogeneous integer points (`geometry.split_convex`), and a cell's
+simplex order is a sort of the integer value numerators at its
+representative point over their common positive denominator.
 """
 from __future__ import annotations
 
@@ -37,12 +43,12 @@ from .complexes import (
     ValidationError,
     as_fraction,
     check_monotone,
-    induced_indexing,
     order_signature,
 )
 from .geometry import (
     Line,
     Point,
+    homogeneous,
     normalize_line,
     on_segment,
     orient,
@@ -170,9 +176,13 @@ class TriangleTable:
         return (a0 * X + b0 * Y + c0 * Z >= 0 and a1 * X + b1 * Y + c1 * Z >= 0
                 and a2 * X + b2 * Y + c2 * Z >= 0)
 
+    def numerators(self, X: int, Y: int, Z: int) -> List[int]:
+        """Every simplex's value at (X/Z, Y/Z) times den·Z > 0."""
+        return [a * X + b * Y + c * Z for a, b, c in self.rows]
+
     def values(self, X: int, Y: int, Z: int) -> List[Fraction]:
         dz = self.den * Z
-        return [Fraction(a * X + b * Y + c * Z, dz) for a, b, c in self.rows]
+        return [Fraction(v, dz) for v in self.numerators(X, Y, Z)]
 
 
 class PLFibration:
@@ -302,7 +312,12 @@ def _point_in_piece(piece: Piece, p: Point) -> bool:
 class Stratification:
     """Cells partitioning the base mesh, their face poset, the induced simplex
     indexing at each cell's representative point, and the pair sets of those
-    indexings (each reduced once, when first asked for)."""
+    indexings (each reduced once, when first asked for).
+
+    A cell's indexing is a stable sort of the simplices by the integer
+    numerators of their values at the representative point, which share one
+    positive denominator: the order `induced_indexing` gives those values.
+    The fibration is monotone there, since it is at every mesh vertex."""
 
     def __init__(self, fib: PLFibration, cells: List[Cell],
                  faces: Dict[int, FrozenSet[int]]):
@@ -313,13 +328,12 @@ class Stratification:
         for cid, fs in faces.items():
             for f in fs:
                 self.cofaces[f].add(cid)
-        self.indexings: Dict[int, SimplexIndexing] = {}
         self.pairs = PairCache(fib.complex)
-        self.rep_values: Dict[int, List[Fraction]] = {}
-        for c in cells:
-            vals = filtration_at(fib, c.rep, triangle_hint=c.triangles[0])
-            self.rep_values[c.id] = vals
-            self.indexings[c.id] = induced_indexing(vals, fib.complex)
+        simplices = range(fib.complex.n)
+        self.indexings: Dict[int, SimplexIndexing] = {
+            c.id: SimplexIndexing(sorted(simplices,
+                                         key=_rep_numerators(fib, c).__getitem__))
+            for c in cells}
         self._cells_by_triangle: Dict[int, List[Cell]] = {}
         for c in cells:
             for t in c.triangles:
@@ -342,7 +356,7 @@ class Stratification:
     def locate(self, p: Point) -> Cell:
         """The unique cell containing p; cells of low dimension are tested
         first so boundary points resolve to boundary cells."""
-        t = _containing_triangle(self.fib, *_homogeneous(p))
+        t = _containing_triangle(self.fib, *homogeneous(p))
         if t is None:
             raise ValidationError(f"point {p} outside the mesh")
         for c in self._cells_by_triangle[t]:
@@ -350,13 +364,6 @@ class Stratification:
                 if _point_in_piece(piece, p):
                     return c
         raise AssertionError(f"point {p} not covered by any cell (internal bug)")
-
-
-def _homogeneous(p: Point) -> Tuple[int, int, int]:
-    """Integers (X, Y, Z), Z > 0, with p = (X/Z, Y/Z)."""
-    x, y = p
-    return (x.numerator * y.denominator, y.numerator * x.denominator,
-            x.denominator * y.denominator)
 
 
 def _containing_triangle(fib: PLFibration, X: int, Y: int, Z: int) -> Optional[int]:
@@ -371,7 +378,7 @@ def filtration_at(fib: PLFibration, p: Sequence,
     """Every simplex's value at base point p, read off the integer affine
     table of a closed triangle containing p (the hinted one if it does)."""
     pt: Point = (as_fraction(p[0]), as_fraction(p[1]))
-    X, Y, Z = _homogeneous(pt)
+    X, Y, Z = homogeneous(pt)
     t = triangle_hint
     if t is None or not fib.table(t).contains(X, Y, Z):
         t = _containing_triangle(fib, X, Y, Z)
@@ -380,10 +387,15 @@ def filtration_at(fib: PLFibration, p: Sequence,
     return fib.table(t).values(X, Y, Z)
 
 
-def representative_point(cell: Cell) -> Point:
-    """A point in the cell's relative interior: polygon centroid, segment
-    midpoint, or the point itself."""
-    return cell.rep
+def _rep_numerators(fib: PLFibration, cell: Cell) -> List[int]:
+    """Every simplex's value at the cell's representative point times one
+    positive integer. The rep lies in the first triangle of an unmerged
+    cell; a merged cell's may lie only in another of its triangles."""
+    X, Y, Z = homogeneous(cell.rep)
+    table = fib.table(cell.triangles[0])
+    if not table.contains(X, Y, Z):
+        table = fib.table(_containing_triangle(fib, X, Y, Z))
+    return table.numerators(X, Y, Z)
 
 
 def _triangle_lines(fib: PLFibration, t: int) -> List[Line]:
@@ -421,12 +433,17 @@ def _arrange_triangle(fib: PLFibration, t: int
     Every line is a full chord of the convex triangle, so an arrangement
     vertex on the closure of a 2-cell is one of its corners (otherwise a line
     through that vertex would cut the cell). The 0-cells are therefore the
-    loop corners and the 1-cells the loop sides."""
-    polys = [list(fib.mesh.corners(t))]
+    loop corners and the 1-cells the loop sides.
+
+    The triangle is cut in homogeneous integer points; each distinct corner
+    becomes a `Fraction` point once, after the last cut."""
+    polys = [[homogeneous(p) for p in fib.mesh.corners(t)]]
     for line in _triangle_lines(fib, t):
         polys = [part for poly in polys for part in split_convex(poly, line)
                  if part]
-    two_cells = sorted(tuple(p) for p in polys)
+    point = {v: (Fraction(v[0], v[2]), Fraction(v[1], v[2]))
+             for v in {v for poly in polys for v in poly}}
+    two_cells = sorted(tuple(point[v] for v in poly) for poly in polys)
     one_cells = sorted({e for loop in two_cells for e in _loop_edges(loop)})
     zero_cells = sorted({p for loop in two_cells for p in loop})
     return two_cells, one_cells, zero_cells
@@ -489,24 +506,6 @@ def sample_in_cell(cell: Cell, rng: random.Random, denom: int = 997) -> Point:
             Fraction(sum(w * y for w, (_, y) in zip(weights, grid)), total))
 
 
-def order_constancy_check(fib: PLFibration, strat: Stratification, cell_id: int,
-                          k: int, seed: int) -> Optional[Point]:
-    """Draw k interior points of the cell and compare each sample's simplex
-    order with the representative point's order. Returns None when constant,
-    otherwise the first counterexample point."""
-    if k < 1:
-        raise ValidationError("order_constancy_check needs k >= 1")
-    cell = strat.cell(cell_id)
-    want = order_signature(strat.rep_values[cell_id])
-    rng = random.Random(seed)
-    for _ in range(k):
-        p = sample_in_cell(cell, rng)
-        got = order_signature(filtration_at(fib, p, triangle_hint=cell.triangles[0]))
-        if got != want:
-            return p
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Optional post-processing: merge equal-order cells across walls.
 # ---------------------------------------------------------------------------
@@ -540,7 +539,7 @@ def merge_cells(strat: Stratification) -> Stratification:
     # merge on equality of the simplex ORDER (tie structure included), not of
     # the tie-broken indexing: a wall where two values tie can share its
     # indexing with a strict neighbor yet still be a genuine stratum boundary
-    signature = {c.id: order_signature(strat.rep_values[c.id])
+    signature = {c.id: order_signature(_rep_numerators(fib, c))
                  for c in strat.cells}
 
     by_dim: Dict[int, List[Cell]] = {0: [], 1: [], 2: []}

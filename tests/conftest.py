@@ -7,8 +7,9 @@ from itertools import combinations
 import pytest
 from hypothesis import settings
 
-from pdbundle.complexes import SimplicialComplex
+from pdbundle.complexes import SimplicialComplex, induced_indexing
 from pdbundle.generators import MONODROMY_SIMPLICES, monodromy_values_at
+from pdbundle.persistence import reduce_pairs
 from pdbundle.stratify import BaseMesh, PLFibration
 
 # Property tests draw the same examples on every run and write nothing into
@@ -162,6 +163,11 @@ def quadrant_of(p):
     if x > 0 and y < 0:
         return "Q4"
     return None
+
+
+def pairs_for_filtration(K: SimplicialComplex, values):
+    """A fresh reduction under the indexing induced by the values."""
+    return reduce_pairs(K, induced_indexing(values, K))
 
 
 def deg1_pairs(K: SimplicialComplex, pairset):

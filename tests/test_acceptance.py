@@ -15,7 +15,7 @@ import pytest
 from pdbundle.cli import main
 from pdbundle.complexes import induced_indexing
 from pdbundle.generators import gen_image_fibration, gen_instability, gen_monodromy
-from pdbundle.persistence import diagrams_by_degree, pairs_for_filtration
+from pdbundle.persistence import diagrams_by_degree
 from pdbundle.sheaf import build_sheaf, edge_value_certificate, monodromy_scan
 from pdbundle.stratify import build_stratification, filtration_at
 from pdbundle.vineyard import path_vineyard
@@ -26,11 +26,13 @@ from conftest import (
     C,
     D,
     deg1_pairs,
+    pairs_for_filtration,
     quadrant_of,
     random_complex,
     random_fibration,
     random_monotone_values,
 )
+from cell_oracle import rep_values
 from rank_oracle import pairs_betti_count, persistent_betti, vietoris_rips
 
 F = Fraction
@@ -87,7 +89,7 @@ def test_c2_quadrant_pair_sets(mono_fib, mono_strat):
         if cell.dim != 2:
             continue
         quad = quadrant_of(cell.rep)
-        pairs = deg1_pairs(K, pairs_for_filtration(K, mono_strat.rep_values[cell.id]))
+        pairs = deg1_pairs(K, pairs_for_filtration(K, rep_values(mono_strat, cell.id)))
         seen.setdefault(quad, set()).add(frozenset(pairs))
     ok = all(seen[q] == {frozenset(expected[q])} for q in expected)
     report(2, ok, "degree-1 pair sets at quadrant representatives match the "
@@ -176,7 +178,7 @@ def test_c6_stratification_partition_oracle(random_strats):
                  sum(F(w) * c[1] for w, c in zip(ws, corners)) / tot)
             cell = strat.locate(p)
             fresh = pairs_for_filtration(K, filtration_at(fib, p))
-            cached = pairs_for_filtration(K, strat.rep_values[cell.id])
+            cached = pairs_for_filtration(K, rep_values(strat, cell.id))
             if fresh != cached:
                 report(6, False, f"pair set mismatch at {p}")
             total += 1

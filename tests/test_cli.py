@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -273,3 +274,46 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys):
         assert main(cmd) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+# SHA-256 of stdout of `stratify` and `sheaf` (plain and --merge-cells) on the
+# monodromy example and on the acceptance c9 image formula at 3×3, recorded
+# before cells were cut and ordered in integers: that change keeps every
+# output byte-identical.
+C9_3X3 = "P3\n3 3 31\n" + "\n".join(
+    " ".join(f"{(3 * r + 2 * c) % 11} {(r * c + 7) % 13} {(r + 5 * c) % 17}"
+             for c in range(3)) for r in range(3)) + "\n"
+GOLDEN = {
+    "monodromy stratify":
+        "928c5ef82639615d5a369f8483a891fb3f65a4daac3e568d89a717ef4f8eca2c",
+    "monodromy sheaf":
+        "c9f315f3e5e2324baaefa81edea32f6587968fd8ff1cff13fd982cbeb328aa83",
+    "monodromy stratify --merge-cells":
+        "9983a30baf345ccbd6cad96eadb279f5aa402a0ef88296a27297e8ccf1820236",
+    "monodromy sheaf --merge-cells":
+        "71935ad4a927dd2041ce317128240410de9c8131e10d3d379c6b285ec36ddfda",
+    "c9-3x3 stratify":
+        "cc508686ec78ba8eff779ec257334c7d91faaa6a4239595d120370b604d75c89",
+    "c9-3x3 sheaf":
+        "7b15de907d01955e1a3e42fb990ef4b4c09419ae4ac911a015587297e48e0f0e",
+    "c9-3x3 stratify --merge-cells":
+        "005cd08f0c87502ca937610a3c2fa59e0761601b298986616de33585e31a3e3c",
+    "c9-3x3 sheaf --merge-cells":
+        "bcf35fc6134d8e59cbf8622b8407049cb8ed452585c52e8c8dddeda4287052ec",
+}
+
+
+def test_golden_output_digests(tmp_path, capsys):
+    mono = str(tmp_path / "mono.json")
+    image = str(tmp_path / "c9.json")
+    assert run(["gen-monodromy", "--output", mono], capsys)[0] == 0
+    ppm = write(tmp_path, "c9.ppm", C9_3X3)
+    assert run(["gen-image", "--input", ppm, "--output", image], capsys)[0] == 0
+    got = {}
+    for key in GOLDEN:
+        name, *args = key.split()
+        code, out, err = run(args + ["--input", {"monodromy": mono, "c9-3x3": image}[name]],
+                             capsys)
+        assert code == 0 and err == ""
+        got[key] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert got == GOLDEN

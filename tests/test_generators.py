@@ -11,10 +11,10 @@ from pdbundle.generators import (
     instability_values_at,
     parse_ppm,
 )
-from pdbundle.persistence import diagrams_by_degree, pairs_for_filtration
+from pdbundle.persistence import diagrams_by_degree
 from pdbundle.stratify import build_stratification, filtration_at
 
-from conftest import A, B, C, D, deg1_pairs, quadrant_of
+from conftest import A, B, C, D, deg1_pairs, pairs_for_filtration, quadrant_of
 
 F = Fraction
 

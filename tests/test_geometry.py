@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from pdbundle.geometry import (
+    det3,
+    homogeneous,
     line_intersection,
     line_through,
     normalize_line,
@@ -57,23 +59,40 @@ def test_line_intersection():
     assert line_intersection(h, h) is None
 
 
+def affine(loop):
+    return [(F(x, z), F(y, z)) for x, y, z in loop]
+
+
+H_TRI = [homogeneous(p) for p in TRI]
+
+
+def test_homogeneous_form_is_canonical():
+    assert homogeneous((F(1, 2), F(-2, 3))) == (3, -4, 6)
+    assert homogeneous((F(1, 2), F(1, 2))) == (1, 1, 2)
+    assert homogeneous(pt(-3, 0)) == (-3, 0, 1)
+    assert det3((0, 0, 1), (2, 0, 2), (0, 3, 3)) > 0   # (0,0), (1,0), (0,1)
+    assert det3((0, 0, 1), (1, 1, 1), (4, 4, 2)) == 0
+
+
 def test_split_convex_basic():
     line = normalize_line(F(1), F(0), F(1))  # x = 1
-    neg, pos = split_convex(TRI, line)
+    neg, pos = split_convex(H_TRI, line)
     assert neg is not None and pos is not None
+    neg, pos = affine(neg), affine(pos)
     assert polygon_area2(neg) + polygon_area2(pos) == polygon_area2(TRI)
     assert all(p[0] <= 1 for p in neg)
     assert all(p[0] >= 1 for p in pos)
     # no split when the line misses the interior
-    neg2, pos2 = split_convex(TRI, normalize_line(F(1), F(0), F(10)))
-    assert pos2 is None and neg2 == TRI
+    neg2, pos2 = split_convex(H_TRI, normalize_line(F(1), F(0), F(10)))
+    assert pos2 is None and neg2 == H_TRI
 
 
 def test_split_through_vertex():
     line = line_through(pt(0, 0), pt(2, 2))  # hits the hypotenuse midpoint
-    neg, pos = split_convex(TRI, line)
+    neg, pos = split_convex(H_TRI, line)
     assert neg is not None and pos is not None
-    assert polygon_area2(neg) == polygon_area2(pos)
+    assert polygon_area2(affine(neg)) == polygon_area2(affine(pos))
+    assert (2, 2, 1) in neg and (2, 2, 1) in pos   # from (-16, -16, -8)
 
 
 def test_chord_and_membership():
@@ -88,8 +107,9 @@ def test_chord_and_membership():
 
 
 def test_simplify_loop_removes_collinear():
-    loop = [pt(0, 0), pt(2, 0), pt(4, 0), pt(0, 4), pt(0, 2)]
-    assert simplify_loop(loop) == [pt(0, 0), pt(4, 0), pt(0, 4)]
+    loop = [homogeneous(p) for p in
+            (pt(0, 0), pt(2, 0), pt(4, 0), pt(4, 0), pt(0, 4), pt(0, 2), pt(0, 0))]
+    assert simplify_loop(loop) == [(0, 0, 1), (4, 0, 1), (0, 4, 1)]
 
 
 def test_centroid_interior():

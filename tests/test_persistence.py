@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pdbundle.complexes import SimplicialComplex, ValidationError, induced_indexing
-from pdbundle.persistence import PairSet, diagram, pairs_for_filtration, reduce_pairs
+from pdbundle.persistence import PairSet, diagram, reduce_pairs
 
 from conftest import (
     A,
@@ -13,6 +13,7 @@ from conftest import (
     D,
     deg1_pairs,
     mono_values,
+    pairs_for_filtration,
     random_complex,
     random_monotone_values,
 )

@@ -13,10 +13,7 @@ from pdbundle.geometry import (
     point_on_convex_boundary,
     segment_line_chord,
     segment_midpoint,
-    simplify_loop,
-    split_convex,
 )
-from pdbundle.persistence import pairs_for_filtration
 from pdbundle.stratify import (
     BaseMesh,
     PLFibration,
@@ -24,9 +21,15 @@ from pdbundle.stratify import (
     filtration_at,
     intersection_trace,
     merge_cells,
-    order_constancy_check,
-    representative_point,
     sample_in_cell,
+)
+
+from cell_oracle import (
+    order_constancy_check,
+    rep_values,
+    representative_point,
+    simplify_loop,
+    split_convex,
 )
 
 from conftest import (
@@ -36,6 +39,7 @@ from conftest import (
     C,
     D,
     deg1_pairs,
+    pairs_for_filtration,
     quadrant_of,
     random_fibration,
     random_ppm,
@@ -166,7 +170,7 @@ def test_single_crossing_one_triangle():
             cell = strat.locate((x, y))
             vals = filtration_at(fib, (x, y))
             want = 0 if vals[0] < vals[1] else (1 if vals[0] > vals[1] else None)
-            got_vals = strat.rep_values[cell.id]
+            got_vals = rep_values(strat, cell.id)
             got = (0 if got_vals[0] < got_vals[1]
                    else (1 if got_vals[0] > got_vals[1] else None))
             assert got == want
@@ -185,6 +189,7 @@ def test_representative_points():
     assert (F(0), F(0)) in reps[0]
     # every representative is inside its own cell
     for c in strat.cells:
+        assert c.rep == representative_point(c)
         assert strat.locate(c.rep).id == c.id
 
 
@@ -213,7 +218,7 @@ def test_monodromy_stratification_cells(mono_fib, mono_strat):
     seen = set()
     for c in by_dim[2]:
         quad = quadrant_of(c.rep)
-        pairs = deg1_pairs(K, pairs_for_filtration(K, strat.rep_values[c.id]))
+        pairs = deg1_pairs(K, pairs_for_filtration(K, rep_values(strat, c.id)))
         assert pairs == expected[quad]
         seen.add(quad)
     assert seen == {"Q1", "Q2", "Q3", "Q4"}
@@ -254,7 +259,7 @@ def test_partition_oracle_random_points(mono_fib, mono_strat):
              sum(F(w) * c[1] for w, c in zip(ws, corners)) / tot)
         cell = mono_strat.locate(p)
         assert pairs_for_filtration(K, filtration_at(mono_fib, p)) == \
-            pairs_for_filtration(K, mono_strat.rep_values[cell.id])
+            pairs_for_filtration(K, rep_values(mono_strat, cell.id))
 
 
 def test_partition_is_disjoint(mono_fib, mono_strat):
@@ -351,7 +356,7 @@ def test_random_stratifications_partition_oracle():
                  sum(F(w) * cr[1] for w, cr in zip(ws, corners)) / tot)
             cell = strat.locate(p)
             assert pairs_for_filtration(K, filtration_at(fib, p)) == \
-                pairs_for_filtration(K, strat.rep_values[cell.id])
+                pairs_for_filtration(K, rep_values(strat, cell.id))
 
 
 def brute_force_triangle(fib, t):

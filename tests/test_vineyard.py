@@ -6,7 +6,7 @@ import pytest
 
 from pdbundle.complexes import SimplicialComplex, ValidationError, induced_indexing
 from pdbundle.generators import gen_image_fibration
-from pdbundle.persistence import PairCache, pairs_for_filtration, reduce_pairs
+from pdbundle.persistence import PairCache, reduce_pairs
 from pdbundle.sheaf import build_sheaf
 from pdbundle.stratify import build_stratification, filtration_at
 from pdbundle.vineyard import (
@@ -26,6 +26,7 @@ from conftest import (
     D,
     mono_fibration,
     mono_values,
+    pairs_for_filtration,
     random_complex,
     random_fibration,
     random_monotone_values,
