@@ -7,6 +7,7 @@ inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .sheaf import (
     enumerate_global_sections,
     monodromy_scan,
 )
-from .stratify import build_stratification, filtration_at, merge_cells
+from .stratify import build_stratification, merge_cells, point_numerators
 from .vineyard import path_vineyard
 
 
@@ -71,7 +72,7 @@ def _read_json(path: str) -> Dict:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an int too long to read
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -144,12 +145,14 @@ def cmd_vineyard(cfg: RunConfig) -> None:
     pts = _read_json(cfg.path)
     if not isinstance(pts, list) or not pts:
         raise ValidationError("--path must be a non-empty JSON list of points")
-    filts = []
+    samples = []
+    t = None    # each point is looked up first in the previous one's triangle
     for p in pts:
         if not isinstance(p, list) or len(p) != 2:
             raise ValidationError(f"bad path point {p!r}")
-        filts.append(filtration_at(fib, (as_fraction(p[0]), as_fraction(p[1]))))
-    vines, loop = path_vineyard(fib.complex, filts)
+        t, nums, den = point_numerators(fib, (as_fraction(p[0]), as_fraction(p[1])), t)
+        samples.append((nums, den))
+    vines, loop = path_vineyard(fib.complex, samples)
     _write_text(cfg.output, vines_to_csv(fib.complex, vines))
     loop_json = {
         "loop_permutation": mapping_to_json(fib.complex, loop.mapping),
@@ -192,7 +195,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every call of `main` shares it."""
     parser = argparse.ArgumentParser(
         prog="pdbundle",
         description="persistence-diagram bundles over triangulated planar bases")

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import SimplicialComplex, ValidationError, as_fraction
 from .sheaf import InvariantError
 from .stratify import BaseMesh, PLFibration
-from .vineyard import Vine, path_vineyard
+from .vineyard import Vine, path_vineyard, rational_sample
 
 # Intrinsic indices of the four named simplices in the monodromy complex
 # (vertices 0..3, then edges 12, 23, 03, 01, 02, then triangles 012, 023).
@@ -145,8 +145,10 @@ def gen_instability(epsilon, gap) -> Dict:
     sup_dist = max(abs(a - b) for fp, fm in zip(plus_filts, minus_filts)
                    for a, b in zip(fp, fm))
 
-    vines_plus, _ = path_vineyard(K, plus_filts, params=ts)
-    vines_minus, _ = path_vineyard(K, minus_filts, params=ts)
+    vines_plus, _ = path_vineyard(K, [rational_sample(f) for f in plus_filts],
+                                  params=ts)
+    vines_minus, _ = path_vineyard(K, [rational_sample(f) for f in minus_filts],
+                                   params=ts)
 
     def degree1(vines: List[Vine]) -> List[Vine]:
         return [v for v in vines if len(K.simplices[v.labels[0][0]]) == 2]

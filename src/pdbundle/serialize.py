@@ -247,10 +247,12 @@ def monodromy_to_json(sheaf: CellularSheaf, report: MonodromyReport) -> Dict:
 
 def vines_to_csv(K: SimplicialComplex, vines) -> str:
     """CSV export with columns vine_id, t, birth, death; infinite deaths are
-    the literal inf."""
+    the literal inf. A value is the float nearest to it: the numerator over
+    the sample's denominator in int true division, which rounds correctly
+    (and so equals float() of the reduced Fraction)."""
     lines = ["vine_id,t,birth,death"]
     for vid, vine in enumerate(vines):
-        for t, b, d in vine.samples:
-            death = "inf" if d is None else repr(float(d))
-            lines.append(f"{vid},{repr(float(t))},{repr(float(b))},{death}")
+        for t, (nums, den), (b, d) in zip(vine.params, vine.values, vine.labels):
+            death = "inf" if d is None else repr(nums[d] / den)
+            lines.append(f"{vid},{repr(float(t))},{repr(nums[b] / den)},{death}")
     return "\n".join(lines) + "\n"

@@ -20,9 +20,9 @@ fibration there is a small integer table (`TriangleTable`), which the
 `PLFibration` owns: it builds the table of a triangle on first use and keeps
 it. The table holds three integer edge forms for the closed-triangle test
 and one integer row (a, b, c) per simplex over a common denominator, so a
-value at a point is one integer dot product and one `Fraction`. The trace
-line of two simplices is the difference of their rows, read off without
-computing its endpoints.
+value at a point is one integer dot product over a positive denominator
+(`point_numerators`). The trace line of two simplices is the difference of
+their rows, read off without computing its endpoints.
 
 Polygons and cell orders are integer too. A triangle is cut by its trace
 lines in homogeneous integer points (`geometry.split_convex`), and a cell's
@@ -179,10 +179,6 @@ class TriangleTable:
     def numerators(self, X: int, Y: int, Z: int) -> List[int]:
         """Every simplex's value at (X/Z, Y/Z) times den·Z > 0."""
         return [a * X + b * Y + c * Z for a, b, c in self.rows]
-
-    def values(self, X: int, Y: int, Z: int) -> List[Fraction]:
-        dz = self.den * Z
-        return [Fraction(v, dz) for v in self.numerators(X, Y, Z)]
 
 
 class PLFibration:
@@ -373,29 +369,36 @@ def _containing_triangle(fib: PLFibration, X: int, Y: int, Z: int) -> Optional[i
     return None
 
 
-def filtration_at(fib: PLFibration, p: Sequence,
-                  triangle_hint: Optional[int] = None) -> List[Fraction]:
-    """Every simplex's value at base point p, read off the integer affine
-    table of a closed triangle containing p (the hinted one if it does)."""
-    pt: Point = (as_fraction(p[0]), as_fraction(p[1]))
+def point_numerators(fib: PLFibration, pt: Point,
+                     triangle_hint: Optional[int] = None
+                     ) -> Tuple[int, List[int], int]:
+    """A closed triangle t containing the base point pt (the hinted one if it
+    does), every simplex's value at pt times one positive integer D, read
+    off t's integer affine table, and D = den·Z. The fibration is continuous,
+    so every triangle containing pt gives the same values."""
     X, Y, Z = homogeneous(pt)
     t = triangle_hint
     if t is None or not fib.table(t).contains(X, Y, Z):
         t = _containing_triangle(fib, X, Y, Z)
-    if t is None:
-        raise ValidationError(f"point {pt} outside the mesh")
-    return fib.table(t).values(X, Y, Z)
+        if t is None:
+            raise ValidationError(f"point {pt} outside the mesh")
+    table = fib.table(t)
+    return t, table.numerators(X, Y, Z), table.den * Z
+
+
+def filtration_at(fib: PLFibration, p: Sequence,
+                  triangle_hint: Optional[int] = None) -> List[Fraction]:
+    """Every simplex's value at base point p as an exact `Fraction`."""
+    pt: Point = (as_fraction(p[0]), as_fraction(p[1]))
+    _, nums, dz = point_numerators(fib, pt, triangle_hint)
+    return [Fraction(v, dz) for v in nums]
 
 
 def _rep_numerators(fib: PLFibration, cell: Cell) -> List[int]:
     """Every simplex's value at the cell's representative point times one
     positive integer. The rep lies in the first triangle of an unmerged
     cell; a merged cell's may lie only in another of its triangles."""
-    X, Y, Z = homogeneous(cell.rep)
-    table = fib.table(cell.triangles[0])
-    if not table.contains(X, Y, Z):
-        table = fib.table(_containing_triangle(fib, X, Y, Z))
-    return table.numerators(X, Y, Z)
+    return point_numerators(fib, cell.rep, cell.triangles[0])[1]
 
 
 def _triangle_lines(fib: PLFibration, t: int) -> List[Line]:

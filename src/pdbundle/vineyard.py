@@ -9,17 +9,24 @@ pair set. Which case applies is read off a decomposition R = D·V
 updated at each one with at most two column additions, never reduced again. A
 walk starts from a copy of the reduction a `PairCache` holds for its first
 indexing.
+
+A path sample is integer: every simplex's value times one positive integer,
+as a base triangle's affine table gives it. It is ordered, checked and
+stored as integers; a vine's values become `Fraction`s only when read
+through `Vine.samples`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
     SimplexIndexing,
     SimplicialComplex,
     ValidationError,
-    induced_indexing,
+    check_monotone,
 )
 from .persistence import Element, PairCache, Reduction
 
@@ -159,51 +166,81 @@ def composed_bijection(pairs: PairCache, idx0: SimplexIndexing,
 # Vineyards along sampled paths.
 # ---------------------------------------------------------------------------
 
+# One path sample: every simplex's value times one positive integer D, and D.
+Sample = Tuple[Sequence[int], int]
+
+
+def rational_sample(values: Sequence) -> Sample:
+    """Rational filtration values as a sample: their numerators over the
+    least common positive denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 @dataclass
 class Vine:
-    """One tracked pair across the samples of a path: parallel lists of the
-    path parameter, the (birth, death) values, and the pair label at each
-    sample. death is None at samples where the class is essential."""
+    """One tracked pair across the samples of a path. labels[j] is the pair
+    (birth, death) at sample j, whose values are read off values[j] at the
+    path parameter params[j]; every vine of a path shares its params and
+    values. death is None at samples where the class is essential."""
 
-    samples: List[Tuple[object, object, Optional[object]]]
+    params: Sequence
+    values: Sequence[Sample]
     labels: List[Element]
 
+    @property
+    def samples(self) -> List[Tuple[object, Fraction, Optional[Fraction]]]:
+        """(parameter, birth, death) at each sample, as exact Fractions."""
+        return [(t, Fraction(nums[b], den),
+                 None if d is None else Fraction(nums[d], den))
+                for t, (nums, den), (b, d)
+                in zip(self.params, self.values, self.labels)]
 
-def path_vineyard(K: SimplicialComplex, filtrations: Sequence[Sequence],
+
+def path_vineyard(K: SimplicialComplex, samples: Sequence[Sample],
                   params: Optional[Sequence] = None
                   ) -> Tuple[List[Vine], PairBijection]:
     """Track every pair through the update bijections between consecutive
     samples. Returns the vines and the total composition from the first to the
-    last sample (the loop permutation when the path is a loop). The first
-    sample is reduced once, and that reduction is carried through the rest.
+    last sample (the loop permutation when the path is a loop).
+
+    A sample is (numerators, D): every simplex's value times one positive
+    integer D (`stratify.point_numerators` gives them at a base point,
+    `rational_sample` from rational values). Its indexing is a stable sort
+    of the simplices by numerator, the order `induced_indexing` gives the
+    values, and a sample that is not a filtration on K raises
+    ValidationError. The first sample is reduced once, and that reduction is
+    carried through the rest.
 
     Consecutive samples should be close enough that the canonical bijection
     between them matches the crossing structure of the underlying path;
     event-exact crossing detection is out of scope."""
-    if not filtrations:
+    if not samples:
         raise ValidationError("path_vineyard needs at least one filtration")
-    if params is None:
-        params = list(range(len(filtrations)))
-    if len(params) != len(filtrations):
+    params = list(range(len(samples)) if params is None else params)
+    samples = list(samples)
+    if len(params) != len(samples):
         raise ValidationError("params and filtrations differ in length")
-    indexings = [induced_indexing(f, K) for f in filtrations]
-    red = Reduction(K, indexings[0])
+    faces = [(j, i) for i in range(K.n) for j in K.facet_indices(i)]
+
+    def indexing(nums: Sequence[int], den: int) -> SimplexIndexing:
+        if den <= 0:
+            raise ValidationError(f"sample denominator {den} is not positive")
+        if len(nums) != K.n or any(nums[j] > nums[i] for j, i in faces):
+            # raises on the first violation, worded as for rational values
+            check_monotone(K, [Fraction(v, den) for v in nums])
+        return SimplexIndexing(sorted(range(K.n), key=nums.__getitem__))
+
+    prev = indexing(*samples[0])
+    red = Reduction(K, prev)
     first = red.elements()
     total = PairBijection.identity(first)
-    vines = {e: Vine(samples=[], labels=[]) for e in sorted(first)}
-    current = {e: e for e in first}
-
-    def record(t, values):
-        for e0, e in current.items():
-            b, d = e
-            vines[e0].samples.append(
-                (t, values[b], None if d is None else values[d]))
-            vines[e0].labels.append(e)
-
-    record(params[0], filtrations[0])
-    for j in range(1, len(filtrations)):
-        step = _walk(red, canonical_transpositions(indexings[j - 1], indexings[j]))
+    vines = [Vine(params, samples, [e]) for e in sorted(first)]
+    for j in range(1, len(samples)):
+        idx = indexing(*samples[j])
+        step = _walk(red, canonical_transpositions(prev, idx))
         total = total.then(step)
-        current = {e0: step(e) for e0, e in current.items()}
-        record(params[j], filtrations[j])
-    return [vines[e] for e in sorted(vines)], total
+        for vine in vines:
+            vine.labels.append(step(vine.labels[-1]))
+        prev = idx
+    return vines, total

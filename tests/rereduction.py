@@ -1,5 +1,5 @@
 """Update bijections by re-reduction: the oracle of the differential tests in
-test_vineyard.py.
+test_vineyard.py and test_vineyard_cli.py.
 
 Every transposition here reduces the boundary matrix afresh under the new
 indexing and is a swap exactly when the pair set changed, the way pdbundle
@@ -18,6 +18,8 @@ from pdbundle.complexes import (
     is_face,
 )
 from pdbundle.persistence import Element, PairSet
+from pdbundle.serialize import canonical_dumps, mapping_to_json
+from pdbundle.stratify import filtration_at
 from pdbundle.vineyard import PairBijection, canonical_transpositions
 
 
@@ -138,6 +140,26 @@ def path_vineyard(K: SimplicialComplex, filtrations: Sequence[Sequence]
         current = {e0: step(e) for e0, e in current.items()}
         record(j, filtrations[j])
     return [vines[e] for e in sorted(vines)], total
+
+
+def vineyard_output(fib, points) -> Tuple[str, str]:
+    """The CSV and the loop JSON of `pdbundle vineyard` along `points`, the
+    way pdbundle computed them on `Fraction` values: `filtration_at` at each
+    point, `induced_indexing`, this module's `path_vineyard`, and float() of
+    every exact value in the CSV."""
+    K = fib.complex
+    filts = [filtration_at(fib, p) for p in points]
+    vines, loop = path_vineyard(K, filts)
+    lines = ["vine_id,t,birth,death"]
+    for vid, (samples, _) in enumerate(vines):
+        for t, b, d in samples:
+            death = "inf" if d is None else repr(float(d))
+            lines.append(f"{vid},{repr(float(t))},{repr(float(b))},{death}")
+    loop_json = {
+        "loop_permutation": mapping_to_json(K, loop.mapping),
+        "nontrivial": any(k != v for k, v in loop.mapping.items()),
+    }
+    return "\n".join(lines) + "\n", canonical_dumps(loop_json)
 
 
 def sheaf_morphisms(strat, pairs: ReducedPairs, degrees: Sequence[Optional[int]]

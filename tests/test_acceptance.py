@@ -18,7 +18,7 @@ from pdbundle.generators import gen_image_fibration, gen_instability, gen_monodr
 from pdbundle.persistence import diagrams_by_degree
 from pdbundle.sheaf import build_sheaf, edge_value_certificate, monodromy_scan
 from pdbundle.stratify import build_stratification, filtration_at
-from pdbundle.vineyard import path_vineyard
+from pdbundle.vineyard import path_vineyard, rational_sample
 
 from conftest import (
     A,
@@ -104,7 +104,7 @@ def test_c3_circle_restriction(mono_fib):
         x = F(math.cos(2 * math.pi * u + math.pi / 4))
         y = F(math.sin(2 * math.pi * u + math.pi / 4))
         filts.append([F(0)] * 7 + [2 + y, 2 - y, 10 + x, 10 - x])
-    _, loop = path_vineyard(K, filts)
+    _, loop = path_vineyard(K, [rational_sample(f) for f in filts])
     swapped = (loop.mapping[(A, C)] == (B, D) and loop.mapping[(B, D)] == (A, C))
     fixed = all(k == v for k, v in loop.mapping.items()
                 if k not in {(A, C), (B, D)})

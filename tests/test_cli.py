@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pdbundle.cli import main
+import pdbundle
+from pdbundle.cli import build_parser, main
 from pdbundle.serialize import (
     canonical_dumps,
     complex_from_json,
@@ -278,8 +283,10 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys):
 
 # SHA-256 of stdout of `stratify` and `sheaf` (plain and --merge-cells) on the
 # monodromy example and on the acceptance c9 image formula at 3×3, recorded
-# before cells were cut and ordered in integers: that change keeps every
-# output byte-identical.
+# before cells were cut and ordered in integers, and of `vineyard` (CSV and
+# loop permutation on stdout) along a closed path on each, recorded before
+# path samples were ordered in integers: both changes keep every output
+# byte-identical.
 C9_3X3 = "P3\n3 3 31\n" + "\n".join(
     " ".join(f"{(3 * r + 2 * c) % 11} {(r * c + 7) % 13} {(r + 5 * c) % 17}"
              for c in range(3)) for r in range(3)) + "\n"
@@ -300,6 +307,34 @@ GOLDEN = {
         "005cd08f0c87502ca937610a3c2fa59e0761601b298986616de33585e31a3e3c",
     "c9-3x3 sheaf --merge-cells":
         "bcf35fc6134d8e59cbf8622b8407049cb8ed452585c52e8c8dddeda4287052ec",
+    "monodromy vineyard":
+        "34b098145bf058b3906392d90a95684f9d264e6edf99bbfac2ceef4a77bb4d4c",
+    "c9-3x3 vineyard":
+        "7e40c9187df2f67e7fdbaf3a7c01ecb197c3bd507024a6cb996d008fc51a38dc",
+}
+
+
+def square_loop(cx, cy, half, steps):
+    """A closed path around the square of centre (cx, cy) and half-side
+    `half`, counterclockwise from its lower-left corner, with `steps` equal
+    steps per side, as JSON-ready 'p/q' strings; the first point repeats at
+    the end."""
+    corners = [(cx - half, cy - half), (cx + half, cy - half),
+               (cx + half, cy + half), (cx - half, cy + half)]
+    pts = []
+    for k, (x0, y0) in enumerate(corners):
+        x1, y1 = corners[(k + 1) % 4]
+        pts += [(x0 + (x1 - x0) * j / steps, y0 + (y1 - y0) * j / steps)
+                for j in range(steps)]
+    return [[str(x), str(y)] for x, y in pts + pts[:1]]
+
+
+# around the monodromy example's interior 0-cell at the origin, through the
+# mesh's diagonal and axis edges; and inside the c9 image's base triangle,
+# touching its hypotenuse at (1/2, 1/2)
+GOLDEN_PATHS = {
+    "monodromy": square_loop(F(0), F(0), F(1, 2), 8),
+    "c9-3x3": square_loop(F(3, 10), F(3, 10), F(1, 5), 16),
 }
 
 
@@ -312,8 +347,31 @@ def test_golden_output_digests(tmp_path, capsys):
     got = {}
     for key in GOLDEN:
         name, *args = key.split()
+        if args[0] == "vineyard":
+            args += ["--path", write(tmp_path, "path.json", GOLDEN_PATHS[name])]
         code, out, err = run(args + ["--input", {"monodromy": mono, "c9-3x3": image}[name]],
                              capsys)
         assert code == 0 and err == ""
         got[key] = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert got == GOLDEN
+
+
+def test_main_after_argparse_error_matches_fresh_process(tmp_path, capsys):
+    """`main` shares one parser per process; an argparse error leaves it as
+    it was, so the next call prints what a fresh process prints."""
+    assert build_parser() is build_parser()
+    mono = str(tmp_path / "mono.json")
+    assert main(["gen-monodromy", "--output", mono]) == 0
+    path = write(tmp_path, "path.json", GOLDEN_PATHS["monodromy"])
+    with pytest.raises(SystemExit) as exc:
+        main(["vineyard", "--input", mono, "--path"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["vineyard", "--input", mono, "--path", path]
+    code, out, err = run(argv, capsys)
+    src = Path(pdbundle.__file__).resolve().parent.parent
+    fresh = subprocess.run([sys.executable, "-m", "pdbundle.cli", *argv],
+                           capture_output=True, text=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and out

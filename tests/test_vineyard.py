@@ -8,12 +8,13 @@ from pdbundle.complexes import SimplicialComplex, ValidationError, induced_index
 from pdbundle.generators import gen_image_fibration
 from pdbundle.persistence import PairCache, reduce_pairs
 from pdbundle.sheaf import build_sheaf
-from pdbundle.stratify import build_stratification, filtration_at
+from pdbundle.stratify import build_stratification, filtration_at, point_numerators
 from pdbundle.vineyard import (
     apply_transpositions,
     canonical_transpositions,
     composed_bijection,
     path_vineyard,
+    rational_sample,
     transposition_update,
 )
 
@@ -155,7 +156,7 @@ def test_composed_roundtrip_along_reversed_sequence():
 
 def test_path_vineyard_constant(mono_complex):
     vals = mono_values(Fraction(1, 2), Fraction(1, 2))
-    vines, loop = path_vineyard(mono_complex, [vals, vals, vals])
+    vines, loop = path_vineyard(mono_complex, [rational_sample(vals)] * 3)
     assert loop.is_identity()
     for vine in vines:
         assert len(set(vine.labels)) == 1
@@ -168,7 +169,7 @@ def test_path_vineyard_matches_fresh_reduction(mono_complex):
     rng = random.Random(23)
     filts = [mono_values(Fraction(rng.randint(-8, 8), 8), Fraction(rng.randint(-8, 8), 8))
              for _ in range(12)]
-    vines, _ = path_vineyard(mono_complex, filts)
+    vines, _ = path_vineyard(mono_complex, [rational_sample(f) for f in filts])
     for j, vals in enumerate(filts):
         fresh = pairs_for_filtration(mono_complex, vals).elements()
         tracked = {vine.labels[j] for vine in vines}
@@ -177,7 +178,7 @@ def test_path_vineyard_matches_fresh_reduction(mono_complex):
 
 def test_monodromy_circle_loop(mono_complex):
     filts = [mono_values(*circle_point(k / 8)) for k in range(9)]
-    vines, loop = path_vineyard(mono_complex, filts)
+    vines, loop = path_vineyard(mono_complex, [rational_sample(f) for f in filts])
     assert loop.mapping[(A, C)] == (B, D)
     assert loop.mapping[(B, D)] == (A, C)
     assert all(src == dst for src, dst in loop.mapping.items()
@@ -262,14 +263,19 @@ def _closed_path(rng, strat, corners=4, steps=4):
 
 
 def test_path_vineyard_matches_rereduction(differential_strats, mono_complex):
+    """Integer samples as the CLI reads them off the triangle tables (and
+    from rational values) against the oracle on `filtration_at` values."""
     rng = random.Random(43)
-    families = [(strat.fib.complex,
-                 [filtration_at(strat.fib, p) for p in _closed_path(rng, strat)])
-                for strat, _ in differential_strats]
-    families.append((mono_complex,
-                     [mono_values(*circle_point(k / 16)) for k in range(17)]))
-    for K, filts in families:
-        vines, loop = path_vineyard(K, filts)
+    families = []
+    for strat, _ in differential_strats:
+        path = _closed_path(rng, strat)
+        families.append((strat.fib.complex,
+                         [point_numerators(strat.fib, p)[1:] for p in path],
+                         [filtration_at(strat.fib, p) for p in path]))
+    filts = [mono_values(*circle_point(k / 16)) for k in range(17)]
+    families.append((mono_complex, [rational_sample(f) for f in filts], filts))
+    for K, samples, filts in families:
+        vines, loop = path_vineyard(K, samples)
         oracle_vines, oracle_loop = rereduction.path_vineyard(K, filts)
         assert [(v.samples, v.labels) for v in vines] == oracle_vines
         assert loop == oracle_loop
