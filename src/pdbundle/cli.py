@@ -72,7 +72,7 @@ def _read_json(path: str) -> Dict:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:   # a JSONDecodeError, or an int too long to read
+    except ValueError as exc:   # bad JSON, an int too long to read, or not UTF-8
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -146,12 +146,10 @@ def cmd_vineyard(cfg: RunConfig) -> None:
     if not isinstance(pts, list) or not pts:
         raise ValidationError("--path must be a non-empty JSON list of points")
     samples = []
-    t = None    # each point is looked up first in the previous one's triangle
     for p in pts:
         if not isinstance(p, list) or len(p) != 2:
             raise ValidationError(f"bad path point {p!r}")
-        t, nums, den = point_numerators(fib, (as_fraction(p[0]), as_fraction(p[1])), t)
-        samples.append((nums, den))
+        samples.append(point_numerators(fib, (as_fraction(p[0]), as_fraction(p[1]))))
     vines, loop = path_vineyard(fib.complex, samples)
     _write_text(cfg.output, vines_to_csv(fib.complex, vines))
     loop_json = {

@@ -371,10 +371,10 @@ def _containing_triangle(fib: PLFibration, X: int, Y: int, Z: int) -> Optional[i
 
 def point_numerators(fib: PLFibration, pt: Point,
                      triangle_hint: Optional[int] = None
-                     ) -> Tuple[int, List[int], int]:
-    """A closed triangle t containing the base point pt (the hinted one if it
-    does), every simplex's value at pt times one positive integer D, read
-    off t's integer affine table, and D = den·Z. The fibration is continuous,
+                     ) -> Tuple[List[int], int]:
+    """Every simplex's value at the base point pt times one positive integer
+    D, and D = den·Z, read off the integer affine table of a closed triangle
+    containing pt (the hinted one if it does). The fibration is continuous,
     so every triangle containing pt gives the same values."""
     X, Y, Z = homogeneous(pt)
     t = triangle_hint
@@ -383,14 +383,14 @@ def point_numerators(fib: PLFibration, pt: Point,
         if t is None:
             raise ValidationError(f"point {pt} outside the mesh")
     table = fib.table(t)
-    return t, table.numerators(X, Y, Z), table.den * Z
+    return table.numerators(X, Y, Z), table.den * Z
 
 
 def filtration_at(fib: PLFibration, p: Sequence,
                   triangle_hint: Optional[int] = None) -> List[Fraction]:
     """Every simplex's value at base point p as an exact `Fraction`."""
     pt: Point = (as_fraction(p[0]), as_fraction(p[1]))
-    _, nums, dz = point_numerators(fib, pt, triangle_hint)
+    nums, dz = point_numerators(fib, pt, triangle_hint)
     return [Fraction(v, dz) for v in nums]
 
 
@@ -398,7 +398,7 @@ def _rep_numerators(fib: PLFibration, cell: Cell) -> List[int]:
     """Every simplex's value at the cell's representative point times one
     positive integer. The rep lies in the first triangle of an unmerged
     cell; a merged cell's may lie only in another of its triangles."""
-    return point_numerators(fib, cell.rep, cell.triangles[0])[1]
+    return point_numerators(fib, cell.rep, cell.triangles[0])[0]
 
 
 def _triangle_lines(fib: PLFibration, t: int) -> List[Line]:

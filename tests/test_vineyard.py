@@ -270,7 +270,7 @@ def test_path_vineyard_matches_rereduction(differential_strats, mono_complex):
     for strat, _ in differential_strats:
         path = _closed_path(rng, strat)
         families.append((strat.fib.complex,
-                         [point_numerators(strat.fib, p)[1:] for p in path],
+                         [point_numerators(strat.fib, p) for p in path],
                          [filtration_at(strat.fib, p) for p in path]))
     filts = [mono_values(*circle_point(k / 16)) for k in range(17)]
     families.append((mono_complex, [rational_sample(f) for f in filts], filts))
