@@ -3,11 +3,11 @@ triangulated planar base spaces: exact stratification into constant-order
 cells, compatible cellular sheaves, sections, and monodromy."""
 
 from .complexes import (
+    InvariantError,
     SimplexIndexing,
     SimplicialComplex,
     ValidationError,
     induced_indexing,
-    simplex_order_compare,
     validate,
 )
 from .persistence import (
@@ -35,7 +35,6 @@ from .stratify import (
 )
 from .sheaf import (
     CellularSheaf,
-    InvariantError,
     MonodromyReport,
     Obstruction,
     SheafSection,
@@ -58,6 +57,5 @@ __all__ = [
     "filtration_at", "gen_image_fibration", "gen_instability",
     "gen_monodromy", "induced_indexing", "intersection_trace",
     "loop_monodromy", "merge_cells", "monodromy_scan", "path_vineyard",
-    "propagate", "reduce_pairs", "simplex_order_compare",
-    "transposition_update", "validate",
+    "propagate", "reduce_pairs", "transposition_update", "validate",
 ]

@@ -10,13 +10,17 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .complexes import ValidationError, as_fraction, validate
+from .complexes import (
+    InvariantError,
+    ValidationError,
+    as_fraction,
+    induced_indexing,
+    validate,
+)
 from .generators import gen_image_fibration, gen_instability, gen_monodromy
 from .persistence import reduce_pairs
-from .complexes import induced_indexing
 from .serialize import (
     canonical_dumps,
     diagrams_to_json,
@@ -31,7 +35,6 @@ from .serialize import (
     vines_to_csv,
 )
 from .sheaf import (
-    InvariantError,
     build_sheaf,
     bundle_section,
     connected_components,
@@ -40,30 +43,6 @@ from .sheaf import (
 )
 from .stratify import build_stratification, merge_cells, point_numerators
 from .vineyard import path_vineyard
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: Optional[str] = None
-    output: Optional[str] = None
-    degree: Optional[int] = 1
-    samples: int = 3
-    seed: int = 0
-    merge: bool = False
-    epsilon: str = "1/10"
-    gap: str = "10"
-    path: Optional[str] = None
-
-    def check(self) -> None:
-        if self.degree is not None and self.degree < 0:
-            raise ValidationError("--degree must be >= 0")
-        if self.samples < 1:
-            raise ValidationError("--samples must be >= 1")
-        if as_fraction(self.epsilon) <= 0:
-            raise ValidationError("--epsilon must be > 0")
-        if as_fraction(self.gap) <= 0:
-            raise ValidationError("--gap must be > 0")
 
 
 def _read_json(path: str) -> Dict:
@@ -84,16 +63,16 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _load_stratification(cfg: RunConfig):
-    fib = fibration_from_json(_read_json(cfg.input))
+def _load_stratification(args: argparse.Namespace):
+    fib = fibration_from_json(_read_json(args.input))
     strat = build_stratification(fib)
-    if cfg.merge:
+    if args.merge_cells:
         strat = merge_cells(strat)
     return fib, strat
 
 
-def cmd_ph(cfg: RunConfig) -> None:
-    obj = _read_json(cfg.input)
+def cmd_ph(args: argparse.Namespace) -> None:
+    obj = _read_json(args.input)
     if not isinstance(obj, dict) or obj.get("simplices") is None:
         raise ValidationError("input: missing key 'simplices'")
     K, values = filtered_complex_from_json(obj)
@@ -101,48 +80,46 @@ def cmd_ph(cfg: RunConfig) -> None:
     if problems:
         raise ValidationError("; ".join(problems))
     pairs = reduce_pairs(K, induced_indexing(values, K))
-    _write_text(cfg.output, canonical_dumps(diagrams_to_json(K, pairs, values)))
+    _write_text(args.output, canonical_dumps(diagrams_to_json(K, pairs, values)))
 
 
-def cmd_stratify(cfg: RunConfig) -> None:
-    _, strat = _load_stratification(cfg)
-    _write_text(cfg.output, canonical_dumps(stratification_to_json(strat)))
+def cmd_stratify(args: argparse.Namespace) -> None:
+    _, strat = _load_stratification(args)
+    _write_text(args.output, canonical_dumps(stratification_to_json(strat)))
 
 
-def cmd_sheaf(cfg: RunConfig) -> None:
-    _, strat = _load_stratification(cfg)
-    sheaf = build_sheaf(strat, degree=cfg.degree)
-    _write_text(cfg.output, canonical_dumps(sheaf_to_json(sheaf)))
+def cmd_sheaf(args: argparse.Namespace) -> None:
+    _, strat = _load_stratification(args)
+    sheaf = build_sheaf(strat, degree=args.degree)
+    _write_text(args.output, canonical_dumps(sheaf_to_json(sheaf)))
 
 
-def cmd_sections(cfg: RunConfig) -> None:
-    _, strat = _load_stratification(cfg)
-    sheaf = build_sheaf(strat, degree=cfg.degree)
+def cmd_sections(args: argparse.Namespace) -> None:
+    _, strat = _load_stratification(args)
+    sheaf = build_sheaf(strat, degree=args.degree)
     sections = enumerate_global_sections(sheaf)
     comps = connected_components(sheaf)
     out = sections_to_json(sheaf, sections, comps)
     # certify each section against the fibration (exact boundary evaluation)
     certified = []
     for section in sections:
-        bs = bundle_section(sheaf, section, samples_per_cell=cfg.samples,
-                            seed=cfg.seed)
+        bs = bundle_section(sheaf, section, samples_per_cell=args.samples,
+                            seed=args.seed)
         certified.append(bs.boundary_points_checked)
     out["continuity_checks_per_section"] = certified
-    _write_text(cfg.output, canonical_dumps(out))
+    _write_text(args.output, canonical_dumps(out))
 
 
-def cmd_monodromy(cfg: RunConfig) -> None:
-    _, strat = _load_stratification(cfg)
-    sheaf = build_sheaf(strat, degree=cfg.degree)
+def cmd_monodromy(args: argparse.Namespace) -> None:
+    _, strat = _load_stratification(args)
+    sheaf = build_sheaf(strat, degree=args.degree)
     report = monodromy_scan(sheaf)
-    _write_text(cfg.output, canonical_dumps(monodromy_to_json(sheaf, report)))
+    _write_text(args.output, canonical_dumps(monodromy_to_json(sheaf, report)))
 
 
-def cmd_vineyard(cfg: RunConfig) -> None:
-    fib = fibration_from_json(_read_json(cfg.input))
-    if cfg.path is None:
-        raise ValidationError("vineyard needs --path (JSON list of [x, y] points)")
-    pts = _read_json(cfg.path)
+def cmd_vineyard(args: argparse.Namespace) -> None:
+    fib = fibration_from_json(_read_json(args.input))
+    pts = _read_json(args.path)
     if not isinstance(pts, list) or not pts:
         raise ValidationError("--path must be a non-empty JSON list of points")
     samples = []
@@ -151,7 +128,7 @@ def cmd_vineyard(cfg: RunConfig) -> None:
             raise ValidationError(f"bad path point {p!r}")
         samples.append(point_numerators(fib, (as_fraction(p[0]), as_fraction(p[1]))))
     vines, loop = path_vineyard(fib.complex, samples)
-    _write_text(cfg.output, vines_to_csv(fib.complex, vines))
+    _write_text(args.output, vines_to_csv(fib.complex, vines))
     loop_json = {
         "loop_permutation": mapping_to_json(fib.complex, loop.mapping),
         "nontrivial": any(k != v for k, v in loop.mapping.items()),
@@ -159,24 +136,24 @@ def cmd_vineyard(cfg: RunConfig) -> None:
     sys.stdout.write(canonical_dumps(loop_json))
 
 
-def cmd_gen_monodromy(cfg: RunConfig) -> None:
+def cmd_gen_monodromy(args: argparse.Namespace) -> None:
     fib = gen_monodromy()
-    _write_text(cfg.output, canonical_dumps(fibration_to_json(fib)))
+    _write_text(args.output, canonical_dumps(fibration_to_json(fib)))
 
 
-def cmd_gen_instability(cfg: RunConfig) -> None:
-    report = gen_instability(as_fraction(cfg.epsilon), as_fraction(cfg.gap))
-    _write_text(cfg.output, canonical_dumps(report))
+def cmd_gen_instability(args: argparse.Namespace) -> None:
+    report = gen_instability(as_fraction(args.epsilon), as_fraction(args.gap))
+    _write_text(args.output, canonical_dumps(report))
 
 
-def cmd_gen_image(cfg: RunConfig) -> None:
+def cmd_gen_image(args: argparse.Namespace) -> None:
     try:
-        with open(cfg.input, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ValidationError(f"cannot read {cfg.input}: {exc}") from exc
+        raise ValidationError(f"cannot read {args.input}: {exc}") from exc
     fib, metadata = gen_image_fibration(text)
-    _write_text(cfg.output, canonical_dumps(fibration_to_json(fib, metadata)))
+    _write_text(args.output, canonical_dumps(fibration_to_json(fib, metadata)))
 
 
 COMMANDS = {
@@ -231,38 +208,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    degree: Optional[int] = 1
+def _check_args(args: argparse.Namespace) -> None:
+    """Read --degree as an integer, or None for 'all', and reject option
+    values out of range; raises ValidationError."""
     if hasattr(args, "degree"):
         if args.degree == "all":
-            degree = None
+            args.degree = None
         else:
             try:
-                degree = int(args.degree)
+                args.degree = int(args.degree)
             except ValueError:
                 raise ValidationError(f"--degree must be an integer or 'all', "
                                       f"got {args.degree!r}")
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=args.output,
-        degree=degree,
-        samples=getattr(args, "samples", 3),
-        seed=getattr(args, "seed", 0),
-        merge=getattr(args, "merge_cells", False),
-        epsilon=getattr(args, "epsilon", "1/10"),
-        gap=getattr(args, "gap", "10"),
-        path=getattr(args, "path", None),
-    )
+            if args.degree < 0:
+                raise ValidationError("--degree must be >= 0")
+    if hasattr(args, "samples") and args.samples < 1:
+        raise ValidationError("--samples must be >= 1")
+    if hasattr(args, "epsilon"):
+        if as_fraction(args.epsilon) <= 0:
+            raise ValidationError("--epsilon must be > 0")
+        if as_fraction(args.gap) <= 0:
+            raise ValidationError("--gap must be > 0")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        cfg.check()
-        COMMANDS[args.command][0](cfg)
+        _check_args(args)
+        COMMANDS[args.command][0](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,13 +14,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 Simplex = Tuple[int, ...]
 
-# Comparison results for simplex_order_compare.
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 class ValidationError(Exception):
     """Raised when an input violates a structural contract (bad complex,
     non-monotone filtration, malformed file)."""
+
+
+class InvariantError(Exception):
+    """An internal invariant failed; signals a construction bug, not bad input."""
 
 
 def canonical_simplex(vertices: Sequence[int]) -> Simplex:
@@ -170,23 +171,6 @@ def check_monotone(K: SimplicialComplex, values: Sequence, where: str = "") -> N
         raise ValidationError(f"{len(values)} filtration values for {K.n} simplices")
     for problem in monotonicity_violations(K.simplices, K.index_of, values, where):
         raise ValidationError(problem)
-
-
-def simplex_order_compare(values: Sequence, i: int, j: int) -> int:
-    """Compare two simplices in the order induced by the filtration.
-
-    Returns LESS (-1), EQUAL (0) or GREATER (1) according to the sign of
-    f(sigma_i) - f(sigma_j). i, j are intrinsic (listing) indices.
-    """
-    n = len(values)
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"simplex index out of range: {i}, {j} (N = {n})")
-    a, b = values[i], values[j]
-    if a < b:
-        return LESS
-    if a > b:
-        return GREATER
-    return EQUAL
 
 
 class SimplexIndexing:

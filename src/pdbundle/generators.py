@@ -6,8 +6,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import SimplicialComplex, ValidationError, as_fraction
-from .sheaf import InvariantError
+from .complexes import InvariantError, SimplicialComplex, ValidationError, as_fraction
 from .stratify import BaseMesh, PLFibration
 from .vineyard import Vine, path_vineyard, rational_sample
 

@@ -17,14 +17,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .complexes import ValidationError
+from .complexes import InvariantError, ValidationError
 from .persistence import Element
 from .stratify import PLFibration, Stratification, filtration_at, sample_in_cell
 from .vineyard import composed_bijection
-
-
-class InvariantError(Exception):
-    """An internal invariant failed; signals a construction bug, not bad input."""
 
 
 def _element_sort_key(e: Element):

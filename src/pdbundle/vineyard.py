@@ -6,9 +6,17 @@ the identity or the map that swaps the two simplices inside the pairs that
 contain them: the swap applies exactly when the transposition changes the
 pair set. Which case applies is read off a decomposition R = D·V
 (`persistence.Reduction`) that is carried along the transpositions and
-updated at each one with at most two column additions, never reduced again. A
-walk starts from a copy of the reduction a `PairCache` holds for its first
-indexing.
+updated at each one with at most two column additions, never reduced again.
+
+Every walk carries one relabelling: `image` maps each element of its first
+pair set (a start element) to the element it has become, and `holder` maps
+each simplex to the start element whose image holds it. A swap relabels the two elements holding
+the swapped simplices, so the composed bijection is read off `image` at any
+point of the walk, and none is composed step by step. `composed_bijection`
+and `apply_transpositions` start from the reduction a `PairCache` holds for
+their first indexing, and transpose a copy of it; `path_vineyard` carries
+one reduction and one relabelling through all its samples, and a vine's
+label at a sample is the image of its first label.
 
 A path sample is integer: every simplex's value times one positive integer,
 as a base triangle's affine table gives it. It is ordered, checked and
@@ -23,6 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
+    InvariantError,
     SimplexIndexing,
     SimplicialComplex,
     ValidationError,
@@ -43,32 +52,13 @@ class PairBijection:
     def __post_init__(self):
         if set(self.mapping.keys()) != set(self.source):
             raise ValidationError("bijection not total on the source pair set")
-        if set(self.mapping.values()) != set(self.target):
-            raise ValidationError("bijection not onto the target pair set")
+        _check_onto(self.mapping, self.target)
 
     def __eq__(self, other):
         return (isinstance(other, PairBijection)
                 and self.source == other.source
                 and self.target == other.target
                 and self.mapping == other.mapping)
-
-    @staticmethod
-    def identity(elements) -> "PairBijection":
-        els = frozenset(elements)
-        return PairBijection(els, els, {e: e for e in els})
-
-    def __call__(self, e: Element) -> Element:
-        return self.mapping[e]
-
-    def inverse(self) -> "PairBijection":
-        return PairBijection(self.target, self.source,
-                             {v: k for k, v in self.mapping.items()})
-
-    def then(self, other: "PairBijection") -> "PairBijection":
-        if self.target != other.source:
-            raise ValidationError("bijections not composable")
-        return PairBijection(self.source, other.target,
-                             {k: other.mapping[v] for k, v in self.mapping.items()})
 
     def is_identity(self) -> bool:
         return all(k == v for k, v in self.mapping.items())
@@ -78,24 +68,32 @@ class PairBijection:
         return {e: self.mapping[e] for e in elements}
 
 
+def _check_onto(image: Dict[Element, Element], target) -> None:
+    # the images of a walk's start elements are its current pair set, or the
+    # walk is wrong: a construction bug, not bad input
+    if set(image.values()) != target:
+        raise InvariantError("bijection not onto the target pair set")
+
+
 def _swap_element(e: Element, a: int, b: int) -> Element:
     sub = lambda x: b if x == a else (a if x == b else x)
     birth, death = e
     return (sub(birth), None if death is None else sub(death))
 
 
-def _walk(red: Reduction, positions: Sequence[int]) -> PairBijection:
-    """Transpose `red` in place at each of `positions` in turn and return the
-    composed update bijection from its pair set before to its pair set after.
-    Only the elements holding the two simplices of a step that changes the
-    pair set are relabelled."""
-    source = red.elements()
-    image = {e: e for e in source}        # source element -> its current image
-    holder: Dict[int, Element] = {}       # simplex -> source element holding it
-    for e in source:
-        for x in e:
-            if x is not None:
-                holder[x] = e
+def _start(source) -> Tuple[Dict[Element, Element], Dict[int, Element]]:
+    """The walk state at the pair set `source`: `image` (start element ->
+    current element), every element its own, and `holder` (simplex -> start
+    element whose current element holds it)."""
+    holder = {x: e for e in source for x in e if x is not None}
+    return {e: e for e in source}, holder
+
+
+def _walk(red: Reduction, positions: Sequence[int],
+          image: Dict[Element, Element], holder: Dict[int, Element]) -> None:
+    """Transpose `red` in place at each of `positions` in turn and relabel
+    the walk state with it: only the two elements holding the simplices of a
+    step that changes the pair set are relabelled."""
     order = red.order
     for k in positions:
         s, t = order[k], order[k + 1]
@@ -104,7 +102,21 @@ def _walk(red: Reduction, positions: Sequence[int]) -> PairBijection:
             image[es] = _swap_element(image[es], s, t)
             image[et] = _swap_element(image[et], s, t)
             holder[s], holder[t] = et, es
-    return PairBijection(source, red.elements(), image)
+
+
+def _walked(pairs: PairCache, idx: SimplexIndexing, positions: Sequence[int]
+            ) -> Tuple[Reduction, PairBijection]:
+    """Walk from the reduction `pairs` keeps for idx along `positions`:
+    the reduction reached (a copy, unless the walk is empty) and the update
+    bijection from the pair set of idx to its pair set."""
+    red = pairs[idx]
+    source = target = red.elements()
+    image, holder = _start(source)
+    if positions:
+        red = red.copy()
+        _walk(red, positions, image, holder)
+        target = red.elements()
+    return red, PairBijection(source, target, image)
 
 
 def transposition_update(pairs: PairCache, idx: SimplexIndexing, k: int
@@ -121,8 +133,7 @@ def apply_transpositions(pairs: PairCache, idx: SimplexIndexing,
                          positions: Sequence[int]
                          ) -> Tuple[SimplexIndexing, PairBijection]:
     """Compose transposition updates along an explicit position sequence."""
-    red = pairs[idx].copy()
-    bij = _walk(red, positions)
+    red, bij = _walked(pairs, idx, positions)
     return red.indexing(), bij
 
 
@@ -154,11 +165,9 @@ def composed_bijection(pairs: PairCache, idx0: SimplexIndexing,
     idx0 to idx1. The result depends on the sequence in general; fixing the
     canonical one makes downstream constructions deterministic."""
     moves = canonical_transpositions(idx0, idx1)
-    # an empty schedule leaves the kept reduction as it is: no copy needed
-    red = pairs[idx0].copy() if moves else pairs[idx0]
-    bij = _walk(red, moves)
+    red, bij = _walked(pairs, idx0, moves)
     if tuple(red.order) != idx1.order:
-        raise ValidationError("canonical sequence failed to reach target indexing")
+        raise InvariantError("canonical sequence failed to reach target indexing")
     return bij
 
 
@@ -200,17 +209,17 @@ class Vine:
 def path_vineyard(K: SimplicialComplex, samples: Sequence[Sample],
                   params: Optional[Sequence] = None
                   ) -> Tuple[List[Vine], PairBijection]:
-    """Track every pair through the update bijections between consecutive
-    samples. Returns the vines and the total composition from the first to the
-    last sample (the loop permutation when the path is a loop).
+    """Track every pair through the canonical transpositions between
+    consecutive samples. Returns the vines and the update bijection from the
+    first to the last sample (the loop permutation when the path is a loop).
 
     A sample is (numerators, D): every simplex's value times one positive
     integer D (`stratify.point_numerators` gives them at a base point,
     `rational_sample` from rational values). Its indexing is a stable sort
     of the simplices by numerator, the order `induced_indexing` gives the
     values, and a sample that is not a filtration on K raises
-    ValidationError. The first sample is reduced once, and that reduction is
-    carried through the rest.
+    ValidationError. The first sample is reduced once, and that reduction and
+    one relabelling of its elements are carried through the rest.
 
     Consecutive samples should be close enough that the canonical bijection
     between them matches the crossing structure of the underlying path;
@@ -234,13 +243,17 @@ def path_vineyard(K: SimplicialComplex, samples: Sequence[Sample],
     prev = indexing(*samples[0])
     red = Reduction(K, prev)
     first = red.elements()
-    total = PairBijection.identity(first)
+    target = first
+    image, holder = _start(first)
     vines = [Vine(params, samples, [e]) for e in sorted(first)]
-    for j in range(1, len(samples)):
-        idx = indexing(*samples[j])
-        step = _walk(red, canonical_transpositions(prev, idx))
-        total = total.then(step)
+    for nums, den in samples[1:]:
+        idx = indexing(nums, den)
+        moves = canonical_transpositions(prev, idx)
+        if moves:
+            _walk(red, moves, image, holder)
+            target = red.elements()
+            _check_onto(image, target)
         for vine in vines:
-            vine.labels.append(step(vine.labels[-1]))
+            vine.labels.append(image[vine.labels[0]])
         prev = idx
-    return vines, total
+    return vines, PairBijection(first, target, image)

@@ -6,7 +6,8 @@ indexing and is a swap exactly when the pair set changed, the way pdbundle
 decided it before it carried an R = D·V decomposition along the schedule. The
 reduction is the column algorithm on sorted row lists and shares no code with
 `pdbundle.persistence.Reduction`; the schedule (`canonical_transpositions`)
-and the bijection type are pdbundle's own.
+and the bijection type are pdbundle's own, but composing bijections is
+done here (`identity`, `compose`), by none of pdbundle's code.
 """
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -80,6 +81,18 @@ def _swap_element(e: Element, a: int, b: int) -> Element:
     return (sub(e[0]), None if e[1] is None else sub(e[1]))
 
 
+def identity(elements) -> PairBijection:
+    els = frozenset(elements)
+    return PairBijection(els, els, {e: e for e in els})
+
+
+def compose(first: PairBijection, second: PairBijection) -> PairBijection:
+    """first, then second."""
+    assert first.target == second.source, "bijections not composable"
+    return PairBijection(first.source, second.target,
+                         {k: second.mapping[v] for k, v in first.mapping.items()})
+
+
 def transposed(idx: SimplexIndexing, k: int) -> SimplexIndexing:
     """The indexing with positions k, k+1 swapped."""
     order = list(idx.order)
@@ -96,17 +109,17 @@ def transposition_update(pairs: ReducedPairs, idx: SimplexIndexing, k: int
     idx2 = transposed(idx, k)
     src, tgt = pairs[idx].elements(), pairs[idx2].elements()
     if src == tgt:
-        return idx2, PairBijection.identity(src)
+        return idx2, identity(src)
     return idx2, PairBijection(src, tgt, {e: _swap_element(e, a, b) for e in src})
 
 
 def apply_transpositions(pairs: ReducedPairs, idx: SimplexIndexing,
                          positions: Sequence[int]
                          ) -> Tuple[SimplexIndexing, PairBijection]:
-    bij = PairBijection.identity(pairs[idx].elements())
+    bij = identity(pairs[idx].elements())
     for k in positions:
         idx, step = transposition_update(pairs, idx, k)
-        bij = bij.then(step)
+        bij = compose(bij, step)
     return idx, bij
 
 
@@ -124,7 +137,7 @@ def path_vineyard(K: SimplicialComplex, filtrations: Sequence[Sequence]
     pairs = ReducedPairs(K)
     indexings = [induced_indexing(f, K) for f in filtrations]
     first = pairs[indexings[0]].elements()
-    total = PairBijection.identity(first)
+    total = identity(first)
     current = {e: e for e in first}
     vines: Dict[Element, Tuple[list, list]] = {e: ([], []) for e in first}
 
@@ -136,8 +149,8 @@ def path_vineyard(K: SimplicialComplex, filtrations: Sequence[Sequence]
     record(0, filtrations[0])
     for j in range(1, len(filtrations)):
         step = composed_bijection(pairs, indexings[j - 1], indexings[j])
-        total = total.then(step)
-        current = {e0: step(e) for e0, e in current.items()}
+        total = compose(total, step)
+        current = {e0: step.mapping[e] for e0, e in current.items()}
         record(j, filtrations[j])
     return [vines[e] for e in sorted(vines)], total
 

@@ -233,6 +233,14 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     assert code == 1
     code, _, err = run(["sheaf", "--input", mono, "--degree", "nope"], capsys)
     assert code == 1
+    # out-of-range and malformed numeric options
+    for argv in (["sections", "--input", mono, "--samples", "0"],
+                 ["gen-instability", "--epsilon", "0"],
+                 ["gen-instability", "--epsilon", "abc"],
+                 ["gen-instability", "--gap", "-1"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == "", (argv, err)
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
     # malformed simplices and numbers in a filtered complex
     for text in ('[[0], [1]]',
                  '{"simplices": [[0], [1, "x"]], "values": {"0": "0"}}',

@@ -4,15 +4,11 @@ from fractions import Fraction
 import pytest
 
 from pdbundle.complexes import (
-    EQUAL,
-    GREATER,
-    LESS,
     SimplexIndexing,
     SimplicialComplex,
     ValidationError,
     induced_indexing,
     order_signature,
-    simplex_order_compare,
     validate,
 )
 
@@ -48,18 +44,6 @@ def test_validate_reports_monotonicity_violation():
     problems = validate([[0], [1], [0, 1]], values=[2, 0, 1])
     assert any("non-monotone" in p for p in problems)
     assert validate([[0], [1], [0, 1]], values=[0, 0, 1]) == []
-
-
-def test_compare_on_monodromy_fibration(mono_complex):
-    # at p = (1/2, 1/2): f(a) = 5/2 > f(b) = 3/2
-    vals = mono_values(Fraction(1, 2), Fraction(1, 2))
-    assert simplex_order_compare(vals, A, B) == GREATER
-    assert simplex_order_compare(vals, B, A) == LESS
-    assert simplex_order_compare(vals, A, A) == EQUAL
-    # vertex below its positive-valued coface
-    assert simplex_order_compare(vals, 0, A) == LESS
-    with pytest.raises(IndexError):
-        simplex_order_compare(vals, 0, 11)
 
 
 def test_induced_indexing_trivial_cases():

@@ -151,7 +151,7 @@ def test_composed_roundtrip_along_reversed_sequence():
         assert end == i1
         back_end, back = apply_transpositions(PairCache(K), i1, list(reversed(moves)))
         assert back_end == i0
-        assert fwd.then(back).is_identity()
+        assert rereduction.compose(fwd, back).is_identity()
 
 
 def test_path_vineyard_constant(mono_complex):

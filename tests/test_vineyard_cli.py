@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdbundle.cli import main
-from pdbundle.complexes import ValidationError, check_monotone
+from pdbundle.complexes import InvariantError, ValidationError, check_monotone
 from pdbundle.generators import gen_image_fibration
+from pdbundle.persistence import Reduction
 from pdbundle.serialize import canonical_dumps, fibration_to_json
 from pdbundle.vineyard import path_vineyard, rational_sample
 
@@ -83,8 +84,9 @@ def circle(n):
 
 def vineyard_inputs():
     """(name, fibration, JSON path) triples: random 2x2 and binary 3x3 images,
-    rational random fibrations on every conftest mesh, and circles around
-    the monodromy example's interior 0-cell."""
+    rational random fibrations on every conftest mesh, circles around the
+    monodromy example's interior 0-cell, and two paths whose samples repeat
+    (a single point, and a circle with every point given twice)."""
     rng = random.Random(2026)
     fibs = [(f"2x2-{k}", gen_image_fibration(random_ppm(rng, 2, 2, 15))[0])
             for k in range(4)]
@@ -95,6 +97,10 @@ def vineyard_inputs():
     cases = [(name, fib, [json_point(rng, p) for p in mesh_path(rng, fib)])
              for name, fib in fibs]
     cases += [(f"circle-{n}", mono_fibration(), circle(n)) for n in (9, 33)]
+    name, fib, path = cases[4]
+    cases += [(f"{name}-point", fib, path[:1]),
+              ("circle-9-doubled", mono_fibration(),
+               [p for p in circle(9) for _ in range(2)])]
     return cases
 
 
@@ -252,3 +258,28 @@ def test_vineyard_path_not_utf8_exits_1(mono_file):
                                "--path", str(path_file)])
     assert code == 1 and out == "", err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_walk_that_misses_a_swap_exits_2(mono_file, mono_complex, monkeypatch):
+    """A transposition that changes the pair set but reports no swap leaves
+    the walk's relabelling behind its pair set: an internal fault, caught by
+    the onto check, not bad input."""
+    transpose = Reduction.transpose
+
+    def no_swap(red, k):
+        transpose(red, k)
+        return False
+
+    monkeypatch.setattr(Reduction, "transpose", no_swap)
+    samples = [rational_sample(mono_values(Fraction(x), Fraction(y)))
+               for x, y in circle(9)]
+    with pytest.raises(InvariantError, match="not onto"):
+        path_vineyard(mono_complex, samples)
+    path_file = mono_file.parent / "circle.json"
+    path_file.write_text(json.dumps(circle(9)), encoding="utf-8")
+    for argv in (["vineyard", "--input", str(mono_file), "--path", str(path_file)],
+                 ["sheaf", "--input", str(mono_file)]):
+        code, out, err = run_main(argv)
+        assert code == 2 and out == "", (argv, err)
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("internal invariant violated: "), err
