@@ -3,12 +3,22 @@
 Rationals are serialized as strings in lowest terms with positive denominator
 ('3/4', '-2', '0'); infinite deaths as the literal 'inf'. JSON is emitted with
 sorted keys so equal inputs produce byte-identical outputs.
+
+`canonical_dumps` returns exactly `json.dumps(obj, sort_keys=True, indent=2)
++ "\n"`: ASCII only, each list item and dict entry on its own line at two
+spaces of indent per level, "," after every item but the last and ": " after
+each key. It writes them with `str.join` instead of the standard library's
+pure-Python indenting encoder. In the builders' trees, cells with equal pair
+sets or stalks share one list object; `json.dumps` writes a shared subtree as
+it writes a copy, and `canonical_dumps` encodes a shared list of lists once
+per indent level.
 """
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import (
     SimplicialComplex,
@@ -26,8 +36,73 @@ def format_rational(x) -> str:
     return str(as_fraction(x))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte, for
+    a tree of dicts with str keys, lists, tuples, str, int, float, bool and
+    None; anything else raises TypeError. A list of lists that occurs more
+    than once in the tree, such as the pair set that cells share, is written
+    once per indent level: memoised on its id, which stays stable while the
+    tree is alive."""
+    memo: Dict[Tuple[int, str], str] = {}
+
+    def write(o, nl: str) -> str:
+        # nl: the newline and indent of the line o starts on
+        if isinstance(o, str):
+            return _encode_str(o)
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            inner = nl + "  "
+            sep = "," + inner
+            if type(o[0]) is str:
+                try:
+                    return f"[{inner}{sep.join(map(_encode_str, o))}{nl}]"
+                except TypeError:   # not every item is a str
+                    pass
+            elif isinstance(o[0], (list, tuple)):
+                key = (id(o), nl)
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = (
+                        f"[{inner}{sep.join([write(x, inner) for x in o])}{nl}]")
+                return text
+            return f"[{inner}{sep.join([write(x, inner) for x in o])}{nl}]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            for k in o:
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+            inner = nl + "  "
+            sep = "," + inner
+            parts = []
+            for k in sorted(o):
+                parts += (sep, _encode_str(k), ": ", write(o[k], inner))
+            parts[0] = "{" + inner
+            parts.append(nl + "}")
+            return "".join(parts)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            if o != o:
+                return "NaN"
+            if o == math.inf:
+                return "Infinity"
+            if o == -math.inf:
+                return "-Infinity"
+            return float.__repr__(o)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    return write(obj, "\n") + "\n"
 
 
 def _require(obj, key, kind, where):
@@ -167,10 +242,19 @@ def cell_to_json(cell: Cell, stalk_json: List[List[str]]) -> Dict:
 
 
 def stratification_to_json(strat: Stratification) -> Dict:
+    """The cells and face relations. Cells with equal pair sets share one
+    JSON list, which `canonical_dumps` writes once."""
     K = strat.fib.complex
+    shared: Dict[PairSet, List[List[str]]] = {}
+    cells = []
+    for cell in strat.cells:
+        pairs = strat.cell_pairs(cell.id)
+        pairs_json = shared.get(pairs)
+        if pairs_json is None:
+            pairs_json = shared[pairs] = pairset_to_json(K, pairs)
+        cells.append(cell_to_json(cell, pairs_json))
     return {
-        "cells": [cell_to_json(cell, pairset_to_json(K, strat.cell_pairs(cell.id)))
-                  for cell in strat.cells],
+        "cells": cells,
         "face_relations": sorted(
             [f, c.id] for c in strat.cells for f in strat.faces_of(c.id)),
     }
@@ -179,14 +263,21 @@ def stratification_to_json(strat: Stratification) -> Dict:
 # -- sheaf, sections, monodromy ----------------------------------------------
 
 def sheaf_to_json(sheaf: CellularSheaf) -> Dict:
+    """The stalks and morphisms. Cells with equal stalks share one JSON list,
+    which `canonical_dumps` writes once."""
     K = sheaf.fib.complex
+    shared: Dict[FrozenSet[Element], List[List[str]]] = {}
     vertices = []
     for cell in sheaf.strat.cells:
+        stalk = sheaf.stalks[cell.id]
+        stalk_json = shared.get(stalk)
+        if stalk_json is None:
+            stalk_json = shared[stalk] = elements_to_json(K, stalk)
         vertices.append({
             "cell": cell.id,
             "dim": cell.dim,
             "representative_point": point_to_json(cell.rep),
-            "stalk": elements_to_json(K, sheaf.stalks[cell.id]),
+            "stalk": stalk_json,
         })
     edges = []
     for (face, coface) in sheaf.edges():
@@ -249,10 +340,14 @@ def vines_to_csv(K: SimplicialComplex, vines) -> str:
     """CSV export with columns vine_id, t, birth, death; infinite deaths are
     the literal inf. A value is the float nearest to it: the numerator over
     the sample's denominator in int true division, which rounds correctly
-    (and so equals float() of the reduced Fraction)."""
+    (and so equals float() of the reduced Fraction). The vines of a path
+    share their params, which are formatted once."""
     lines = ["vine_id,t,birth,death"]
+    params, ts = None, []
     for vid, vine in enumerate(vines):
-        for t, (nums, den), (b, d) in zip(vine.params, vine.values, vine.labels):
+        if vine.params is not params:
+            params, ts = vine.params, [repr(float(t)) for t in vine.params]
+        for t, (nums, den), (b, d) in zip(ts, vine.values, vine.labels):
             death = "inf" if d is None else repr(nums[d] / den)
-            lines.append(f"{vid},{repr(float(t))},{repr(nums[b] / den)},{death}")
+            lines.append(f"{vid},{t},{repr(nums[b] / den)},{death}")
     return "\n".join(lines) + "\n"

@@ -46,6 +46,7 @@ from .complexes import (
     order_signature,
 )
 from .geometry import (
+    HPoint,
     Line,
     Point,
     homogeneous,
@@ -423,46 +424,49 @@ def _triangle_lines(fib: PLFibration, t: int) -> List[Line]:
     return sorted(lines)
 
 
-def _loop_edges(loop: Piece) -> List[Piece]:
-    """The sides of a convex loop, each as a sorted endpoint pair."""
-    return [tuple(sorted((loop[i - 1], p))) for i, p in enumerate(loop)]
+def _loop_edges(loop: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The sides of a convex loop of corner ranks, each as a sorted pair."""
+    return [tuple(sorted((loop[i - 1], r))) for i, r in enumerate(loop)]
 
 
 def _arrange_triangle(fib: PLFibration, t: int
-                      ) -> Tuple[List[Piece], List[Piece], List[Point]]:
-    """Overlay the trace chords with one triangle's boundary: returns the
-    open 2-cells (convex loops), open 1-cells (segments) and 0-cells.
+                      ) -> Tuple[List[HPoint], List[Point], List[Tuple[int, ...]]]:
+    """Overlay the trace chords with one triangle's boundary. Returns the
+    corners of the cut, as canonical homogeneous integer points (gcd 1,
+    Z > 0) sorted by their rational points, those rational points, and the
+    open 2-cells as sorted counterclockwise loops of corner ranks.
 
     Every line is a full chord of the convex triangle, so an arrangement
     vertex on the closure of a 2-cell is one of its corners (otherwise a line
     through that vertex would cut the cell). The 0-cells are therefore the
-    loop corners and the 1-cells the loop sides.
+    corners and the 1-cells the loop sides.
 
     The triangle is cut in homogeneous integer points; each distinct corner
-    becomes a `Fraction` point once, after the last cut."""
+    becomes a `Fraction` point once, after the last cut, and is ranked in
+    the order of those points, so ranks compare as the points do."""
     polys = [[homogeneous(p) for p in fib.mesh.corners(t)]]
     for line in _triangle_lines(fib, t):
         polys = [part for poly in polys for part in split_convex(poly, line)
                  if part]
     point = {v: (Fraction(v[0], v[2]), Fraction(v[1], v[2]))
              for v in {v for poly in polys for v in poly}}
-    two_cells = sorted(tuple(point[v] for v in poly) for poly in polys)
-    one_cells = sorted({e for loop in two_cells for e in _loop_edges(loop)})
-    zero_cells = sorted({p for loop in two_cells for p in loop})
-    return two_cells, one_cells, zero_cells
+    corners = sorted(point, key=point.__getitem__)
+    rank = {v: r for r, v in enumerate(corners)}
+    loops = sorted(tuple(rank[v] for v in poly) for poly in polys)
+    return corners, [point[v] for v in corners], loops
 
 
 def build_stratification(fib: PLFibration) -> Stratification:
     """Partition the base mesh into cells of constant simplex order and record
     the face poset (all face relations, any codimension). 1- and 0-cells on
-    shared triangle boundaries are identified across triangles. A 2-cell's
-    faces are its corners and sides, a 1-cell's its two endpoints."""
+    shared triangle boundaries are identified across triangles by their
+    canonical integer corners. A 2-cell's faces are its corners and sides, a
+    1-cell's its two endpoints."""
     cells: List[Cell] = []
     faces: Dict[int, Set[int]] = {}
-    seen: Dict[Tuple, int] = {}
+    seen: Dict[Tuple[HPoint, ...], int] = {}
 
-    def add_cell(dim: int, piece: Piece, t: int) -> int:
-        key = (dim, piece)
+    def add_cell(dim: int, key: Tuple[HPoint, ...], piece: Piece, t: int) -> int:
         cid = seen.get(key)
         if cid is not None:
             cell = cells[cid]
@@ -477,16 +481,17 @@ def build_stratification(fib: PLFibration) -> Stratification:
         return cid
 
     for t in range(len(fib.mesh.triangles)):
-        two_cells, one_cells, zero_cells = _arrange_triangle(fib, t)
-        zero_ids = {p: add_cell(0, (p,), t) for p in zero_cells}
+        corners, points, loops = _arrange_triangle(fib, t)
+        zero_ids = [add_cell(0, (v,), (p,), t) for v, p in zip(corners, points)]
         one_ids = {}
-        for seg in one_cells:
-            cid = add_cell(1, seg, t)
-            one_ids[seg] = cid
-            faces[cid].update(zero_ids[p] for p in seg)
-        for loop in two_cells:
-            cid = add_cell(2, loop, t)
-            faces[cid].update(zero_ids[p] for p in loop)
+        for a, b in sorted({e for loop in loops for e in _loop_edges(loop)}):
+            cid = one_ids[a, b] = add_cell(1, (corners[a], corners[b]),
+                                           (points[a], points[b]), t)
+            faces[cid].update((zero_ids[a], zero_ids[b]))
+        for loop in loops:
+            cid = add_cell(2, tuple(corners[r] for r in loop),
+                           tuple(points[r] for r in loop), t)
+            faces[cid].update(zero_ids[r] for r in loop)
             faces[cid].update(one_ids[e] for e in _loop_edges(loop))
 
     return Stratification(fib, cells, {cid: frozenset(f) for cid, f in faces.items()})

@@ -35,14 +35,18 @@ def write(tmp_path, name, obj):
     return str(p)
 
 
+# the monodromy complex filtered as at one base point with two degree-1 points
+Q1_COMPLEX = {
+    "simplices": [[0], [1], [2], [3], [1, 2], [2, 3], [0, 3],
+                  [0, 1], [0, 2], [0, 1, 2], [0, 2, 3]],
+    "values": {"0": "0", "1": "0", "2": "0", "3": "0", "1-2": "0",
+               "2-3": "0", "0-3": "0", "0-1": "5/2", "0-2": "3/2",
+               "0-1-2": "21/2", "0-2-3": "19/2"},
+}
+
+
 def test_ph_monodromy_q1(tmp_path, capsys):
-    inp = write(tmp_path, "in.json", {
-        "simplices": [[0], [1], [2], [3], [1, 2], [2, 3], [0, 3],
-                      [0, 1], [0, 2], [0, 1, 2], [0, 2, 3]],
-        "values": {"0": "0", "1": "0", "2": "0", "3": "0", "1-2": "0",
-                   "2-3": "0", "0-3": "0", "0-1": "5/2", "0-2": "3/2",
-                   "0-1-2": "21/2", "0-2-3": "19/2"},
-    })
+    inp = write(tmp_path, "in.json", Q1_COMPLEX)
     code, out, err = run(["ph", "--input", inp], capsys)
     assert code == 0, err
     doc = json.loads(out)
@@ -272,6 +276,17 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
         code, _, err = run(["stratify", "--input",
                             write(tmp_path, "bool_fib.json", fib)], capsys)
         assert code == 1 and "cannot interpret True" in err, (where, err)
+    # an --output that cannot be written: in a missing directory, or a directory
+    ppm = write(tmp_path, "c9.ppm", C9_3X3)
+    path = write(tmp_path, "path.json", GOLDEN_PATHS["monodromy"])
+    for target in (str(tmp_path / "no" / "such" / "x.out"), str(tmp_path)):
+        for argv in (["stratify", "--input", mono], ["gen-image", "--input", ppm],
+                     ["vineyard", "--input", mono, "--path", path],
+                     ["gen-monodromy"]):
+            code, out, err = run(argv + ["--output", target], capsys)
+            assert code == 1 and out == "", (argv, target, err)
+            assert len(err.splitlines()) == 1, (argv, target, err)
+            assert err.startswith(f"error: cannot write {target}: "), (argv, err)
 
 
 def test_outputs_byte_identical_across_runs(tmp_path, capsys):
@@ -294,7 +309,9 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys):
 # before cells were cut and ordered in integers, and of `vineyard` (CSV and
 # loop permutation on stdout) along a closed path on each, recorded before
 # path samples were ordered in integers: both changes keep every output
-# byte-identical.
+# byte-identical. The digests of `sections` and `monodromy --degree all`,
+# `ph` on the q1 complex, the `gen-image` file and `gen-instability` were
+# recorded before `canonical_dumps` stopped calling `json.dumps`.
 C9_3X3 = "P3\n3 3 31\n" + "\n".join(
     " ".join(f"{(3 * r + 2 * c) % 11} {(r * c + 7) % 13} {(r + 5 * c) % 17}"
              for c in range(3)) for r in range(3)) + "\n"
@@ -319,6 +336,20 @@ GOLDEN = {
         "34b098145bf058b3906392d90a95684f9d264e6edf99bbfac2ceef4a77bb4d4c",
     "c9-3x3 vineyard":
         "7e40c9187df2f67e7fdbaf3a7c01ecb197c3bd507024a6cb996d008fc51a38dc",
+    "monodromy sections --degree all":
+        "b3210e504abcdfe81a19df5fef9c5fd2806ac3deb6fd978ebc1a94d39a68533f",
+    "c9-3x3 sections --degree all":
+        "48cc77409fa40bad94d7213e717b193c27e3364d1974e50495c3b57129a7679a",
+    "monodromy monodromy --degree all":
+        "6fb9e8c7118fa59ad24a2cc73a131f3636c8e652cc17a40202590bd5c80889b8",
+    "c9-3x3 monodromy --degree all":
+        "6f15c95667dbdd6719e71a656570c5780772ce848b62cf45be761e71bb8721b5",
+    "q1 ph":
+        "b2c139e72f87d8c0003020adb52bb7745b8eb8e83f0f3bfb48e3c8fc6d8182bd",
+    "c9-3x3 gen-image":
+        "01a4ec8e9e26681dad754d47ad4e91cd5119569b8c7462c494abef339d0541a6",
+    "- gen-instability":
+        "fbea3fb733e29331d36e0376a61af6be53df398f5d5424fbd985b8cc8f0bedde",
 }
 
 
@@ -347,19 +378,25 @@ GOLDEN_PATHS = {
 
 
 def test_golden_output_digests(tmp_path, capsys):
-    mono = str(tmp_path / "mono.json")
-    image = str(tmp_path / "c9.json")
-    assert run(["gen-monodromy", "--output", mono], capsys)[0] == 0
+    inputs = {"monodromy": str(tmp_path / "mono.json"),
+              "c9-3x3": str(tmp_path / "c9.json"),
+              "q1": write(tmp_path, "q1.json", Q1_COMPLEX)}
+    assert run(["gen-monodromy", "--output", inputs["monodromy"]], capsys)[0] == 0
     ppm = write(tmp_path, "c9.ppm", C9_3X3)
-    assert run(["gen-image", "--input", ppm, "--output", image], capsys)[0] == 0
+    assert run(["gen-image", "--input", ppm, "--output", inputs["c9-3x3"]],
+               capsys)[0] == 0
     got = {}
     for key in GOLDEN:
         name, *args = key.split()
-        if args[0] == "vineyard":
-            args += ["--path", write(tmp_path, "path.json", GOLDEN_PATHS[name])]
-        code, out, err = run(args + ["--input", {"monodromy": mono, "c9-3x3": image}[name]],
-                             capsys)
-        assert code == 0 and err == ""
+        if args[0] == "gen-image":
+            out = Path(inputs[name]).read_text(encoding="utf-8")
+        else:
+            if args[0] == "vineyard":
+                args += ["--path", write(tmp_path, "path.json", GOLDEN_PATHS[name])]
+            if not args[0].startswith("gen-"):
+                args += ["--input", inputs[name]]
+            code, out, err = run(args, capsys)
+            assert code == 0 and err == ""
         got[key] = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert got == GOLDEN
 
