@@ -231,32 +231,19 @@ def reduce_pairs(K: SimplicialComplex, idx: SimplexIndexing) -> PairSet:
 
 
 class PairCache(dict):
-    """The reductions and pair sets of one complex, keyed by indexing.
-
-    `cache[idx]` is the reduction of idx, made on its first lookup and kept;
-    walks to other indexings transpose a copy, never the kept one.
-    `cache.pair_set(idx)` reads the pair set off a kept reduction, and
-    otherwise reduces idx once and keeps only its pair set. So look up the
-    indexings walks start from first: one whose pair set was taken before
-    is reduced again."""
+    """The reductions of one complex, keyed by indexing: `cache[idx]` is the
+    reduction of idx, made on its first lookup and kept. Walks to other
+    indexings transpose a copy, never the kept one. A `Stratification`
+    reads its cells' pair sets off its own walk over the face poset
+    (`Stratification.cell_pairs`), not off this cache."""
 
     def __init__(self, K: SimplicialComplex):
         super().__init__()
         self.K = K
-        self.pair_sets: Dict[SimplexIndexing, PairSet] = {}
 
     def __missing__(self, idx: SimplexIndexing) -> Reduction:
         red = self[idx] = Reduction(self.K, idx)
         return red
-
-    def pair_set(self, idx: SimplexIndexing) -> PairSet:
-        red = self.get(idx)
-        if red is not None:
-            return red.pair_set()
-        ps = self.pair_sets.get(idx)
-        if ps is None:
-            ps = self.pair_sets[idx] = Reduction(self.K, idx).pair_set()
-        return ps
 
 
 @dataclass(frozen=True)

@@ -77,23 +77,25 @@ def build_sheaf(strat: Stratification,
     (essential births included); update bijections preserve the degree, so the
     restriction is again a sheaf of bijections."""
     K = strat.fib.complex
-    # the walks start at faces: keep their reductions, and for every other
-    # cell only its pair set
-    for cell in strat.cells:
-        if strat.cofaces[cell.id]:
-            strat.pairs[strat.indexings[cell.id]]
-    stalks: Dict[int, FrozenSet[Element]] = {}
-    for cell in strat.cells:
-        pairs = strat.cell_pairs(cell.id)
+
+    def stalk(elements: FrozenSet[Element]) -> FrozenSet[Element]:
         if degree is None:
-            stalks[cell.id] = pairs.elements()
-        else:
-            stalks[cell.id] = pairs.elements_of_degree(K, degree)
+            return elements
+        return frozenset(e for e in elements if K.dim(e[0]) == degree)
+
+    # the walks start at faces, so every cell with cofaces has its reduction
+    # kept and reads its stalk off it; a cell without cofaces is a 2-cell,
+    # whose stalk is the target of the walk from its first face
+    stalks: Dict[int, FrozenSet[Element]] = {
+        cell.id: stalk(strat.pairs[strat.indexings[cell.id]].elements())
+        for cell in strat.cells if strat.cofaces[cell.id]}
     morphisms: Dict[Tuple[int, int], Dict[Element, Element]] = {}
     for cell in strat.cells:
         for face in sorted(strat.faces_of(cell.id)):
             bij = composed_bijection(strat.pairs, strat.indexings[face],
                                      strat.indexings[cell.id])
+            if cell.id not in stalks:
+                stalks[cell.id] = stalk(bij.target)
             mapping = bij.restrict(stalks[face])
             if set(mapping.values()) != set(stalks[cell.id]):
                 raise InvariantError(

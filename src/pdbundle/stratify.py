@@ -28,11 +28,18 @@ Polygons and cell orders are integer too. A triangle is cut by its trace
 lines in homogeneous integer points (`geometry.split_convex`), and a cell's
 simplex order is a sort of the integer value numerators at its
 representative point over their common positive denominator.
+
+Neighbouring cells differ in their orders by a few transpositions, and very
+many orders share one pair set. So the pair sets of all cells are read off
+one breadth-first walk over the face poset: one full reduction per connected
+component, then, along each tree edge, the parent's reduction transposed
+into the child's order (`Stratification.cell_pairs`).
 """
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -58,7 +65,8 @@ from .geometry import (
     segment_midpoint,
     split_convex,
 )
-from .persistence import PairCache, PairSet
+from .persistence import PairCache, PairSet, Reduction
+from .vineyard import canonical_transpositions
 
 # A geometry piece: 1 point = vertex, 2 points = open segment,
 # >= 3 points = open convex polygon (counterclockwise loop).
@@ -309,12 +317,18 @@ def _point_in_piece(piece: Piece, p: Point) -> bool:
 class Stratification:
     """Cells partitioning the base mesh, their face poset, the induced simplex
     indexing at each cell's representative point, and the pair sets of those
-    indexings (each reduced once, when first asked for).
+    indexings.
 
     A cell's indexing is a stable sort of the simplices by the integer
     numerators of their values at the representative point, which share one
     positive denominator: the order `induced_indexing` gives those values.
-    The fibration is monotone there, since it is at every mesh vertex."""
+    The fibration is monotone there, since it is at every mesh vertex.
+
+    `cell_pairs` reads from a table of pair sets that the first call fills
+    with one breadth-first walk over the face relations (`_walk_pair_sets`),
+    so a cell order is never reduced from scratch, except one per connected
+    component. `pairs` keeps the reductions that sheaf morphisms and other
+    walks start from; the pair-set walk keeps none of its own there."""
 
     def __init__(self, fib: PLFibration, cells: List[Cell],
                  faces: Dict[int, FrozenSet[int]]):
@@ -326,6 +340,7 @@ class Stratification:
             for f in fs:
                 self.cofaces[f].add(cid)
         self.pairs = PairCache(fib.complex)
+        self._pair_sets: Optional[Dict[int, PairSet]] = None
         simplices = range(fib.complex.n)
         self.indexings: Dict[int, SimplexIndexing] = {
             c.id: SimplexIndexing(sorted(simplices,
@@ -348,7 +363,52 @@ class Stratification:
         return frozenset(self.cofaces[cid])
 
     def cell_pairs(self, cid: int) -> PairSet:
-        return self.pairs.pair_set(self.indexings[cid])
+        if self._pair_sets is None:
+            self._pair_sets = self._walk_pair_sets()
+        return self._pair_sets[cid]
+
+    def _walk_pair_sets(self) -> Dict[int, PairSet]:
+        """Every cell's pair set, read off one breadth-first walk over the
+        face relations (faces and cofaces). The first cell of each connected
+        component is reduced in full; every tree edge transposes a copy of
+        its parent's reduction along the canonical schedule to the cell's
+        order. A pair set depends only on the indexing, so a cell whose
+        indexing was reached before takes that pair set, and a cell reached
+        by transpositions none of which changed the pair set takes its
+        parent's. Equal pair sets are one object, and only the reductions of
+        the walk's frontier stay alive."""
+        K = self.fib.complex
+        table: Dict[int, PairSet] = {}
+        by_order: Dict[SimplexIndexing, PairSet] = {}
+        distinct: Dict[PairSet, PairSet] = {}
+        for root in self.cells:
+            if root.id in table:
+                continue
+            idx = self.indexings[root.id]
+            red = Reduction(K, idx)
+            if idx not in by_order:
+                ps = red.pair_set()
+                by_order[idx] = distinct.setdefault(ps, ps)
+            table[root.id] = by_order[idx]
+            queue = deque([(root.id, red)])
+            while queue:
+                u, red = queue.popleft()
+                for w in self.faces[u] | self.cofaces[u]:
+                    if w in table:
+                        continue
+                    idx = self.indexings[w]
+                    child, changed = red, False
+                    moves = canonical_transpositions(self.indexings[u], idx)
+                    if moves:
+                        child = red.copy()
+                        for k in moves:
+                            changed |= child.transpose(k)
+                    if idx not in by_order:
+                        ps = child.pair_set() if changed else table[u]
+                        by_order[idx] = distinct.setdefault(ps, ps)
+                    table[w] = by_order[idx]
+                    queue.append((w, child))
+        return table
 
     def locate(self, p: Point) -> Cell:
         """The unique cell containing p; cells of low dimension are tested

@@ -26,6 +26,7 @@ through `Vine.samples`.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -142,20 +143,31 @@ def canonical_transpositions(idx0: SimplexIndexing,
     """Bubble-sort schedule from idx0 to idx1: repeatedly transpose the
     adjacent out-of-order pair with the smallest position index. Every
     intermediate order agrees with idx0 or idx1 on each simplex pair, so no
-    step can violate the face order when both endpoints are compatible."""
+    step can violate the face order when both endpoints are compatible.
+
+    That rule sorts like insertion: the simplices ahead of position i are
+    sorted by their idx1 ranks before the one at i moves, and it then sinks
+    past each of them with a larger rank. Only the span between the longest
+    common prefix and suffix of the two orders is sorted, since every rank
+    outside it is already in place and no out-of-order pair starts there."""
     if idx0.n != idx1.n:
         raise ValidationError("indexings of different sizes")
-    seq = list(idx0.order)
+    a, b = idx0.order, idx1.order
+    if a == b:
+        return []
+    lo, hi = 0, len(a)
+    while a[lo] == b[lo]:
+        lo += 1
+    while a[hi - 1] == b[hi - 1]:
+        hi -= 1
     rank = idx1.position
+    ahead: List[int] = []           # idx1 ranks of the sorted simplices
     moves: List[int] = []
-    k = 0
-    while k < len(seq) - 1:
-        if rank[seq[k]] > rank[seq[k + 1]]:
-            seq[k], seq[k + 1] = seq[k + 1], seq[k]
-            moves.append(k)
-            k = max(k - 1, 0)
-        else:
-            k += 1
+    for i, s in enumerate(a[lo:hi], lo):
+        r = rank[s]
+        j = bisect(ahead, r)
+        ahead.insert(j, r)
+        moves.extend(range(i - 1, lo + j - 1, -1))
     return moves
 
 

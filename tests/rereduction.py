@@ -5,9 +5,10 @@ Every transposition here reduces the boundary matrix afresh under the new
 indexing and is a swap exactly when the pair set changed, the way pdbundle
 decided it before it carried an R = D·V decomposition along the schedule. The
 reduction is the column algorithm on sorted row lists and shares no code with
-`pdbundle.persistence.Reduction`; the schedule (`canonical_transpositions`)
-and the bijection type are pdbundle's own, but composing bijections is
-done here (`identity`, `compose`), by none of pdbundle's code.
+`pdbundle.persistence.Reduction`. The schedule is the plain bubble sort
+(`bubble_schedule`), the oracle of `canonical_transpositions`; the bijection
+type is pdbundle's own, but composing bijections is done here (`identity`,
+`compose`), by none of pdbundle's code.
 """
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,7 +22,7 @@ from pdbundle.complexes import (
 from pdbundle.persistence import Element, PairSet
 from pdbundle.serialize import canonical_dumps, mapping_to_json
 from pdbundle.stratify import filtration_at
-from pdbundle.vineyard import PairBijection, canonical_transpositions
+from pdbundle.vineyard import PairBijection
 
 
 def _xor_sorted(a: List[int], b: List[int]) -> List[int]:
@@ -93,6 +94,24 @@ def compose(first: PairBijection, second: PairBijection) -> PairBijection:
                          {k: second.mapping[v] for k, v in first.mapping.items()})
 
 
+def bubble_schedule(idx0: SimplexIndexing, idx1: SimplexIndexing) -> List[int]:
+    """The canonical schedule from idx0 to idx1 by its definition: repeatedly
+    transpose the adjacent out-of-order pair with the smallest position
+    index, scanning the whole order from the front."""
+    seq = list(idx0.order)
+    rank = idx1.position
+    moves: List[int] = []
+    k = 0
+    while k < len(seq) - 1:
+        if rank[seq[k]] > rank[seq[k + 1]]:
+            seq[k], seq[k + 1] = seq[k + 1], seq[k]
+            moves.append(k)
+            k = max(k - 1, 0)
+        else:
+            k += 1
+    return moves
+
+
 def transposed(idx: SimplexIndexing, k: int) -> SimplexIndexing:
     """The indexing with positions k, k+1 swapped."""
     order = list(idx.order)
@@ -125,7 +144,7 @@ def apply_transpositions(pairs: ReducedPairs, idx: SimplexIndexing,
 
 def composed_bijection(pairs: ReducedPairs, idx0: SimplexIndexing,
                        idx1: SimplexIndexing) -> PairBijection:
-    end, bij = apply_transpositions(pairs, idx0, canonical_transpositions(idx0, idx1))
+    end, bij = apply_transpositions(pairs, idx0, bubble_schedule(idx0, idx1))
     assert end == idx1
     return bij
 

@@ -1,0 +1,150 @@
+"""The pair-set walk over the face poset (`Stratification.cell_pairs`), the
+trimmed canonical schedule it walks along, and the sheaf's stalks, each
+against a fresh reduction or the plain bubble sort."""
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import given, strategies as st
+
+from pdbundle.complexes import SimplicialComplex, induced_indexing
+from pdbundle.generators import gen_image_fibration
+from pdbundle.persistence import Reduction, reduce_pairs
+from pdbundle.sheaf import build_sheaf
+from pdbundle.stratify import Stratification, build_stratification, merge_cells
+from pdbundle.vineyard import canonical_transpositions
+
+from conftest import (
+    mono_fibration,
+    random_fibration,
+    random_rational_fibration,
+)
+from rereduction import bubble_schedule
+from test_cli import C9_3X3
+
+
+def _monotone(K: SimplicialComplex, steps):
+    values = []
+    for i, step in enumerate(steps):
+        values.append(step + max((values[j] for j in K.facet_indices(i)), default=0))
+    return values
+
+
+@st.composite
+def compatible_pairs(draw):
+    """Two compatible indexings of one random complex on at most eight
+    vertices. The second one's values change only some of the first one's
+    steps, so the two orders often share a long prefix or suffix."""
+    n = draw(st.integers(1, 8))
+    edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
+    present = set(edges)
+    triangles = [t for t in combinations(range(n), 3)
+                 if all(e in present for e in combinations(t, 2))
+                 and draw(st.booleans())]
+    K = SimplicialComplex([(v,) for v in range(n)] + edges + triangles)
+    steps = draw(st.lists(st.integers(0, 3), min_size=K.n, max_size=K.n))
+    changed = draw(st.dictionaries(st.integers(0, K.n - 1), st.integers(0, 3)))
+    other = [changed.get(i, s) for i, s in enumerate(steps)]
+    return (induced_indexing(_monotone(K, steps), K),
+            induced_indexing(_monotone(K, other), K))
+
+
+@given(compatible_pairs())
+def test_canonical_transpositions_match_bubble_sort(pair):
+    i0, i1 = pair
+    assert canonical_transpositions(i0, i1) == bubble_schedule(i0, i1)
+    assert canonical_transpositions(i1, i0) == bubble_schedule(i1, i0)
+
+
+def _components(strat: Stratification) -> int:
+    seen, count = set(), 0
+    for cell in strat.cells:
+        if cell.id in seen:
+            continue
+        count += 1
+        stack = [cell.id]
+        seen.add(cell.id)
+        while stack:
+            u = stack.pop()
+            for w in strat.faces[u] | strat.cofaces[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def _count_reductions(monkeypatch) -> list:
+    """Count `Reduction` constructions from here on."""
+    made = []
+    init = Reduction.__init__
+
+    def counted(self, K, idx):
+        made.append(idx)
+        init(self, K, idx)
+
+    monkeypatch.setattr(Reduction, "__init__", counted)
+    return made
+
+
+def _walk_cases():
+    rng = random.Random(2024)
+    fibs = []
+    while len(fibs) < 20:    # the acceptance suite's 20 random fibrations
+        fib = random_fibration(rng, max_vertices=4)
+        if fib.complex.n <= 15:
+            fibs.append(fib)
+    strats = [build_stratification(fib) for fib in fibs]
+    mono = build_stratification(mono_fibration())
+    strats.append(mono)
+    strats.append(merge_cells(mono))
+    strats.append(build_stratification(random_rational_fibration(
+        random.Random(72), mesh_name="fan", max_vertices=5)))
+    strats.append(build_stratification(gen_image_fibration(C9_3X3)[0]))
+    return strats
+
+
+def test_walked_pair_sets_match_fresh_reductions(monkeypatch):
+    """On the acceptance suite's 20 random fibrations, the monodromy example
+    (eight triangles) and its merged cells, a rational fibration on the fan
+    mesh and the 3×3 c9-formula image, every cell's walked pair set is the
+    one a fresh reduction of its order gives, and the walk reduces one order
+    per connected component of the face poset."""
+    merged = 0
+    for strat in _walk_cases():
+        K = strat.fib.complex
+        made = _count_reductions(monkeypatch)
+        walked = [strat.cell_pairs(cell.id) for cell in strat.cells]
+        assert len(made) == _components(strat)
+        monkeypatch.undo()
+        fresh = [reduce_pairs(K, strat.indexings[cell.id]) for cell in strat.cells]
+        assert walked == fresh
+        # equal pair sets are one object
+        assert len({id(p) for p in walked}) == len(set(walked))
+        merged += any(len(cell.pieces) > 1 for cell in strat.cells)
+    assert merged
+
+
+@pytest.mark.parametrize("case", ["monodromy", "c9-3x3"])
+def test_build_sheaf_reduces_face_orders_only(monkeypatch, case):
+    """`build_sheaf` makes one reduction per distinct face-cell order, never
+    runs the pair-set walk, and its stalks are those of fresh reductions."""
+    fib = mono_fibration() if case == "monodromy" else gen_image_fibration(C9_3X3)[0]
+    K = fib.complex
+    for degree in (None, 1):
+        strat = build_stratification(fib)
+        made = _count_reductions(monkeypatch)
+
+        def no_walk(self):
+            raise AssertionError("build_sheaf ran the pair-set walk")
+
+        monkeypatch.setattr(Stratification, "_walk_pair_sets", no_walk)
+        sheaf = build_sheaf(strat, degree)
+        face_orders = {strat.indexings[f] for cell in strat.cells
+                       for f in strat.faces_of(cell.id)}
+        assert len(made) == len(face_orders)
+        monkeypatch.undo()
+        for cell in strat.cells:
+            pairs = reduce_pairs(K, strat.indexings[cell.id])
+            assert sheaf.stalks[cell.id] == (
+                pairs.elements() if degree is None
+                else pairs.elements_of_degree(K, degree))
