@@ -52,11 +52,6 @@ def facets(s: Simplex):
         yield s[:i] + s[i + 1:]
 
 
-def is_face(tau: Simplex, sigma: Simplex) -> bool:
-    """True iff tau is a proper face of sigma."""
-    return tau != sigma and set(tau) < set(sigma)
-
-
 def simplex_id(s: Simplex) -> str:
     """Stable string id used in file formats, e.g. '0-1-2'."""
     return "-".join(str(v) for v in s)

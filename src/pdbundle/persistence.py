@@ -14,7 +14,6 @@ from .complexes import (
     SimplexIndexing,
     SimplicialComplex,
     ValidationError,
-    is_face,
     simplex_dim,
     simplex_id,
 )
@@ -160,7 +159,9 @@ class Reduction:
             raise ValidationError(f"transposition position {k} out of range")
         s, t = order[k], order[k + 1]
         ds, dt = self.dims[s], self.dims[t]
-        if dt > ds and is_face(self.K.simplices[s], self.K.simplices[t]):
+        # on a compatible order a face right before its coface is a facet:
+        # a face of higher codimension has a face of its own in between
+        if dt > ds and s in self.K.facet_indices(t):
             raise ValidationError(
                 f"cannot transpose face {simplex_id(self.K.simplices[s])} past "
                 f"coface {simplex_id(self.K.simplices[t])}")

@@ -15,11 +15,22 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .complexes import InvariantError, ValidationError
 from .persistence import Element
-from .stratify import PLFibration, Stratification, filtration_at, sample_in_cell
+from .stratify import (
+    Cell,
+    CellDraw,
+    PLFibration,
+    Stratification,
+    draw_in_cell,
+    drawn_point,
+    filtration_at,
+    point_numerators,
+)
 from .vineyard import composed_bijection
 
 
@@ -357,13 +368,32 @@ class BundleSectionSample:
     cell: int
     point: Tuple
     birth: object
-    death: Optional[object]
+    death: Optional[object] = None
 
 
 @dataclass
 class BundleSection:
-    samples: List[BundleSectionSample]
+    """A sheaf section evaluated into the persistence plane, and the number
+    of continuity checks that certified it. The evaluation points are drawn
+    when the section is built; `samples` evaluates them on first read, each
+    at its pair's birth and death simplices only."""
+
     boundary_points_checked: int
+    fib: PLFibration = field(repr=False)
+    # per cell: the cell, its section element and its sample draws
+    draws: List[Tuple[Cell, Element, List[CellDraw]]] = field(repr=False)
+
+    @cached_property
+    def samples(self) -> List[BundleSectionSample]:
+        """The representative and the drawn points of every cell, in cell id
+        order, each with its element's exact (birth, death) values."""
+        samples: List[BundleSectionSample] = []
+        for cell, e, draws in self.draws:
+            simplices = e if e[1] is not None else e[:1]
+            for p in [cell.rep] + [drawn_point(d) for d in draws]:
+                samples.append(BundleSectionSample(cell.id, p, *filtration_at(
+                    self.fib, p, cell.triangles[0], simplices)))
+        return samples
 
 
 def _pair_values(values: Sequence, e: Element):
@@ -376,23 +406,26 @@ def _certify_edge(sheaf: CellularSheaf, face: int, coface: int,
                   rng: random.Random) -> int:
     """Check that each (face element, coface element) match evaluates to the
     same exact values at `points` points of the face cell: its representative
-    and random interior samples. The filtration is evaluated once per point,
-    and only when some match is not an identity: an identity match compares
-    a value with itself and cannot fail, but is still counted. Raises
-    InvariantError at the first mismatch; returns the checks made."""
+    and random interior samples. The samples are always drawn, but points are
+    built and evaluated only when some match is not an identity: an identity
+    match compares a value with itself and cannot fail, but is still counted.
+    The two sides of a match are compared as integer numerators over one
+    positive denominator. Raises InvariantError at the first mismatch;
+    returns the checks made."""
     fcell = sheaf.strat.cell(face)
-    pts = [fcell.rep]
-    pts += [sample_in_cell(fcell, rng) for _ in range(max(0, points - 1))]
+    draws = [draw_in_cell(fcell, rng) for _ in range(max(0, points - 1))]
     moved = [(e, img) for e, img in matches if e != img]
-    for p in pts if moved else ():
-        values = filtration_at(sheaf.fib, p, triangle_hint=fcell.triangles[0])
+    for p in [fcell.rep] + [drawn_point(d) for d in draws] if moved else ():
+        nums, dz = point_numerators(sheaf.fib, p, fcell.triangles[0])
         for e, img in moved:
-            lhs, rhs = _pair_values(values, e), _pair_values(values, img)
+            lhs, rhs = _pair_values(nums, e), _pair_values(nums, img)
             if lhs != rhs:
+                lhs, rhs = (tuple(None if v is None else Fraction(v, dz) for v in pair)
+                            for pair in (lhs, rhs))
                 raise InvariantError(
                     f"discontinuous across edge ({face}, {coface}) at {p}: "
                     f"face pair {e} evaluates to {lhs}, coface pair {img} to {rhs}")
-    return len(pts) * len(matches)
+    return (1 + len(draws)) * len(matches)
 
 
 def bundle_section(sheaf: CellularSheaf, section: SheafSection,
@@ -405,24 +438,19 @@ def bundle_section(sheaf: CellularSheaf, section: SheafSection,
     A certificate failure means the sheaf (or the section) is inconsistent
     with the fibration and raises InvariantError naming the edge, the point
     and both value pairs."""
-    fib = sheaf.fib
     strat = sheaf.strat
     rng = random.Random(seed)
-    samples: List[BundleSectionSample] = []
-    for cid in sorted(section.assignment):
-        cell = strat.cell(cid)
-        e = section.assignment[cid]
-        pts = [cell.rep]
-        pts += [sample_in_cell(cell, rng) for _ in range(max(0, samples_per_cell - 1))]
-        for p in pts:
-            values = filtration_at(fib, p, triangle_hint=cell.triangles[0])
-            samples.append(BundleSectionSample(cid, p, *_pair_values(values, e)))
     chosen = section.assignment
+    draws = []
+    for cid in sorted(chosen):
+        cell = strat.cell(cid)
+        draws.append((cell, chosen[cid], [draw_in_cell(cell, rng)
+                                          for _ in range(max(0, samples_per_cell - 1))]))
     checked = sum(
         _certify_edge(sheaf, face, coface, [(chosen[face], chosen[coface])],
                       boundary_samples, rng)
         for face, coface in sheaf.edges() if face in chosen and coface in chosen)
-    return BundleSection(samples, checked)
+    return BundleSection(checked, sheaf.fib, draws)
 
 
 def edge_value_certificate(sheaf: CellularSheaf, samples_per_edge: int = 5,

@@ -430,6 +430,19 @@ def _containing_triangle(fib: PLFibration, X: int, Y: int, Z: int) -> Optional[i
     return None
 
 
+def _table_at(fib: PLFibration, pt: Point, triangle_hint: Optional[int]
+              ) -> Tuple[TriangleTable, HPoint]:
+    """The integer affine table of a closed triangle containing pt (the
+    hinted one if it does), and pt in homogeneous integer form."""
+    X, Y, Z = homogeneous(pt)
+    t = triangle_hint
+    if t is None or not fib.table(t).contains(X, Y, Z):
+        t = _containing_triangle(fib, X, Y, Z)
+        if t is None:
+            raise ValidationError(f"point {pt} outside the mesh")
+    return fib.table(t), (X, Y, Z)
+
+
 def point_numerators(fib: PLFibration, pt: Point,
                      triangle_hint: Optional[int] = None
                      ) -> Tuple[List[int], int]:
@@ -437,22 +450,20 @@ def point_numerators(fib: PLFibration, pt: Point,
     D, and D = den·Z, read off the integer affine table of a closed triangle
     containing pt (the hinted one if it does). The fibration is continuous,
     so every triangle containing pt gives the same values."""
-    X, Y, Z = homogeneous(pt)
-    t = triangle_hint
-    if t is None or not fib.table(t).contains(X, Y, Z):
-        t = _containing_triangle(fib, X, Y, Z)
-        if t is None:
-            raise ValidationError(f"point {pt} outside the mesh")
-    table = fib.table(t)
+    table, (X, Y, Z) = _table_at(fib, pt, triangle_hint)
     return table.numerators(X, Y, Z), table.den * Z
 
 
 def filtration_at(fib: PLFibration, p: Sequence,
-                  triangle_hint: Optional[int] = None) -> List[Fraction]:
-    """Every simplex's value at base point p as an exact `Fraction`."""
+                  triangle_hint: Optional[int] = None,
+                  simplices: Optional[Sequence[int]] = None) -> List[Fraction]:
+    """The values at base point p of the given simplices, every simplex by
+    default, as exact `Fraction`s."""
     pt: Point = (as_fraction(p[0]), as_fraction(p[1]))
-    nums, dz = point_numerators(fib, pt, triangle_hint)
-    return [Fraction(v, dz) for v in nums]
+    table, (X, Y, Z) = _table_at(fib, pt, triangle_hint)
+    dz = table.den * Z
+    rows = table.rows if simplices is None else [table.rows[i] for i in simplices]
+    return [Fraction(a * X + b * Y + c * Z, dz) for a, b, c in rows]
 
 
 def _rep_numerators(fib: PLFibration, cell: Cell) -> List[int]:
@@ -557,21 +568,38 @@ def build_stratification(fib: PLFibration) -> Stratification:
     return Stratification(fib, cells, {cid: frozenset(f) for cid, f in faces.items()})
 
 
-def sample_in_cell(cell: Cell, rng: random.Random, denom: int = 997) -> Point:
-    """A deterministic pseudo-random point in the cell's relative interior,
-    summed in integers over the piece's common coordinate denominator."""
+# The rng draw of one point in a cell: the piece drawn and the integer
+# weights of its corners, or None for a vertex piece.
+CellDraw = Tuple[Piece, Optional[Tuple[int, ...]]]
+
+
+def draw_in_cell(cell: Cell, rng: random.Random, denom: int = 997) -> CellDraw:
+    """The random choices of `sample_in_cell`, made in its order, without
+    building the point (`drawn_point` builds it)."""
     piece = cell.pieces[rng.randrange(len(cell.pieces))]
     if len(piece) == 1:
-        return piece[0]
-    scale, grid = _to_grid(piece)
+        return piece, None
     if len(piece) == 2:
         t = rng.randint(1, denom - 1)
-        weights = [denom - t, t]
-    else:
-        weights = [rng.randint(1, denom) for _ in piece]
+        return piece, (denom - t, t)
+    return piece, tuple(rng.randint(1, denom) for _ in piece)
+
+
+def drawn_point(draw: CellDraw) -> Point:
+    """The point of a draw: the weighted mean of the piece's corners, summed
+    in integers over the piece's common coordinate denominator."""
+    piece, weights = draw
+    if weights is None:
+        return piece[0]
+    scale, grid = _to_grid(piece)
     total = sum(weights) * scale
     return (Fraction(sum(w * x for w, (x, _) in zip(weights, grid)), total),
             Fraction(sum(w * y for w, (_, y) in zip(weights, grid)), total))
+
+
+def sample_in_cell(cell: Cell, rng: random.Random, denom: int = 997) -> Point:
+    """A deterministic pseudo-random point in the cell's relative interior."""
+    return drawn_point(draw_in_cell(cell, rng, denom))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,27 @@ def mono_sheaf1(mono_strat):
     return build_sheaf(mono_strat, degree=1)
 
 
+def acceptance_fibrations(count: int):
+    """The first `count` fibrations of the acceptance generator: random PL
+    fibrations with K <= 15 simplices, mesh <= 8 triangles and small-integer
+    values, drawn from seed 2024."""
+    rng = random.Random(2024)
+    out = []
+    while len(out) < count:
+        fib = random_fibration(rng, max_vertices=4)
+        if fib.complex.n <= 15:
+            out.append(fib)
+    return out
+
+
+@pytest.fixture(scope="session")
+def random_strats():
+    """The first 20 acceptance fibrations with their stratifications: the
+    corpus of criteria 6 and 7, also used by the section tests."""
+    from pdbundle.stratify import build_stratification
+    return [(fib, build_stratification(fib)) for fib in acceptance_fibrations(20)]
+
+
 def quadrant_of(p):
     x, y = p
     if x > 0 and y > 0:

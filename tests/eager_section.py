@@ -1,0 +1,64 @@
+"""Sheaf sections evaluated and certified the way pdbundle did it before it
+kept the random draws of a section and built its samples on first read: the
+oracle of the differential tests in test_bundle_section.py.
+
+`bundle_section` builds and evaluates every sample point of every cell when
+it is called, and `certify_edge` builds every boundary point of a face cell
+and compares the `Fraction` values of each match there. Points are drawn
+by `barycentric.sample_in_cell` (Fraction sums), never by pdbundle's draws,
+and evaluated at every simplex by `filtration_at`. Both take the random
+source as an argument, so that a test can compare its state afterwards.
+"""
+import random
+from typing import List, Sequence, Tuple
+
+from pdbundle.persistence import Element
+from pdbundle.sheaf import CellularSheaf, InvariantError, SheafSection
+from pdbundle.stratify import filtration_at
+
+from barycentric import sample_in_cell
+
+
+def _pair_values(values, e: Element):
+    b, d = e
+    return (values[b], None if d is None else values[d])
+
+
+def certify_edge(sheaf: CellularSheaf, face: int, coface: int,
+                 matches: Sequence[Tuple[Element, Element]], points: int,
+                 rng: random.Random) -> int:
+    fcell = sheaf.strat.cell(face)
+    pts = [fcell.rep]
+    pts += [sample_in_cell(fcell, rng) for _ in range(max(0, points - 1))]
+    moved = [(e, img) for e, img in matches if e != img]
+    for p in pts if moved else ():
+        values = filtration_at(sheaf.fib, p, triangle_hint=fcell.triangles[0])
+        for e, img in moved:
+            lhs, rhs = _pair_values(values, e), _pair_values(values, img)
+            if lhs != rhs:
+                raise InvariantError(
+                    f"discontinuous across edge ({face}, {coface}) at {p}: "
+                    f"face pair {e} evaluates to {lhs}, coface pair {img} to {rhs}")
+    return len(pts) * len(matches)
+
+
+def bundle_section(sheaf: CellularSheaf, section: SheafSection,
+                   samples_per_cell: int, boundary_samples: int,
+                   rng: random.Random) -> Tuple[List[tuple], int]:
+    """The samples as (cell, point, birth, death) tuples in order, and the
+    number of boundary checks."""
+    samples = []
+    for cid in sorted(section.assignment):
+        cell = sheaf.strat.cell(cid)
+        e = section.assignment[cid]
+        pts = [cell.rep]
+        pts += [sample_in_cell(cell, rng) for _ in range(max(0, samples_per_cell - 1))]
+        for p in pts:
+            values = filtration_at(sheaf.fib, p, triangle_hint=cell.triangles[0])
+            samples.append((cid, p, *_pair_values(values, e)))
+    chosen = section.assignment
+    checked = sum(
+        certify_edge(sheaf, face, coface, [(chosen[face], chosen[coface])],
+                     boundary_samples, rng)
+        for face, coface in sheaf.edges() if face in chosen and coface in chosen)
+    return samples, checked

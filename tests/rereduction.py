@@ -8,21 +8,27 @@ reduction is the column algorithm on sorted row lists and shares no code with
 `pdbundle.persistence.Reduction`. The schedule is the plain bubble sort
 (`bubble_schedule`), the oracle of `canonical_transpositions`; the bijection
 type is pdbundle's own, but composing bijections is done here (`identity`,
-`compose`), by none of pdbundle's code.
+`compose`), by none of pdbundle's code. `is_face` is the face test by vertex
+sets, which the tests use to tell legal transpositions from illegal ones.
 """
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from pdbundle.complexes import (
+    Simplex,
     SimplexIndexing,
     SimplicialComplex,
     ValidationError,
     induced_indexing,
-    is_face,
 )
 from pdbundle.persistence import Element, PairSet
 from pdbundle.serialize import canonical_dumps, mapping_to_json
 from pdbundle.stratify import filtration_at
 from pdbundle.vineyard import PairBijection
+
+
+def is_face(tau: Simplex, sigma: Simplex) -> bool:
+    """True iff tau is a proper face of sigma."""
+    return tau != sigma and set(tau) < set(sigma)
 
 
 def _xor_sorted(a: List[int], b: List[int]) -> List[int]:

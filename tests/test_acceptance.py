@@ -10,14 +10,12 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from pdbundle.cli import main
 from pdbundle.complexes import induced_indexing
 from pdbundle.generators import gen_image_fibration, gen_instability, gen_monodromy
 from pdbundle.persistence import diagrams_by_degree
 from pdbundle.sheaf import build_sheaf, edge_value_certificate, monodromy_scan
-from pdbundle.stratify import build_stratification, filtration_at
+from pdbundle.stratify import filtration_at
 from pdbundle.vineyard import path_vineyard, rational_sample
 
 from conftest import (
@@ -29,7 +27,6 @@ from conftest import (
     pairs_for_filtration,
     quadrant_of,
     random_complex,
-    random_fibration,
     random_monotone_values,
 )
 from cell_oracle import rep_values
@@ -41,20 +38,6 @@ F = Fraction
 def report(num, ok, desc):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {desc}")
     assert ok, f"criterion {num} failed: {desc}"
-
-
-@pytest.fixture(scope="module")
-def random_strats():
-    """20 random PL fibrations (K <= 15 simplices, mesh <= 8 triangles,
-    small-integer values) with their stratifications; shared by criteria 6, 7."""
-    rng = random.Random(2024)
-    out = []
-    while len(out) < 20:
-        fib = random_fibration(rng, max_vertices=4)
-        if fib.complex.n > 15:
-            continue
-        out.append((fib, build_stratification(fib)))
-    return out
 
 
 def test_c1_monodromy_reproduction(tmp_path, capsys):

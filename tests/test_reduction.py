@@ -1,18 +1,19 @@
 """Property tests of the R = D·V decomposition and its transposition update
 (persistence.Reduction), on random small complexes, random compatible
-indexings and random legal transpositions."""
+indexings and random legal transpositions; every illegal one is rejected."""
 import random
 from collections import Counter
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdbundle.complexes import SimplicialComplex, induced_indexing, is_face
+from pdbundle.complexes import SimplicialComplex, ValidationError, induced_indexing
 from pdbundle.persistence import Reduction, reduce_pairs
 
 from conftest import random_complex, random_monotone_values
-from rereduction import column_reduction_pairs
+from rereduction import column_reduction_pairs, is_face
 
 
 @st.composite
@@ -80,6 +81,11 @@ def test_transposition_update_matches_fresh_reduction():
             legal = [k for k in range(K.n - 1)
                      if not is_face(K.simplices[red.order[k]],
                                     K.simplices[red.order[k + 1]])]
+            order = list(red.order)
+            for k in sorted(set(range(K.n - 1)) - set(legal)):
+                with pytest.raises(ValidationError, match="cannot transpose face"):
+                    red.transpose(k)
+                assert red.order == order
             if not legal:
                 return
             k = rng.choice(legal)
