@@ -231,22 +231,6 @@ def reduce_pairs(K: SimplicialComplex, idx: SimplexIndexing) -> PairSet:
     return Reduction(K, idx).pair_set()
 
 
-class PairCache(dict):
-    """The reductions of one complex, keyed by indexing: `cache[idx]` is the
-    reduction of idx, made on its first lookup and kept. Walks to other
-    indexings transpose a copy, never the kept one. A `Stratification`
-    reads its cells' pair sets off its own walk over the face poset
-    (`Stratification.cell_pairs`), not off this cache."""
-
-    def __init__(self, K: SimplicialComplex):
-        super().__init__()
-        self.K = K
-
-    def __missing__(self, idx: SimplexIndexing) -> Reduction:
-        red = self[idx] = Reduction(self.K, idx)
-        return red
-
-
 @dataclass(frozen=True)
 class PersistenceDiagram:
     """Multiset of (birth, death) points for one homology degree; an infinite

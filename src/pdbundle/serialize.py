@@ -9,9 +9,9 @@ sorted keys so equal inputs produce byte-identical outputs.
 spaces of indent per level, "," after every item but the last and ": " after
 each key. It writes them with `str.join` instead of the standard library's
 pure-Python indenting encoder. In the builders' trees, cells with equal pair
-sets or stalks share one list object; `json.dumps` writes a shared subtree as
-it writes a copy, and `canonical_dumps` encodes a shared list of lists once
-per indent level.
+sets or stalks, and edges with one morphism object, share one list object;
+`json.dumps` writes a shared subtree as it writes a copy, and
+`canonical_dumps` encodes a shared list of lists once per indent level.
 """
 from __future__ import annotations
 
@@ -264,7 +264,8 @@ def stratification_to_json(strat: Stratification) -> Dict:
 
 def sheaf_to_json(sheaf: CellularSheaf) -> Dict:
     """The stalks and morphisms. Cells with equal stalks share one JSON list,
-    which `canonical_dumps` writes once."""
+    and so do edges with one morphism object (the shared identities), which
+    `canonical_dumps` writes once."""
     K = sheaf.fib.complex
     shared: Dict[FrozenSet[Element], List[List[str]]] = {}
     vertices = []
@@ -279,13 +280,14 @@ def sheaf_to_json(sheaf: CellularSheaf) -> Dict:
             "representative_point": point_to_json(cell.rep),
             "stalk": stalk_json,
         })
+    shared_maps: Dict[int, List[List[List[str]]]] = {}
     edges = []
     for (face, coface) in sheaf.edges():
-        edges.append({
-            "face": face,
-            "coface": coface,
-            "morphism": mapping_to_json(K, sheaf.morphisms[(face, coface)]),
-        })
+        phi = sheaf.morphisms[(face, coface)]
+        phi_json = shared_maps.get(id(phi))
+        if phi_json is None:
+            phi_json = shared_maps[id(phi)] = mapping_to_json(K, phi)
+        edges.append({"face": face, "coface": coface, "morphism": phi_json})
     return {
         "degree": sheaf.degree,
         "vertices": vertices,

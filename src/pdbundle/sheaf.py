@@ -7,8 +7,11 @@ The sheaf lives on the graph with one vertex per stratification cell and one
 edge per face relation. The stalk at a cell is its pair set (optionally
 restricted to one homology degree); the morphism from a face cell into a
 coface cell is the canonical composed update bijection between their induced
-indexings, restricted accordingly. Global sections and obstructed seeds are
-both read off one pass over the étalé graph of the sheaf.
+indexings, restricted accordingly. Stalks and morphisms are read off the
+stratification's one walk over the face poset, and a morphism that is the
+identity is one dict shared by every edge between equal stalks. Global
+sections and obstructed seeds are both read off one pass over the étalé
+graph of the sheaf.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from .stratify import (
     filtration_at,
     point_numerators,
 )
-from .vineyard import composed_bijection
+from .vineyard import update_image
 
 
 def _element_sort_key(e: Element):
@@ -44,7 +47,9 @@ class CellularSheaf:
     the morphisms are also laid out as two-way edge transport:
     `transport[u][w]` carries the stalk of cell u to that of an adjacent cell
     w, by the morphism when w is a coface of u and by its inverse when w is a
-    face. Neighbours are listed in edge order."""
+    face. Neighbours are listed in edge order. Every morphism object has one
+    inverse object, and an identity is its own inverse. Morphisms are shared
+    and must not be changed in place."""
 
     strat: Stratification
     degree: Optional[int]
@@ -56,10 +61,16 @@ class CellularSheaf:
 
     def __post_init__(self):
         self.transport = {v: {} for v in self.vertices}
+        inverses: Dict[int, Dict[Element, Element]] = {}
         for face, coface in self.edges():
             phi = self.morphisms[(face, coface)]
+            inverse = inverses.get(id(phi))
+            if inverse is None:
+                inverse = inverses[id(phi)] = (
+                    phi if all(x == y for x, y in phi.items())
+                    else {y: x for x, y in phi.items()})
             self.transport[face][coface] = phi
-            self.transport[coface][face] = {y: x for x, y in phi.items()}
+            self.transport[coface][face] = inverse
 
     @property
     def fib(self) -> PLFibration:
@@ -86,34 +97,49 @@ def build_sheaf(strat: Stratification,
     """Construct the compatible cellular sheaf for a stratification. With a
     degree, stalks keep only the pairs whose birth simplex has that dimension
     (essential births included); update bijections preserve the degree, so the
-    restriction is again a sheaf of bijections."""
+    restriction is again a sheaf of bijections.
+
+    Everything is read off the stratification's walk over the face poset
+    (`Stratification.walk`, stepping from every cell to each of its
+    cofaces): a cell's stalk off the reduction of its tree edge, and the
+    morphism of a face relation off the swaps of the step from the face.
+    A morphism that is the identity on the stalk is the one identity dict
+    of that stalk, and every morphism is checked onto the coface's stalk."""
     K = strat.fib.complex
-
-    def stalk(elements: FrozenSet[Element]) -> FrozenSet[Element]:
-        if degree is None:
-            return elements
-        return frozenset(e for e in elements if K.dim(e[0]) == degree)
-
-    # the walks start at faces, so every cell with cofaces has its reduction
-    # kept and reads its stalk off it; a cell without cofaces is a 2-cell,
-    # whose stalk is the target of the walk from its first face
-    stalks: Dict[int, FrozenSet[Element]] = {
-        cell.id: stalk(strat.pairs[strat.indexings[cell.id]].elements())
-        for cell in strat.cells if strat.cofaces[cell.id]}
+    dims = [K.dim(i) for i in range(K.n)]
+    distinct: Dict[FrozenSet[Element], FrozenSet[Element]] = {}
+    identities: Dict[FrozenSet[Element], Dict[Element, Element]] = {}
+    elements: Dict[int, FrozenSet[Element]] = {}
+    stalks: Dict[int, FrozenSet[Element]] = {}
+    walked: Dict[Tuple[int, int], Dict[Element, Element]] = {}
+    for face, cid, red, swaps in strat.walk(cofaces=True):
+        if cid not in elements:
+            full = red.elements()
+            full = elements[cid] = distinct.setdefault(full, full)
+            stalk = full if degree is None else frozenset(
+                e for e in full if dims[e[0]] == degree)
+            stalk = stalks[cid] = distinct.setdefault(stalk, stalk)
+            if stalk not in identities:
+                identities[stalk] = {e: e for e in stalk}
+        if face is None or cid not in strat.cofaces[face]:
+            continue
+        stalk = stalks[face]
+        mapping = identities[stalk]
+        if swaps:
+            image = update_image(elements[face], swaps)
+            if any(image[e] != e for e in stalk):
+                mapping = {e: image[e] for e in stalk}
+        walked[(face, cid)] = mapping
     morphisms: Dict[Tuple[int, int], Dict[Element, Element]] = {}
     for cell in strat.cells:
+        target = stalks[cell.id]
         for face in sorted(strat.faces_of(cell.id)):
-            bij = composed_bijection(strat.pairs, strat.indexings[face],
-                                     strat.indexings[cell.id])
-            if cell.id not in stalks:
-                stalks[cell.id] = stalk(bij.target)
-            mapping = bij.restrict(stalks[face])
-            if set(mapping.values()) != set(stalks[cell.id]):
+            mapping = morphisms[(face, cell.id)] = walked[(face, cell.id)]
+            if mapping is not identities[target] and set(mapping.values()) != target:
                 raise InvariantError(
                     f"morphism {face} -> {cell.id} is not onto the coface stalk")
-            morphisms[(face, cell.id)] = mapping
     return CellularSheaf(strat, degree, [c.id for c in strat.cells],
-                         stalks, morphisms)
+                         {c.id: stalks[c.id] for c in strat.cells}, morphisms)
 
 
 @dataclass
@@ -305,7 +331,7 @@ def _link_cycle(sheaf: CellularSheaf, v: int) -> Optional[List[int]]:
     its link leaves the sheaf's cells."""
     strat = sheaf.strat
     cofaces = strat.cofaces_of(v)
-    if not cofaces.issubset(sheaf.transport):
+    if not all(c in sheaf.transport for c in cofaces):
         return None
     ones = sorted(c for c in cofaces if strat.cell(c).dim == 1)
     twos = sorted(c for c in cofaces if strat.cell(c).dim == 2)

@@ -30,10 +30,12 @@ simplex order is a sort of the integer value numerators at its
 representative point over their common positive denominator.
 
 Neighbouring cells differ in their orders by a few transpositions, and very
-many orders share one pair set. So the pair sets of all cells are read off
-one breadth-first walk over the face poset: one full reduction per connected
-component, then, along each tree edge, the parent's reduction transposed
-into the child's order (`Stratification.cell_pairs`).
+many orders share one pair set. So every cell's reduction comes from one
+breadth-first walk over the face poset (`Stratification.walk`): one full
+reduction per connected component, then, along each tree edge, the parent's
+reduction transposed into the child's order. The pair sets of all cells
+(`Stratification.cell_pairs`) and the sheaf (`sheaf.build_sheaf`) are read
+off that walk.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .complexes import (
     SimplexIndexing,
@@ -65,8 +67,8 @@ from .geometry import (
     segment_midpoint,
     split_convex,
 )
-from .persistence import PairCache, PairSet, Reduction
-from .vineyard import canonical_transpositions
+from .persistence import PairSet, Reduction
+from .vineyard import canonical_transpositions, swaps_along
 
 # A geometry piece: 1 point = vertex, 2 points = open segment,
 # >= 3 points = open convex polygon (counterclockwise loop).
@@ -317,7 +319,7 @@ def _point_in_piece(piece: Piece, p: Point) -> bool:
 class Stratification:
     """Cells partitioning the base mesh, their face poset, the induced simplex
     indexing at each cell's representative point, and the pair sets of those
-    indexings.
+    indexings, read off one walk over the face poset (`walk`).
 
     A cell's indexing is a stable sort of the simplices by the integer
     numerators of their values at the representative point, which share one
@@ -325,10 +327,8 @@ class Stratification:
     The fibration is monotone there, since it is at every mesh vertex.
 
     `cell_pairs` reads from a table of pair sets that the first call fills
-    with one breadth-first walk over the face relations (`_walk_pair_sets`),
-    so a cell order is never reduced from scratch, except one per connected
-    component. `pairs` keeps the reductions that sheaf morphisms and other
-    walks start from; the pair-set walk keeps none of its own there."""
+    from the walk (`_walk_pair_sets`), so a cell order is never reduced from
+    scratch, except one per connected component."""
 
     def __init__(self, fib: PLFibration, cells: List[Cell],
                  faces: Dict[int, FrozenSet[int]]):
@@ -339,7 +339,6 @@ class Stratification:
         for cid, fs in faces.items():
             for f in fs:
                 self.cofaces[f].add(cid)
-        self.pairs = PairCache(fib.complex)
         self._pair_sets: Optional[Dict[int, PairSet]] = None
         simplices = range(fib.complex.n)
         self.indexings: Dict[int, SimplexIndexing] = {
@@ -367,47 +366,64 @@ class Stratification:
             self._pair_sets = self._walk_pair_sets()
         return self._pair_sets[cid]
 
-    def _walk_pair_sets(self) -> Dict[int, PairSet]:
-        """Every cell's pair set, read off one breadth-first walk over the
-        face relations (faces and cofaces). The first cell of each connected
-        component is reduced in full; every tree edge transposes a copy of
-        its parent's reduction along the canonical schedule to the cell's
-        order. A pair set depends only on the indexing, so a cell whose
-        indexing was reached before takes that pair set, and a cell reached
-        by transpositions none of which changed the pair set takes its
-        parent's. Equal pair sets are one object, and only the reductions of
-        the walk's frontier stay alive."""
+    def walk(self, cofaces: bool = False
+             ) -> Iterator[Tuple[Optional[int], int, Reduction, List[Tuple[int, int]]]]:
+        """One breadth-first walk over the face relations (faces and
+        cofaces). It yields each step from a cell u to a cell w as (u, w,
+        reduction, swaps): a copy of u's reduction transposed along the
+        canonical schedule to w's order (u's own, when the two orders are
+        equal), and the simplex pairs that the transpositions changing the
+        pair set swapped (`vineyard.swaps_along`). The first cell of each
+        connected component is yielded as (None, w, reduction, []), reduced
+        in full; the first step to any other cell is its tree edge, which
+        gives the cell its reduction. With `cofaces`, each cell also steps
+        to every coface reached before, so that every face relation is
+        walked from its face exactly once. Reductions are not changed after
+        they are yielded, and only those of the walk's frontier stay
+        alive."""
         K = self.fib.complex
-        table: Dict[int, PairSet] = {}
-        by_order: Dict[SimplexIndexing, PairSet] = {}
-        distinct: Dict[PairSet, PairSet] = {}
+        seen: Set[int] = set()
         for root in self.cells:
-            if root.id in table:
+            if root.id in seen:
                 continue
-            idx = self.indexings[root.id]
-            red = Reduction(K, idx)
-            if idx not in by_order:
-                ps = red.pair_set()
-                by_order[idx] = distinct.setdefault(ps, ps)
-            table[root.id] = by_order[idx]
+            seen.add(root.id)
+            red = Reduction(K, self.indexings[root.id])
+            yield None, root.id, red, []
             queue = deque([(root.id, red)])
             while queue:
                 u, red = queue.popleft()
+                revisit = self.cofaces[u] if cofaces else ()
                 for w in self.faces[u] | self.cofaces[u]:
-                    if w in table:
+                    new = w not in seen
+                    if not new and w not in revisit:
                         continue
-                    idx = self.indexings[w]
-                    child, changed = red, False
-                    moves = canonical_transpositions(self.indexings[u], idx)
+                    child, swaps = red, []
+                    moves = canonical_transpositions(self.indexings[u],
+                                                     self.indexings[w])
                     if moves:
                         child = red.copy()
-                        for k in moves:
-                            changed |= child.transpose(k)
-                    if idx not in by_order:
-                        ps = child.pair_set() if changed else table[u]
-                        by_order[idx] = distinct.setdefault(ps, ps)
-                    table[w] = by_order[idx]
-                    queue.append((w, child))
+                        swaps = swaps_along(child, moves)
+                    yield u, w, child, swaps
+                    if new:
+                        seen.add(w)
+                        queue.append((w, child))
+
+    def _walk_pair_sets(self) -> Dict[int, PairSet]:
+        """Every cell's pair set, read off the walk. A pair set depends only
+        on the indexing, so a cell whose indexing was reached before takes
+        that pair set, and a cell reached by transpositions none of which
+        changed the pair set takes its parent's. Equal pair sets are one
+        object."""
+        table: Dict[int, PairSet] = {}
+        by_order: Dict[SimplexIndexing, PairSet] = {}
+        distinct: Dict[PairSet, PairSet] = {}
+        for parent, cid, red, swaps in self.walk():
+            idx = self.indexings[cid]
+            if idx not in by_order:
+                unchanged = parent is not None and not swaps
+                ps = table[parent] if unchanged else red.pair_set()
+                by_order[idx] = distinct.setdefault(ps, ps)
+            table[cid] = by_order[idx]
         return table
 
     def locate(self, p: Point) -> Cell:
@@ -478,19 +494,16 @@ def _triangle_lines(fib: PLFibration, t: int) -> List[Line]:
     zero line of f_i - f_j for each simplex pair whose corner differences
     have mixed signs or exactly two zeros (the cases in which
     `intersection_trace` finds a segment). Each is a full chord of the
-    triangle, since its trace segment is."""
+    triangle, since its trace segment is. Simplices with equal corner values
+    have equal rows and no trace line, so only distinct rows are paired."""
     table = fib.table(t)
-    rows, corners = table.rows, table.corner_values
+    rows = sorted(set(zip(table.corner_values, table.rows)))
     lines: Set[Line] = set()
-    n = fib.complex.n
-    for i in range(n):
-        (u0, u1, u2), (a, b, c) = corners[i], rows[i]
-        for j in range(i + 1, n):
-            v0, v1, v2 = corners[j]
+    for i, ((u0, u1, u2), (a, b, c)) in enumerate(rows):
+        for (v0, v1, v2), (ra, rb, rc) in rows[i + 1:]:
             g0, g1, g2 = u0 - v0, u1 - v1, u2 - v2
             if ((g0 > 0 or g1 > 0 or g2 > 0) and (g0 < 0 or g1 < 0 or g2 < 0)
                     or (g0 == 0) + (g1 == 0) + (g2 == 0) == 2):
-                ra, rb, rc = rows[j]
                 lines.add(normalize_line(a - ra, b - rb, rc - c))
     return sorted(lines)
 

@@ -10,13 +10,16 @@ updated at each one with at most two column additions, never reduced again.
 
 Every walk carries one relabelling: `image` maps each element of its first
 pair set (a start element) to the element it has become, and `holder` maps
-each simplex to the start element whose image holds it. A swap relabels the two elements holding
-the swapped simplices, so the composed bijection is read off `image` at any
-point of the walk, and none is composed step by step. `composed_bijection`
-and `apply_transpositions` start from the reduction a `PairCache` holds for
-their first indexing, and transpose a copy of it; `path_vineyard` carries
-one reduction and one relabelling through all its samples, and a vine's
-label at a sample is the image of its first label.
+each simplex to the start element whose image holds it. A swap relabels the
+two elements holding the swapped simplices, so the composed bijection is
+read off `image` at any point of the walk, and none is composed step by
+step. Transposing and relabelling are two steps: `swaps_along` transposes a
+reduction and lists the steps that swapped, and `update_image` relabels a
+pair set along that list, so a walk with no swap needs no relabelling.
+`composed_bijection`, `apply_transpositions` and `transposition_update` take
+a reduction of their first indexing and transpose a copy of it;
+`path_vineyard` carries one reduction and one relabelling through all its
+samples, and a vine's label at a sample is the image of its first label.
 
 A path sample is integer: every simplex's value times one positive integer,
 as a base triangle's affine table gives it. It is ordered, checked and
@@ -38,7 +41,7 @@ from .complexes import (
     ValidationError,
     check_monotone,
 )
-from .persistence import Element, PairCache, Reduction
+from .persistence import Element, Reduction
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +67,6 @@ class PairBijection:
     def is_identity(self) -> bool:
         return all(k == v for k, v in self.mapping.items())
 
-    def restrict(self, elements) -> Dict[Element, Element]:
-        """The mapping restricted to a subset of source elements."""
-        return {e: self.mapping[e] for e in elements}
-
 
 def _check_onto(image: Dict[Element, Element], target) -> None:
     # the images of a walk's start elements are its current pair set, or the
@@ -90,52 +89,66 @@ def _start(source) -> Tuple[Dict[Element, Element], Dict[int, Element]]:
     return {e: e for e in source}, holder
 
 
-def _walk(red: Reduction, positions: Sequence[int],
-          image: Dict[Element, Element], holder: Dict[int, Element]) -> None:
-    """Transpose `red` in place at each of `positions` in turn and relabel
-    the walk state with it: only the two elements holding the simplices of a
-    step that changes the pair set are relabelled."""
+def swaps_along(red: Reduction, positions: Sequence[int]) -> List[Tuple[int, int]]:
+    """Transpose `red` in place at each of `positions` in turn. Returns the
+    simplex pairs of the steps that changed the pair set, in order: all of
+    the walk that its relabelling reads."""
     order = red.order
-    for k in positions:
-        s, t = order[k], order[k + 1]
-        if red.transpose(k):
-            es, et = holder[s], holder[t]
-            image[es] = _swap_element(image[es], s, t)
-            image[et] = _swap_element(image[et], s, t)
-            holder[s], holder[t] = et, es
+    return [(order[k], order[k + 1]) for k in positions if red.transpose(k)]
 
 
-def _walked(pairs: PairCache, idx: SimplexIndexing, positions: Sequence[int]
-            ) -> Tuple[Reduction, PairBijection]:
-    """Walk from the reduction `pairs` keeps for idx along `positions`:
-    the reduction reached (a copy, unless the walk is empty) and the update
-    bijection from the pair set of idx to its pair set."""
-    red = pairs[idx]
-    source = target = red.elements()
+def _relabel(image: Dict[Element, Element], holder: Dict[int, Element],
+             swaps: Sequence[Tuple[int, int]]) -> None:
+    """Relabel the walk state along `swaps`: at each, the two elements
+    holding the swapped simplices trade them, and no other changes."""
+    for s, t in swaps:
+        es, et = holder[s], holder[t]
+        image[es] = _swap_element(image[es], s, t)
+        image[et] = _swap_element(image[et], s, t)
+        holder[s], holder[t] = et, es
+
+
+def update_image(source, swaps: Sequence[Tuple[int, int]]
+                 ) -> Dict[Element, Element]:
+    """The update bijection from the pair set `source` along a walk with
+    these swaps (`swaps_along`), as a mapping of source onto the pair set
+    the walk reaches."""
     image, holder = _start(source)
+    _relabel(image, holder, swaps)
+    return image
+
+
+def _walked(red: Reduction, positions: Sequence[int]
+            ) -> Tuple[Reduction, PairBijection]:
+    """Walk from the reduction `red` along `positions`: the reduction reached
+    (a copy, unless the walk is empty) and the update bijection from red's
+    pair set to its pair set."""
+    source = target = red.elements()
+    swaps: List[Tuple[int, int]] = []
     if positions:
         red = red.copy()
-        _walk(red, positions, image, holder)
+        swaps = swaps_along(red, positions)
         target = red.elements()
-    return red, PairBijection(source, target, image)
+    return red, PairBijection(source, target, update_image(source, swaps))
 
 
-def transposition_update(pairs: PairCache, idx: SimplexIndexing, k: int
+def transposition_update(red: Reduction, k: int
                          ) -> Tuple[SimplexIndexing, PairBijection]:
-    """Transpose positions k, k+1 of idx and return the updated indexing with
-    the update bijection between the two pair sets.
+    """Transpose positions k, k+1 of the order of the reduction `red` and
+    return the updated indexing with the update bijection between the two
+    pair sets. `red` itself is not changed.
 
     Rejects transpositions of a face past its coface (the result would not be
     a compatible indexing)."""
-    return apply_transpositions(pairs, idx, [k])
+    return apply_transpositions(red, [k])
 
 
-def apply_transpositions(pairs: PairCache, idx: SimplexIndexing,
-                         positions: Sequence[int]
+def apply_transpositions(red: Reduction, positions: Sequence[int]
                          ) -> Tuple[SimplexIndexing, PairBijection]:
-    """Compose transposition updates along an explicit position sequence."""
-    red, bij = _walked(pairs, idx, positions)
-    return red.indexing(), bij
+    """Compose transposition updates along an explicit position sequence,
+    from the order of the reduction `red`, which is not changed."""
+    reached, bij = _walked(red, positions)
+    return reached.indexing(), bij
 
 
 def canonical_transpositions(idx0: SimplexIndexing,
@@ -171,14 +184,14 @@ def canonical_transpositions(idx0: SimplexIndexing,
     return moves
 
 
-def composed_bijection(pairs: PairCache, idx0: SimplexIndexing,
-                       idx1: SimplexIndexing) -> PairBijection:
+def composed_bijection(red: Reduction, idx1: SimplexIndexing) -> PairBijection:
     """The update bijection along the canonical transposition sequence from
-    idx0 to idx1. The result depends on the sequence in general; fixing the
-    canonical one makes downstream constructions deterministic."""
-    moves = canonical_transpositions(idx0, idx1)
-    red, bij = _walked(pairs, idx0, moves)
-    if tuple(red.order) != idx1.order:
+    the order of the reduction `red` (not changed) to idx1. The result
+    depends on the sequence in general; fixing the canonical one makes
+    downstream constructions deterministic."""
+    moves = canonical_transpositions(red.indexing(), idx1)
+    reached, bij = _walked(red, moves)
+    if tuple(reached.order) != idx1.order:
         raise InvariantError("canonical sequence failed to reach target indexing")
     return bij
 
@@ -262,7 +275,7 @@ def path_vineyard(K: SimplicialComplex, samples: Sequence[Sample],
         idx = indexing(nums, den)
         moves = canonical_transpositions(prev, idx)
         if moves:
-            _walk(red, moves, image, holder)
+            _relabel(image, holder, swaps_along(red, moves))
             target = red.elements()
             _check_onto(image, target)
         for vine in vines:

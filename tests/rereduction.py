@@ -213,6 +213,6 @@ def sheaf_morphisms(strat, pairs: ReducedPairs, degrees: Sequence[Optional[int]]
         ps = pairs[strat.indexings[cid]]
         return ps.elements() if degree is None else ps.elements_of_degree(K, degree)
 
-    return {degree: {edge: bij.restrict(stalk(edge[0], degree))
+    return {degree: {edge: {e: bij.mapping[e] for e in stalk(edge[0], degree)}
                      for edge, bij in bijections.items()}
             for degree in degrees}

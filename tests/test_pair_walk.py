@@ -1,6 +1,7 @@
 """The pair-set walk over the face poset (`Stratification.cell_pairs`), the
-trimmed canonical schedule it walks along, and the sheaf's stalks, each
-against a fresh reduction or the plain bubble sort."""
+trimmed canonical schedule it walks along, and the sheaf read off the same
+walk: its stalks against fresh reductions, the schedule against the plain
+bubble sort, and its shared identity morphisms."""
 import random
 from itertools import combinations
 
@@ -124,27 +125,48 @@ def test_walked_pair_sets_match_fresh_reductions(monkeypatch):
     assert merged
 
 
+def _sheaf_case(case):
+    return mono_fibration() if case == "monodromy" else gen_image_fibration(C9_3X3)[0]
+
+
 @pytest.mark.parametrize("case", ["monodromy", "c9-3x3"])
-def test_build_sheaf_reduces_face_orders_only(monkeypatch, case):
-    """`build_sheaf` makes one reduction per distinct face-cell order, never
-    runs the pair-set walk, and its stalks are those of fresh reductions."""
-    fib = mono_fibration() if case == "monodromy" else gen_image_fibration(C9_3X3)[0]
+def test_build_sheaf_reduces_one_order_per_component(monkeypatch, case):
+    """`build_sheaf` reduces one order per connected component of the face
+    poset, and its stalks are those of fresh reductions."""
+    fib = _sheaf_case(case)
     K = fib.complex
     for degree in (None, 1):
         strat = build_stratification(fib)
         made = _count_reductions(monkeypatch)
-
-        def no_walk(self):
-            raise AssertionError("build_sheaf ran the pair-set walk")
-
-        monkeypatch.setattr(Stratification, "_walk_pair_sets", no_walk)
         sheaf = build_sheaf(strat, degree)
-        face_orders = {strat.indexings[f] for cell in strat.cells
-                       for f in strat.faces_of(cell.id)}
-        assert len(made) == len(face_orders)
+        assert len(made) == _components(strat)
         monkeypatch.undo()
         for cell in strat.cells:
             pairs = reduce_pairs(K, strat.indexings[cell.id])
             assert sheaf.stalks[cell.id] == (
                 pairs.elements() if degree is None
                 else pairs.elements_of_degree(K, degree))
+
+
+@pytest.mark.parametrize("case", ["monodromy", "c9-3x3"])
+def test_identity_morphisms_share_one_dict_per_stalk(case):
+    """Every identity morphism is the one identity dict of its stalk, that
+    dict is the transport both ways along the edge, and each non-identity
+    morphism is its own object with its inverse in the other direction."""
+    strat = build_stratification(_sheaf_case(case))
+    for degree in (None, 1):
+        sheaf = build_sheaf(strat, degree)
+        identities = {}
+        moved = 0
+        for (face, coface), phi in sheaf.morphisms.items():
+            assert sheaf.transport[face][coface] is phi
+            back = sheaf.transport[coface][face]
+            if all(x == y for x, y in phi.items()):
+                assert identities.setdefault(sheaf.stalks[face], phi) is phi
+                assert back is phi
+            else:
+                moved += 1
+                assert back == {y: x for x, y in phi.items()}
+        assert identities
+        assert len({id(phi) for phi in sheaf.morphisms.values()}) == (
+            len(identities) + moved)

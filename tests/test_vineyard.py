@@ -6,7 +6,7 @@ import pytest
 
 from pdbundle.complexes import SimplicialComplex, ValidationError, induced_indexing
 from pdbundle.generators import gen_image_fibration
-from pdbundle.persistence import PairCache, reduce_pairs
+from pdbundle.persistence import Reduction, reduce_pairs
 from pdbundle.sheaf import build_sheaf
 from pdbundle.stratify import build_stratification, filtration_at, point_numerators
 from pdbundle.vineyard import (
@@ -47,7 +47,7 @@ def test_transposition_identity_case(mono_complex):
     vals = mono_values(Fraction(1, 2), Fraction(1, 2))
     idx = induced_indexing(vals, mono_complex)
     assert (idx.order[4], idx.order[5]) == (4, 5)
-    idx2, bij = transposition_update(PairCache(mono_complex), idx, 4)
+    idx2, bij = transposition_update(Reduction(mono_complex, idx), 4)
     assert idx2.order[4] == 5 and idx2.order[5] == 4
     assert bij.is_identity()
 
@@ -58,7 +58,7 @@ def test_transposition_swap_case(mono_complex):
     idx3 = induced_indexing(mono_values(Fraction(-1, 2), Fraction(-1, 2)), mono_complex)
     k = idx3.position[A]
     assert idx3.position[B] == k + 1
-    idx2, bij = transposition_update(PairCache(mono_complex), idx3, k)
+    idx2, bij = transposition_update(Reduction(mono_complex, idx3), k)
     assert bij.mapping[(A, D)] == (B, D)
     assert bij.mapping[(B, C)] == (A, C)
     # everything else fixed
@@ -72,7 +72,7 @@ def test_transposition_rejects_face_coface(mono_complex):
     idx = induced_indexing(mono_values(0, 0), mono_complex)
     assert (idx.order[8], idx.order[9]) == (B, C)
     with pytest.raises(ValidationError, match="face"):
-        transposition_update(PairCache(mono_complex), idx, 8)
+        transposition_update(Reduction(mono_complex, idx), 8)
 
 
 def test_transposition_dichotomy_random():
@@ -88,7 +88,7 @@ def test_transposition_dichotomy_random():
         a, b = idx.order[k], idx.order[k + 1]
         if set(K.simplices[a]) < set(K.simplices[b]):
             continue
-        idx2, bij = transposition_update(PairCache(K), idx, k)
+        idx2, bij = transposition_update(Reduction(K, idx), k)
         before = reduce_pairs(K, idx).elements()
         after = reduce_pairs(K, idx2).elements()
         if bij.is_identity():
@@ -105,11 +105,11 @@ def test_transposition_dichotomy_random():
 def test_composed_identity_and_single_step(mono_complex):
     vals = mono_values(Fraction(1, 2), Fraction(1, 2))
     idx = induced_indexing(vals, mono_complex)
-    assert composed_bijection(PairCache(mono_complex), idx, idx).is_identity()
+    assert composed_bijection(Reduction(mono_complex, idx), idx).is_identity()
     idx3 = induced_indexing(mono_values(Fraction(-1, 2), Fraction(-1, 2)), mono_complex)
     k = idx3.position[A]
-    idx2, one = transposition_update(PairCache(mono_complex), idx3, k)
-    assert composed_bijection(PairCache(mono_complex), idx3, idx2).mapping == one.mapping
+    idx2, one = transposition_update(Reduction(mono_complex, idx3), k)
+    assert composed_bijection(Reduction(mono_complex, idx3), idx2).mapping == one.mapping
 
 
 def test_composed_origin_to_q1_canonical(mono_complex):
@@ -119,7 +119,7 @@ def test_composed_origin_to_q1_canonical(mono_complex):
     idx1 = induced_indexing(mono_values(Fraction(1, 2), Fraction(1, 2)), mono_complex)
     moves = canonical_transpositions(idx0, idx1)
     assert moves == [A, C]  # positions 7 and 9
-    bij = composed_bijection(PairCache(mono_complex), idx0, idx1)
+    bij = composed_bijection(Reduction(mono_complex, idx0), idx1)
     assert bij.mapping[(A, D)] == (B, D)
     assert bij.mapping[(B, C)] == (A, C)
 
@@ -127,8 +127,8 @@ def test_composed_origin_to_q1_canonical(mono_complex):
 def test_sequence_dependence_nonuniqueness(mono_complex):
     # swapping (c, d) first yields the other of the two valid bijections
     idx0 = induced_indexing(mono_values(0, 0), mono_complex)
-    _, other = apply_transpositions(PairCache(mono_complex), idx0, [C, A])
-    bij = composed_bijection(PairCache(mono_complex), idx0,
+    _, other = apply_transpositions(Reduction(mono_complex, idx0), [C, A])
+    bij = composed_bijection(Reduction(mono_complex, idx0),
                              induced_indexing(mono_values(Fraction(1, 2), Fraction(1, 2)),
                                               mono_complex))
     assert other.mapping != bij.mapping
@@ -147,9 +147,9 @@ def test_composed_roundtrip_along_reversed_sequence():
         v1 = random_monotone_values(rng, K)
         i0, i1 = induced_indexing(v0, K), induced_indexing(v1, K)
         moves = canonical_transpositions(i0, i1)
-        end, fwd = apply_transpositions(PairCache(K), i0, moves)
+        end, fwd = apply_transpositions(Reduction(K, i0), moves)
         assert end == i1
-        back_end, back = apply_transpositions(PairCache(K), i1, list(reversed(moves)))
+        back_end, back = apply_transpositions(Reduction(K, i1), list(reversed(moves)))
         assert back_end == i0
         assert rereduction.compose(fwd, back).is_identity()
 
@@ -237,15 +237,16 @@ def test_composed_bijection_matches_rereduction(differential_strats):
                 for face in sorted(strat.faces_of(cell.id))]
         ends += [tuple(rng.sample(range(len(strat.cells)), 2))
                  for _ in range(min(8, len(strat.cells) // 2))]
+        K = strat.fib.complex
         for c0, c1 in ends:
-            assert composed_bijection(strat.pairs, idx[c0], idx[c1]) == \
+            assert composed_bijection(Reduction(K, idx[c0]), idx[c1]) == \
                 rereduction.composed_bijection(oracle, idx[c0], idx[c1])
             checked += 1
     for _ in range(60):
         K = random_complex(rng, max_vertices=6)
         i0, i1 = (induced_indexing(random_monotone_values(rng, K), K)
                   for _ in range(2))
-        assert composed_bijection(PairCache(K), i0, i1) == \
+        assert composed_bijection(Reduction(K, i0), i1) == \
             rereduction.composed_bijection(rereduction.ReducedPairs(K), i0, i1)
     assert checked > 1000
 
