@@ -3,16 +3,16 @@
 size, each rung in its own child process under an address-space and a wall
 limit.
 
-    python3 bench/ladder.py --src SRC --label NAME [--out FILE] [--sizes 2,3,4,5,6]
+    python3 bench/ladder.py --src SRC --label NAME [--out FILE]
 
 SRC is the `src/` directory of the checkout to measure, so one copy of this
-script measures a change and its parent alike. The rungs are the c9-formula
-images at n×n (the acceptance test's pixel formula; 67 simplices at 3×3,
-241 at 6×6), each over one base triangle. The stages, run in this order in
-one process, are `build_stratification`, the pair-set walk (the first
-`cell_pairs` call), `build_sheaf(degree=1)` and `monodromy_scan`. Each
-records its wall time and the process's peak RSS after it, which includes
-everything the earlier stages keep alive.
+script measures a change and its parent alike. The rungs (SIZES) are the
+c9-formula images at n×n for n = 2..6 (the acceptance test's pixel formula;
+67 simplices at 3×3, 241 at 6×6), each over one base triangle. The stages,
+run in this order in one process, are `build_stratification`, the pair-set
+walk (the first `cell_pairs` call), `build_sheaf(degree=1)` and
+`monodromy_scan`. Each records its wall time and the process's peak RSS
+after it, which includes everything the earlier stages keep alive.
 
 A child sets `RLIMIT_AS` on itself only (AS_MB), and is stopped at the wall
 limit (WALL_S).
@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 
 STAGES = ["stratify", "walk", "sheaf", "monodromy"]
+SIZES = range(2, 7)
 AS_MB, WALL_S = 3072, 600
 
 
@@ -100,7 +101,7 @@ def run_rung(src: str, n: int) -> None:
 
 def measure(src: str, n: int) -> dict:
     """Rung n in a child process: its stages, each a record or an outcome."""
-    cmd = [sys.executable, __file__, "--child", str(n), "--src", src]
+    cmd = [sys.executable, __file__, "--child", str(n), src]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=WALL_S)
         out, err, failure = proc.stdout, proc.stderr, None
@@ -125,19 +126,17 @@ def measure(src: str, n: int) -> dict:
 
 
 def main() -> int:
+    if sys.argv[1:2] == ["--child"]:
+        run_rung(sys.argv[3], int(sys.argv[2]))
+        return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True)
-    parser.add_argument("--label", default="")
+    parser.add_argument("--label", required=True)
     parser.add_argument("--out")
-    parser.add_argument("--sizes", default="2,3,4,5,6")
-    parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     src = str(Path(args.src).resolve())
-    if args.child is not None:
-        run_rung(src, args.child)
-        return 0
     rungs = []
-    for n in (int(x) for x in args.sizes.split(",")):
+    for n in SIZES:
         rungs.append(measure(src, n))
         print(json.dumps(rungs[-1]), flush=True)
     if args.out:
@@ -152,7 +151,7 @@ def main() -> int:
             "machine": {"python": platform.python_version(),
                         "cpus": os.cpu_count()},
         })
-        doc.setdefault("runs", {})[args.label or src] = rungs
+        doc.setdefault("runs", {})[args.label] = rungs
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
