@@ -9,10 +9,14 @@ SRC is the `src/` directory of the checkout to measure, so one copy of this
 script measures a change and its parent alike. The rungs (SIZES) are the
 c9-formula images at n×n for n = 2..6 (the acceptance test's pixel formula;
 67 simplices at 3×3, 241 at 6×6), each over one base triangle. The stages,
-run in this order in one process, are `build_stratification`, the pair-set
-walk (the first `cell_pairs` call), `build_sheaf(degree=1)` and
-`monodromy_scan`. Each records its wall time and the process's peak RSS
-after it, which includes everything the earlier stages keep alive.
+run in this order in one process, are the load (`fibration_from_json` of
+the rung's canonical fibration JSON, then its triangle table; the text is
+written before timing, and the time is the least of LOAD_REPEATS loads),
+`build_stratification`, the pair-set walk (the first `cell_pairs` call),
+`build_sheaf(degree=1)` and `monodromy_scan`. The stages after the load run
+on the generated fibration, as they did before the load stage was added.
+Each records its wall time and the process's peak RSS after it, which
+includes everything the earlier stages keep alive.
 
 A child sets `RLIMIT_AS` on itself only (AS_MB), and is stopped at the wall
 limit (WALL_S).
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import resource
@@ -33,9 +38,10 @@ import sys
 import time
 from pathlib import Path
 
-STAGES = ["stratify", "walk", "sheaf", "monodromy"]
+STAGES = ["load", "stratify", "walk", "sheaf", "monodromy"]
 SIZES = range(2, 7)
 AS_MB, WALL_S = 3072, 600
+LOAD_REPEATS = 5
 
 
 def c9_ppm(n: int) -> str:
@@ -56,11 +62,21 @@ def run_rung(src: str, n: int) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     sys.path.insert(0, src)
     from pdbundle.generators import gen_image_fibration
+    from pdbundle.serialize import canonical_dumps, fibration_from_json, fibration_to_json
     from pdbundle.sheaf import build_sheaf, monodromy_scan
     from pdbundle.stratify import build_stratification
 
     fib = gen_image_fibration(c9_ppm(n))[0]
+    text = canonical_dumps(fibration_to_json(fib))
     found = {}
+
+    def load():
+        best = math.inf
+        for _ in range(LOAD_REPEATS):
+            t0 = time.perf_counter()
+            fibration_from_json(json.loads(text)).table(0)
+            best = min(best, time.perf_counter() - t0)
+        return {"bytes": len(text), "s": best}
 
     def stratify():
         found["strat"] = strat = build_stratification(fib)
@@ -85,16 +101,17 @@ def run_rung(src: str, n: int) -> None:
                 "nontrivial_loops": sum(loop.nontrivial for loop in report.loops),
                 "obstructed_seeds": len(report.obstructed_seeds)}
 
-    for name, stage in zip(STAGES, (stratify, walk, sheaf, monodromy)):
+    for name, stage in zip(STAGES, (load, stratify, walk, sheaf, monodromy)):
         try:
             t0 = time.perf_counter()
             counts = stage()
             seconds = time.perf_counter() - t0
+            seconds = counts.pop("s", seconds)   # a stage that times itself
         except MemoryError:
             found.clear()
             print(json.dumps({"stage": name, "outcome": "memory"}), flush=True)
             return
-        print(json.dumps({"stage": name, "s": round(seconds, 3),
+        print(json.dumps({"stage": name, "s": round(seconds, 6),
                           "peak_rss_mb": round(peak_rss_mb(), 1), **counts}),
               flush=True)
 
@@ -144,9 +161,9 @@ def main() -> int:
         doc = json.loads(path.read_text()) if path.exists() else {}
         doc.update({
             "ladder": "c9-formula images at n×n, one base triangle",
-            "stages": "stratify, pair-set walk, build_sheaf(degree=1), "
-                      "monodromy_scan; peak_rss_mb is the process peak "
-                      "after each stage",
+            "stages": "load (least of %d), stratify, pair-set walk, "
+                      "build_sheaf(degree=1), monodromy_scan; peak_rss_mb is "
+                      "the process peak after each stage" % LOAD_REPEATS,
             "limits": {"address_space_mb": AS_MB, "wall_s": WALL_S},
             "machine": {"python": platform.python_version(),
                         "cpus": os.cpu_count()},

@@ -33,7 +33,7 @@ def canonical_simplex(vertices: Sequence[int]) -> Simplex:
     vs = tuple(sorted(vertices))
     if not vs:
         raise ValidationError("empty simplex")
-    if any(v < 0 for v in vs):
+    if vs[0] < 0:
         raise ValidationError(f"negative vertex id in simplex {list(vertices)}")
     if len(set(vs)) != len(vs):
         raise ValidationError(f"repeated vertex in simplex {list(vertices)}")
@@ -54,7 +54,7 @@ def facets(s: Simplex):
 
 def simplex_id(s: Simplex) -> str:
     """Stable string id used in file formats, e.g. '0-1-2'."""
-    return "-".join(str(v) for v in s)
+    return "-".join(map(str, s))
 
 
 def parse_simplex_id(sid: str) -> Simplex:
@@ -73,11 +73,11 @@ class SimplicialComplex:
 
     def __init__(self, simplices: Sequence[Sequence[int]]):
         listed = [canonical_simplex(s) for s in simplices]
-        problems = validate(listed)
+        problems, index_of = _structure_problems(listed)
         if problems:
             raise ValidationError("; ".join(problems))
         self.simplices: Tuple[Simplex, ...] = tuple(listed)
-        self.index_of: Dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
+        self.index_of: Dict[Simplex, int] = index_of
 
     @property
     def n(self) -> int:
@@ -94,6 +94,13 @@ class SimplicialComplex:
         """The facet indices of every simplex, built on first use."""
         return tuple(tuple(self.index_of[f] for f in facets(s))
                      for s in self.simplices)
+
+    @cached_property
+    def facet_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """Every (facet, coface) index pair, cofaces in listing order: the
+        order in which `check_monotone` reports violations."""
+        return tuple((j, i) for i, fs in enumerate(self._facet_indices)
+                     for j in fs)
 
     @cached_property
     def ids(self) -> Tuple[str, ...]:
@@ -118,11 +125,25 @@ def validate(simplices: Sequence[Sequence[int]],
     Unlike the SimplicialComplex constructor this never raises on structural
     problems, so it can be used to produce full diagnostics for input files.
     """
-    problems: List[str] = []
     try:
         listed = [canonical_simplex(s) for s in simplices]
     except ValidationError as exc:
         return [str(exc)]
+    problems, index_of = _structure_problems(listed)
+    if values is not None and not problems:
+        if len(values) != len(listed):
+            problems.append(f"{len(values)} filtration values for "
+                            f"{len(listed)} simplices")
+        else:
+            problems.extend(monotonicity_violations(listed, index_of, values))
+    return problems
+
+
+def _structure_problems(listed: Sequence[Simplex]
+                        ) -> Tuple[List[str], Dict[Simplex, int]]:
+    """The duplicate / face-closure / ordering violations of canonical
+    simplices, and the index of each simplex's first listing."""
+    problems: List[str] = []
     index_of: Dict[Simplex, int] = {}
     for i, s in enumerate(listed):
         if s in index_of:
@@ -138,13 +159,7 @@ def validate(simplices: Sequence[Sequence[int]],
             elif j > i:
                 problems.append(f"face {simplex_id(f)} listed after coface "
                                 f"{simplex_id(s)}")
-    if values is not None and not problems:
-        if len(values) != len(listed):
-            problems.append(f"{len(values)} filtration values for "
-                            f"{len(listed)} simplices")
-        else:
-            problems.extend(monotonicity_violations(listed, index_of, values))
-    return problems
+    return problems, index_of
 
 
 def monotonicity_violations(simplices: Sequence[Simplex],

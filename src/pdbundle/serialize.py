@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from .complexes import (
     SimplicialComplex,
@@ -125,15 +126,32 @@ def complex_from_json(obj: Dict) -> SimplicialComplex:
     return SimplicialComplex(simplices)
 
 
+def _values_by_index(obj: Dict, K: SimplicialComplex
+                     ) -> Iterator[Tuple[int, str, object]]:
+    """Each entry of a values map as (simplex index, key, value), in key
+    order. A key is looked up as a canonical id first and parsed only when
+    that misses, so '1-0' and ' 0-1' name simplex 0-1 too. Raises on a key
+    that names no simplex of K, or one that an earlier key named."""
+    index_of_id = {sid: i for i, sid in enumerate(K.ids)}
+    named: Dict[int, str] = {}
+    for sid, raw in obj.items():
+        i = index_of_id.get(sid)
+        if i is None:
+            i = K.index_of.get(parse_simplex_id(sid))
+            if i is None:
+                raise ValidationError(f"values name unknown simplex {sid!r}")
+        if i in named:
+            raise ValidationError(f"values name simplex {K.ids[i]} twice: "
+                                  f"{named[i]!r} and {sid!r}")
+        named[i] = sid
+        yield i, sid, raw
+
+
 def values_map_from_json(obj: Dict, K: SimplicialComplex) -> List[Fraction]:
     if not isinstance(obj, dict):
         raise ValidationError("values must be a map from simplex id to rational")
     values: List[Optional[Fraction]] = [None] * K.n
-    for sid, raw in obj.items():
-        s = parse_simplex_id(sid)
-        i = K.index_of.get(s)
-        if i is None:
-            raise ValidationError(f"values name unknown simplex {sid!r}")
+    for i, _, raw in _values_by_index(obj, K):
         values[i] = as_fraction(raw)
     missing = [simplex_id(K.simplices[i]) for i, v in enumerate(values) if v is None]
     if missing:
@@ -173,18 +191,22 @@ def fibration_from_json(obj: Dict) -> PLFibration:
     mesh = BaseMesh(_require(mesh_obj, "vertices", list, "mesh"),
                     _require(mesh_obj, "triangles", list, "mesh"))
     values_obj = _require(obj, "values", dict, "fibration")
-    rows: List[List[Fraction]] = [[] for _ in range(K.n)]
-    seen = set()
-    for sid, row in values_obj.items():
-        s = parse_simplex_id(sid)
-        i = K.index_of.get(s)
-        if i is None:
-            raise ValidationError(f"values name unknown simplex {sid!r}")
+    rows: List[Optional[List[Fraction]]] = [None] * K.n
+    parsed: Dict[str, Fraction] = {}   # keyed on str only: True == 1 == 1.0
+    for i, sid, row in _values_by_index(values_obj, K):
         if not isinstance(row, list):
             raise ValidationError(f"values for {sid!r} must be a list")
-        rows[i] = [as_fraction(x) for x in row]
-        seen.add(i)
-    if len(seen) != K.n:
+        out = []
+        for x in row:
+            if type(x) is str:
+                value = parsed.get(x)
+                if value is None:
+                    value = parsed[x] = as_fraction(x)
+            else:
+                value = as_fraction(x)
+            out.append(value)
+        rows[i] = out
+    if None in rows:
         raise ValidationError("fibration values missing for some simplices")
     return PLFibration(K, mesh, rows)
 

@@ -175,12 +175,18 @@ class TriangleTable:
         self.corner_values = [
             tuple(v.numerator * (vscale // v.denominator) for v in row)
             for row in values]
-        rows = [tuple(sum(v * e[m] for v, e in zip(row, self.edges))
-                      for m in range(3)) for row in self.corner_values]
+        # row = u·edges[0] + v·edges[1] + w·edges[2], once per distinct
+        # corner values (u, v, w)
+        (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = self.edges
+        rows: Dict[Tuple[int, ...], Tuple[int, int, int]] = {}
+        for u, v, w in set(self.corner_values):
+            rows[(u, v, w)] = (u * a0 + v * a1 + w * a2, u * b0 + v * b1 + w * b2,
+                               u * c0 + v * c1 + w * c2)
         den = vscale * area2
-        g = math.gcd(den, *(x for row in rows for x in row))
+        g = math.gcd(den, *(x for row in rows.values() for x in row))
         self.den = den // g
-        self.rows = [(a // g, b // g, c // g) for a, b, c in rows]
+        rows = {cv: (a // g, b // g, c // g) for cv, (a, b, c) in rows.items()}
+        self.rows = [rows[cv] for cv in self.corner_values]
 
     def contains(self, X: int, Y: int, Z: int) -> bool:
         (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = self.edges
@@ -209,10 +215,16 @@ class PLFibration:
         for row in values:
             if len(row) != len(mesh.vertices):
                 raise ValidationError("value row length != number of mesh vertices")
-            self.values.append([as_fraction(x) for x in row])
-        for v in range(len(mesh.vertices)):
-            check_monotone(complex_, [row[v] for row in self.values],
-                           f" at mesh vertex {v}")
+            self.values.append([x if type(x) is Fraction else as_fraction(x)
+                                for x in row])
+        # monotone at each mesh vertex, compared as integer numerators over
+        # the column's common denominator; check_monotone words a violation
+        pairs = complex_.facet_pairs
+        for v, column in enumerate(zip(*self.values)):
+            scale = math.lcm(*[x.denominator for x in column])
+            nums = [x.numerator * (scale // x.denominator) for x in column]
+            if any(nums[j] > nums[i] for j, i in pairs):
+                check_monotone(complex_, column, f" at mesh vertex {v}")
         self._tables: List[Optional[TriangleTable]] = [None] * len(mesh.triangles)
 
     def triangle_values(self, i: int, t: int) -> Tuple[Fraction, Fraction, Fraction]:
@@ -223,9 +235,9 @@ class PLFibration:
     def table(self, t: int) -> TriangleTable:
         table = self._tables[t]
         if table is None:
+            a, b, c = self.mesh.triangles[t]
             table = self._tables[t] = TriangleTable(
-                self.mesh.corners(t),
-                [self.triangle_values(i, t) for i in range(self.complex.n)])
+                self.mesh.corners(t), [(row[a], row[b], row[c]) for row in self.values])
         return table
 
 

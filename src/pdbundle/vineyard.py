@@ -255,12 +255,12 @@ def path_vineyard(K: SimplicialComplex, samples: Sequence[Sample],
     samples = list(samples)
     if len(params) != len(samples):
         raise ValidationError("params and filtrations differ in length")
-    faces = [(j, i) for i in range(K.n) for j in K.facet_indices(i)]
+    pairs = K.facet_pairs
 
     def indexing(nums: Sequence[int], den: int) -> SimplexIndexing:
         if den <= 0:
             raise ValidationError(f"sample denominator {den} is not positive")
-        if len(nums) != K.n or any(nums[j] > nums[i] for j, i in faces):
+        if len(nums) != K.n or any(nums[j] > nums[i] for j, i in pairs):
             # raises on the first violation, worded as for rational values
             check_monotone(K, [Fraction(v, den) for v in nums])
         return SimplexIndexing(sorted(range(K.n), key=nums.__getitem__))

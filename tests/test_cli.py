@@ -276,6 +276,23 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
         code, _, err = run(["stratify", "--input",
                             write(tmp_path, "bool_fib.json", fib)], capsys)
         assert code == 1 and "cannot interpret True" in err, (where, err)
+    # a simplex named twice in a values map, under two spellings of its id;
+    # the files list their keys sorted, so the later one is reported
+    for spelling in ("1-0", " 0-1"):
+        twice = "error: values name simplex 0-1 twice: {!r} and {!r}\n".format(
+            *sorted(["0-1", spelling]))
+        fib = json.loads(open(mono, encoding="utf-8").read())
+        fib["values"][spelling] = [str(int(x) + 1) for x in fib["values"]["0-1"]]
+        dup = write(tmp_path, "dup.json", fib)
+        for argv in (["stratify"], ["sheaf"], ["sections"], ["monodromy"],
+                     ["vineyard", "--path", write(tmp_path, "p.json", [[0, 0]])]):
+            code, out, err = run(argv + ["--input", dup], capsys)
+            assert code == 1 and out == "" and err == twice, (spelling, argv, err)
+        complex_ = dict(Q1_COMPLEX, values=dict(Q1_COMPLEX["values"]))
+        complex_["values"][spelling] = "7/2"
+        code, out, err = run(["ph", "--input", write(tmp_path, "dup_ph.json", complex_)],
+                             capsys)
+        assert code == 1 and out == "" and err == twice, (spelling, err)
     # an --output that cannot be written: in a missing directory, or a directory
     ppm = write(tmp_path, "c9.ppm", C9_3X3)
     path = write(tmp_path, "path.json", GOLDEN_PATHS["monodromy"])
