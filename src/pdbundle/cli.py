@@ -17,7 +17,7 @@ from .complexes import (
     ValidationError,
     as_fraction,
     induced_indexing,
-    validate,
+    monotonicity_violations,
 )
 from .generators import gen_image_fibration, gen_instability, gen_monodromy
 from .persistence import reduce_pairs
@@ -79,7 +79,9 @@ def cmd_ph(args: argparse.Namespace) -> None:
     if not isinstance(obj, dict) or obj.get("simplices") is None:
         raise ValidationError("input: missing key 'simplices'")
     K, values = filtered_complex_from_json(obj)
-    problems = validate([list(s) for s in K.simplices], values)
+    if len(values) != K.n:
+        raise ValidationError(f"{len(values)} filtration values for {K.n} simplices")
+    problems = list(monotonicity_violations(K.simplices, K.index_of, values))
     if problems:
         raise ValidationError("; ".join(problems))
     pairs = reduce_pairs(K, induced_indexing(values, K))

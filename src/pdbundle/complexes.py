@@ -73,11 +73,13 @@ class SimplicialComplex:
 
     def __init__(self, simplices: Sequence[Sequence[int]]):
         listed = [canonical_simplex(s) for s in simplices]
-        problems, index_of = _structure_problems(listed)
+        problems, index_of, facet_table = _structure_problems(listed)
         if problems:
             raise ValidationError("; ".join(problems))
         self.simplices: Tuple[Simplex, ...] = tuple(listed)
         self.index_of: Dict[Simplex, int] = index_of
+        # the facet indices of every simplex, from the structural check
+        self.facet_table: Tuple[Tuple[int, ...], ...] = facet_table
 
     @property
     def n(self) -> int:
@@ -87,19 +89,13 @@ class SimplicialComplex:
         return simplex_dim(self.simplices[i])
 
     def facet_indices(self, i: int) -> Tuple[int, ...]:
-        return self._facet_indices[i]
-
-    @cached_property
-    def _facet_indices(self) -> Tuple[Tuple[int, ...], ...]:
-        """The facet indices of every simplex, built on first use."""
-        return tuple(tuple(self.index_of[f] for f in facets(s))
-                     for s in self.simplices)
+        return self.facet_table[i]
 
     @cached_property
     def facet_pairs(self) -> Tuple[Tuple[int, int], ...]:
         """Every (facet, coface) index pair, cofaces in listing order: the
         order in which `check_monotone` reports violations."""
-        return tuple((j, i) for i, fs in enumerate(self._facet_indices)
+        return tuple((j, i) for i, fs in enumerate(self.facet_table)
                      for j in fs)
 
     @cached_property
@@ -129,7 +125,7 @@ def validate(simplices: Sequence[Sequence[int]],
         listed = [canonical_simplex(s) for s in simplices]
     except ValidationError as exc:
         return [str(exc)]
-    problems, index_of = _structure_problems(listed)
+    problems, index_of, _ = _structure_problems(listed)
     if values is not None and not problems:
         if len(values) != len(listed):
             problems.append(f"{len(values)} filtration values for "
@@ -140,9 +136,11 @@ def validate(simplices: Sequence[Sequence[int]],
 
 
 def _structure_problems(listed: Sequence[Simplex]
-                        ) -> Tuple[List[str], Dict[Simplex, int]]:
+                        ) -> Tuple[List[str], Dict[Simplex, int],
+                                   Optional[Tuple[Tuple[int, ...], ...]]]:
     """The duplicate / face-closure / ordering violations of canonical
-    simplices, and the index of each simplex's first listing."""
+    simplices, the index of each simplex's first listing, and, when there is
+    no violation, the facet indices of every simplex."""
     problems: List[str] = []
     index_of: Dict[Simplex, int] = {}
     for i, s in enumerate(listed):
@@ -151,7 +149,9 @@ def _structure_problems(listed: Sequence[Simplex]
                             f"{index_of[s]} and {i}")
         else:
             index_of[s] = i
+    table: List[Tuple[int, ...]] = []
     for i, s in enumerate(listed):
+        row: List[int] = []
         for f in facets(s):
             j = index_of.get(f)
             if j is None:
@@ -159,7 +159,9 @@ def _structure_problems(listed: Sequence[Simplex]
             elif j > i:
                 problems.append(f"face {simplex_id(f)} listed after coface "
                                 f"{simplex_id(s)}")
-    return problems, index_of
+            row.append(j)
+        table.append(tuple(row))
+    return problems, index_of, None if problems else tuple(table)
 
 
 def monotonicity_violations(simplices: Sequence[Simplex],

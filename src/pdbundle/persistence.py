@@ -7,8 +7,10 @@ consecutive simplices trade positions.
 """
 from __future__ import annotations
 
+from bisect import bisect
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .complexes import (
     SimplexIndexing,
@@ -149,8 +151,9 @@ class Reduction:
         """Swap the simplices s, t at positions k, k+1 and update R and V by
         the case analysis of Cohen-Steiner, Edelsbrunner & Morozov, "Vines and
         vineyards by updating persistence in linear time" (SoCG 2006), with at
-        most two column additions. Returns whether the pair set changed; when
-        it did, s and t trade places inside the pairs that hold them.
+        most two column additions (`_exchange`). Returns whether the pair set
+        changed; when it did, s and t trade places inside the pairs that hold
+        them.
 
         Rejects a face transposed past its coface (the result would not be a
         compatible indexing)."""
@@ -170,6 +173,84 @@ class Reduction:
         if ds != dt:
             # only simplices of one dimension share a row or a chain
             return False
+        return self._exchange(s, t, lambda x, y: position[x] < position[y])
+
+    def transpose_to(self, idx1: SimplexIndexing) -> List[Tuple[int, int]]:
+        """Transpose this reduction to the order of idx1 along the canonical
+        schedule: repeatedly transpose the adjacent out-of-order pair with the
+        smallest position index. Returns the (t, s) simplex pairs of the
+        steps that changed the pair set, in schedule order, t being the
+        simplex that moved ahead of s. Every intermediate order agrees with
+        the start or idx1 on each simplex pair, so no step can violate the
+        face order when both are compatible; when idx1 is not, this raises
+        the error of the first step that would, and changes nothing.
+
+        The schedule sorts like insertion: only the span between the longest
+        common prefix and suffix of the two orders moves, and each simplex t
+        of it in turn sinks past the simplices before it of higher idx1 rank,
+        visited in descending rank. Of those steps only the ones between two
+        simplices of t's dimension can touch R or V; the rest move positions
+        only. So one pass over the span checks the face order and lists, per
+        t, the simplices of its dimension that it passes, before anything
+        changes. The replay then updates R and V along that list where V[t]
+        holds s or both are positive (`_exchange`), and the order and
+        positions are set once at the end."""
+        order, position = self.order, self.position
+        if idx1.n != len(order):
+            raise ValidationError("indexings of different sizes")
+        target, rank = idx1.order, idx1.position
+        lo, hi = 0, len(order)
+        while lo < hi and order[lo] == target[lo]:
+            lo += 1
+        if lo == hi:
+            return []
+        while order[hi - 1] == target[hi - 1]:
+            hi -= 1
+        K, dims, facet_table = self.K, self.dims, self.K.facet_table
+        placed: Dict[int, List[int]] = defaultdict(list)  # sorted ranks by dim
+        passes: List[Tuple[int, int, List[int]]] = []  # (i, t, ranks passed)
+        for i in range(lo, hi):
+            t = order[i]
+            r = rank[t]
+            for f in facet_table[t]:
+                if rank[f] > r:
+                    # the facets of t lie before it, and the step-by-step
+                    # walk first stops at the one of highest rank
+                    face = max(facet_table[t], key=rank.__getitem__)
+                    raise ValidationError(
+                        f"cannot transpose face {simplex_id(K.simplices[face])} "
+                        f"past coface {simplex_id(K.simplices[t])}")
+            ranks = placed[dims[t]]
+            j = bisect(ranks, r)
+            if j < len(ranks):
+                passes.append((i, t, ranks[j:][::-1]))
+            ranks.insert(j, r)
+        low, V = self.low, self.V
+
+        def earlier(x: int, y: int) -> bool:
+            # the order at a step of the replay's t = order[i]: the
+            # simplices ahead of i sorted by rank, the rest at their positions
+            px, py = position[x], position[y]
+            if px < i:
+                return py > i or rank[x] < rank[y]
+            return py > i and px < py
+
+        swaps: List[Tuple[int, int]] = []
+        for i, t, passed in passes:
+            for q in passed:
+                s = target[q]
+                if ((V[t] >> s & 1 or low[s] < 0 and low[t] < 0)
+                        and self._exchange(s, t, earlier)):
+                    swaps.append((t, s))
+        order[:] = target
+        position[:] = rank
+        return swaps
+
+    def _exchange(self, s: int, t: int, earlier: Callable[[int, int], bool]
+                  ) -> bool:
+        """Update R and V for the simplex t moving just ahead of the simplex s
+        of its dimension; `earlier(x, y)` tells whether simplex x now comes
+        before simplex y. Returns whether the pair set changed."""
         R, V, low, owner = self.R, self.V, self.low, self.owner
         s_bit = 1 << s
         if low[s] < 0 and low[t] < 0:
@@ -185,7 +266,7 @@ class Reduction:
                 # s was essential: l now kills s and t lives forever
                 low[l], owner[s], owner[t] = s, l, -1
                 return True
-            if position[c] < position[l]:
+            if earlier(c, l):
                 R[l] ^= R[c]
                 V[l] ^= V[c]
                 return False
@@ -206,7 +287,7 @@ class Reduction:
         R[t] ^= R[s]
         V[t] ^= V[s]
         ls, lt = low[s], low[t]
-        if lt >= 0 and position[ls] < position[lt]:
+        if lt >= 0 and earlier(ls, lt):
             return False                          # case 2, lowest ones kept
         # case 2 with the lowest ones crossed, or case 3 (t positive): add
         # column t back into column s, so s and t trade columns' roles

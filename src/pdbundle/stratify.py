@@ -68,7 +68,6 @@ from .geometry import (
     split_convex,
 )
 from .persistence import PairSet, Reduction
-from .vineyard import canonical_transpositions, swaps_along
 
 # A geometry piece: 1 point = vertex, 2 points = open segment,
 # >= 3 points = open convex polygon (counterclockwise loop).
@@ -383,9 +382,12 @@ class Stratification:
         """One breadth-first walk over the face relations (faces and
         cofaces). It yields each step from a cell u to a cell w as (u, w,
         reduction, swaps): a copy of u's reduction transposed along the
-        canonical schedule to w's order (u's own, when the two orders are
-        equal), and the simplex pairs that the transpositions changing the
-        pair set swapped (`vineyard.swaps_along`). The first cell of each
+        canonical schedule to w's order in one pass (u's own, when the two
+        orders are equal), and the simplex pairs that the transpositions
+        changing the pair set swapped (`Reduction.transpose_to`). That pass
+        visits only the steps between two simplices of one dimension, the
+        only ones that can change R, V or the pair set; the other steps move
+        positions only, and the order is set once. The first cell of each
         connected component is yielded as (None, w, reduction, []), reduced
         in full; the first step to any other cell is its tree edge, which
         gives the cell its reduction. With `cofaces`, each cell also steps
@@ -410,11 +412,9 @@ class Stratification:
                     if not new and w not in revisit:
                         continue
                     child, swaps = red, []
-                    moves = canonical_transpositions(self.indexings[u],
-                                                     self.indexings[w])
-                    if moves:
+                    if self.indexings[u] != self.indexings[w]:
                         child = red.copy()
-                        swaps = swaps_along(child, moves)
+                        swaps = child.transpose_to(self.indexings[w])
                     yield u, w, child, swaps
                     if new:
                         seen.add(w)

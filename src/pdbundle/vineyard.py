@@ -13,11 +13,17 @@ pair set (a start element) to the element it has become, and `holder` maps
 each simplex to the start element whose image holds it. A swap relabels the
 two elements holding the swapped simplices, so the composed bijection is
 read off `image` at any point of the walk, and none is composed step by
-step. Transposing and relabelling are two steps: `swaps_along` transposes a
-reduction and lists the steps that swapped, and `update_image` relabels a
-pair set along that list, so a walk with no swap needs no relabelling.
-`composed_bijection`, `apply_transpositions` and `transposition_update` take
-a reduction of their first indexing and transpose a copy of it;
+step. Transposing and relabelling are two steps: a reduction is transposed
+and lists the steps that swapped, and `update_image` relabels a pair set
+along that list, so a walk with no swap needs no relabelling.
+
+The walks between two indexings (`composed_bijection`, `path_vineyard`)
+follow the canonical schedule in one pass, `Reduction.transpose_to`. That
+pass visits only the steps between two simplices of one dimension: a step
+between two dimensions moves positions and nothing else, so the order is
+set once at the end. `swaps_along` transposes step by step along explicit
+positions, for `apply_transpositions` and `transposition_update`. All of
+them take a reduction of their first indexing and transpose a copy of it;
 `path_vineyard` carries one reduction and one relabelling through all its
 samples, and a vine's label at a sample is the image of its first label.
 
@@ -29,10 +35,9 @@ through `Vine.samples`.
 from __future__ import annotations
 
 import math
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
     InvariantError,
@@ -111,25 +116,23 @@ def _relabel(image: Dict[Element, Element], holder: Dict[int, Element],
 def update_image(source, swaps: Sequence[Tuple[int, int]]
                  ) -> Dict[Element, Element]:
     """The update bijection from the pair set `source` along a walk with
-    these swaps (`swaps_along`), as a mapping of source onto the pair set
-    the walk reaches."""
+    these swaps (`Reduction.transpose_to`, `swaps_along`), as a mapping of
+    source onto the pair set the walk reaches."""
     image, holder = _start(source)
     _relabel(image, holder, swaps)
     return image
 
 
-def _walked(red: Reduction, positions: Sequence[int]
+def _walked(red: Reduction, walk: Callable[[Reduction], List[Tuple[int, int]]]
             ) -> Tuple[Reduction, PairBijection]:
-    """Walk from the reduction `red` along `positions`: the reduction reached
-    (a copy, unless the walk is empty) and the update bijection from red's
-    pair set to its pair set."""
-    source = target = red.elements()
-    swaps: List[Tuple[int, int]] = []
-    if positions:
-        red = red.copy()
-        swaps = swaps_along(red, positions)
-        target = red.elements()
-    return red, PairBijection(source, target, update_image(source, swaps))
+    """Walk a copy of the reduction `red` by `walk`, which transposes it in
+    place and returns the swaps: the reduction reached and the update
+    bijection from red's pair set to its pair set."""
+    source = red.elements()
+    reached = red.copy()
+    swaps = walk(reached)
+    return reached, PairBijection(source, reached.elements(),
+                                  update_image(source, swaps))
 
 
 def transposition_update(red: Reduction, k: int
@@ -147,50 +150,16 @@ def apply_transpositions(red: Reduction, positions: Sequence[int]
                          ) -> Tuple[SimplexIndexing, PairBijection]:
     """Compose transposition updates along an explicit position sequence,
     from the order of the reduction `red`, which is not changed."""
-    reached, bij = _walked(red, positions)
+    reached, bij = _walked(red, lambda r: swaps_along(r, positions))
     return reached.indexing(), bij
-
-
-def canonical_transpositions(idx0: SimplexIndexing,
-                             idx1: SimplexIndexing) -> List[int]:
-    """Bubble-sort schedule from idx0 to idx1: repeatedly transpose the
-    adjacent out-of-order pair with the smallest position index. Every
-    intermediate order agrees with idx0 or idx1 on each simplex pair, so no
-    step can violate the face order when both endpoints are compatible.
-
-    That rule sorts like insertion: the simplices ahead of position i are
-    sorted by their idx1 ranks before the one at i moves, and it then sinks
-    past each of them with a larger rank. Only the span between the longest
-    common prefix and suffix of the two orders is sorted, since every rank
-    outside it is already in place and no out-of-order pair starts there."""
-    if idx0.n != idx1.n:
-        raise ValidationError("indexings of different sizes")
-    a, b = idx0.order, idx1.order
-    if a == b:
-        return []
-    lo, hi = 0, len(a)
-    while a[lo] == b[lo]:
-        lo += 1
-    while a[hi - 1] == b[hi - 1]:
-        hi -= 1
-    rank = idx1.position
-    ahead: List[int] = []           # idx1 ranks of the sorted simplices
-    moves: List[int] = []
-    for i, s in enumerate(a[lo:hi], lo):
-        r = rank[s]
-        j = bisect(ahead, r)
-        ahead.insert(j, r)
-        moves.extend(range(i - 1, lo + j - 1, -1))
-    return moves
 
 
 def composed_bijection(red: Reduction, idx1: SimplexIndexing) -> PairBijection:
     """The update bijection along the canonical transposition sequence from
     the order of the reduction `red` (not changed) to idx1. The result
     depends on the sequence in general; fixing the canonical one makes
-    downstream constructions deterministic."""
-    moves = canonical_transpositions(red.indexing(), idx1)
-    reached, bij = _walked(red, moves)
+    downstream constructions deterministic (`Reduction.transpose_to`)."""
+    reached, bij = _walked(red, lambda r: r.transpose_to(idx1))
     if tuple(reached.order) != idx1.order:
         raise InvariantError("canonical sequence failed to reach target indexing")
     return bij
@@ -273,9 +242,8 @@ def path_vineyard(K: SimplicialComplex, samples: Sequence[Sample],
     vines = [Vine(params, samples, [e]) for e in sorted(first)]
     for nums, den in samples[1:]:
         idx = indexing(nums, den)
-        moves = canonical_transpositions(prev, idx)
-        if moves:
-            _relabel(image, holder, swaps_along(red, moves))
+        if idx != prev:
+            _relabel(image, holder, red.transpose_to(idx))
             target = red.elements()
             _check_onto(image, target)
         for vine in vines:

@@ -6,7 +6,7 @@ indexing and is a swap exactly when the pair set changed, the way pdbundle
 decided it before it carried an R = D·V decomposition along the schedule. The
 reduction is the column algorithm on sorted row lists and shares no code with
 `pdbundle.persistence.Reduction`. The schedule is the plain bubble sort
-(`bubble_schedule`), the oracle of `canonical_transpositions`; the bijection
+(`bubble_schedule`), the oracle of `Reduction.transpose_to`; the bijection
 type is pdbundle's own, but composing bijections is done here (`identity`,
 `compose`), by none of pdbundle's code. `is_face` is the face test by vertex
 sets, which the tests use to tell legal transpositions from illegal ones.

@@ -1,19 +1,24 @@
 """The pair-set walk over the face poset (`Stratification.cell_pairs`), the
-trimmed canonical schedule it walks along, and the sheaf read off the same
-walk: its stalks against fresh reductions, the schedule against the plain
-bubble sort, and its shared identity morphisms."""
+one-pass canonical schedule it walks along (`Reduction.transpose_to`), and
+the sheaf read off the same walk: its stalks against fresh reductions, the
+one pass against `Reduction.transpose` at every step of the plain bubble
+sort, and its shared identity morphisms."""
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from pdbundle.complexes import SimplicialComplex, induced_indexing
+from pdbundle.complexes import (
+    SimplexIndexing,
+    SimplicialComplex,
+    ValidationError,
+    induced_indexing,
+)
 from pdbundle.generators import gen_image_fibration
 from pdbundle.persistence import Reduction, reduce_pairs
 from pdbundle.sheaf import build_sheaf
 from pdbundle.stratify import Stratification, build_stratification, merge_cells
-from pdbundle.vineyard import canonical_transpositions
 
 from conftest import (
     mono_fibration,
@@ -33,9 +38,9 @@ def _monotone(K: SimplicialComplex, steps):
 
 @st.composite
 def compatible_pairs(draw):
-    """Two compatible indexings of one random complex on at most eight
-    vertices. The second one's values change only some of the first one's
-    steps, so the two orders often share a long prefix or suffix."""
+    """A random complex on at most eight vertices and two compatible
+    indexings of it. The second one's values change only some of the first
+    one's steps, so the two orders often share a long prefix or suffix."""
     n = draw(st.integers(1, 8))
     edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
     present = set(edges)
@@ -46,15 +51,64 @@ def compatible_pairs(draw):
     steps = draw(st.lists(st.integers(0, 3), min_size=K.n, max_size=K.n))
     changed = draw(st.dictionaries(st.integers(0, K.n - 1), st.integers(0, 3)))
     other = [changed.get(i, s) for i, s in enumerate(steps)]
-    return (induced_indexing(_monotone(K, steps), K),
+    return (K, induced_indexing(_monotone(K, steps), K),
             induced_indexing(_monotone(K, other), K))
 
 
+def _state(red: Reduction):
+    return red.order, red.position, red.R, red.V, red.low, red.owner
+
+
+def _stepwise(red: Reduction, idx1: SimplexIndexing):
+    """Transpose red at each step of the plain bubble sort to idx1; the
+    (moved, passed) simplex pairs of the steps that changed the pair set."""
+    swaps = []
+    for k in bubble_schedule(red.indexing(), idx1):
+        if red.transpose(k):
+            swaps.append((red.order[k], red.order[k + 1]))
+    return swaps
+
+
+@settings(max_examples=300)
 @given(compatible_pairs())
-def test_canonical_transpositions_match_bubble_sort(pair):
-    i0, i1 = pair
-    assert canonical_transpositions(i0, i1) == bubble_schedule(i0, i1)
-    assert canonical_transpositions(i1, i0) == bubble_schedule(i1, i0)
+def test_transpose_to_matches_stepwise_bubble_sort(case):
+    K, i0, i1 = case
+    for start, end in ((i0, i1), (i1, i0)):
+        one_pass, stepwise = Reduction(K, start), Reduction(K, start)
+        assert one_pass.transpose_to(end) == _stepwise(stepwise, end)
+        assert _state(one_pass) == _state(stepwise)
+        assert one_pass.order == list(end.order)
+
+
+@st.composite
+def incompatible_targets(draw):
+    """A compatible indexing and a target that is not: a compatible order
+    with one coface moved anywhere ahead of its facet of highest rank."""
+    K, i0, i1 = draw(compatible_pairs())
+    cofaces = [i for i in range(K.n) if K.facet_indices(i)]
+    assume(cofaces)
+    c = draw(st.sampled_from(cofaces))
+    last = max(i1.position[f] for f in K.facet_indices(c))
+    order = [x for x in i1.order if x != c]
+    order.insert(draw(st.integers(0, last)), c)
+    return K, i0, SimplexIndexing(order)
+
+
+@settings(max_examples=200)
+@given(incompatible_targets())
+def test_transpose_to_rejects_incompatible_target_unchanged(case):
+    """The one pass raises the error of the step-by-step walk's first
+    rejected step, and leaves the reduction as it was."""
+    K, i0, i1 = case
+    red = Reduction(K, i0)
+    before = tuple(list(x) for x in _state(red))
+    with pytest.raises(ValidationError) as stepwise:
+        _stepwise(red.copy(), i1)
+    with pytest.raises(ValidationError) as one_pass:
+        red.transpose_to(i1)
+    assert str(one_pass.value) == str(stepwise.value)
+    assert str(one_pass.value).startswith("cannot transpose face ")
+    assert _state(red) == before
 
 
 def _components(strat: Stratification) -> int:

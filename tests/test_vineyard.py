@@ -11,7 +11,6 @@ from pdbundle.sheaf import build_sheaf
 from pdbundle.stratify import build_stratification, filtration_at, point_numerators
 from pdbundle.vineyard import (
     apply_transpositions,
-    canonical_transpositions,
     composed_bijection,
     path_vineyard,
     rational_sample,
@@ -117,7 +116,7 @@ def test_composed_origin_to_q1_canonical(mono_complex):
     # pair at the smaller position (a, b) first, picking (a,d) -> (b,d)
     idx0 = induced_indexing(mono_values(0, 0), mono_complex)
     idx1 = induced_indexing(mono_values(Fraction(1, 2), Fraction(1, 2)), mono_complex)
-    moves = canonical_transpositions(idx0, idx1)
+    moves = rereduction.bubble_schedule(idx0, idx1)
     assert moves == [A, C]  # positions 7 and 9
     bij = composed_bijection(Reduction(mono_complex, idx0), idx1)
     assert bij.mapping[(A, D)] == (B, D)
@@ -146,7 +145,7 @@ def test_composed_roundtrip_along_reversed_sequence():
         v0 = random_monotone_values(rng, K)
         v1 = random_monotone_values(rng, K)
         i0, i1 = induced_indexing(v0, K), induced_indexing(v1, K)
-        moves = canonical_transpositions(i0, i1)
+        moves = rereduction.bubble_schedule(i0, i1)
         end, fwd = apply_transpositions(Reduction(K, i0), moves)
         assert end == i1
         back_end, back = apply_transpositions(Reduction(K, i1), list(reversed(moves)))

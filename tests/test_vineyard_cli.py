@@ -264,13 +264,13 @@ def test_walk_that_misses_a_swap_exits_2(mono_file, mono_complex, monkeypatch):
     """A transposition that changes the pair set but reports no swap leaves
     the walk's relabelling behind its pair set: an internal fault, caught by
     the onto check, not bad input."""
-    transpose = Reduction.transpose
+    exchange = Reduction._exchange
 
-    def no_swap(red, k):
-        transpose(red, k)
+    def no_swap(red, s, t, earlier):
+        exchange(red, s, t, earlier)
         return False
 
-    monkeypatch.setattr(Reduction, "transpose", no_swap)
+    monkeypatch.setattr(Reduction, "_exchange", no_swap)
     samples = [rational_sample(mono_values(Fraction(x), Fraction(y)))
                for x, y in circle(9)]
     with pytest.raises(InvariantError, match="not onto"):
