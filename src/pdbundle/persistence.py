@@ -2,8 +2,8 @@
 pairs and persistence diagrams.
 
 The reduction is the plain left-to-right column algorithm over Z/2, kept as a
-decomposition R = D·V (`Reduction`) that is updated in place when two
-consecutive simplices trade positions.
+decomposition R = D·V (`Reduction`) that is updated in place when its order
+changes (`Reduction.transpose_to`).
 """
 from __future__ import annotations
 
@@ -131,9 +131,6 @@ class Reduction:
             setattr(dup, name, list(getattr(self, name)))
         return dup
 
-    def indexing(self) -> SimplexIndexing:
-        return SimplexIndexing(self.order)
-
     def pair_set(self) -> PairSet:
         low, owner = self.low, self.owner
         return PairSet(
@@ -146,34 +143,6 @@ class Reduction:
         owner = self.owner
         return frozenset((r, c) if r >= 0 else (c, None)
                          for c, r in enumerate(self.low) if r >= 0 or owner[c] < 0)
-
-    def transpose(self, k: int) -> bool:
-        """Swap the simplices s, t at positions k, k+1 and update R and V by
-        the case analysis of Cohen-Steiner, Edelsbrunner & Morozov, "Vines and
-        vineyards by updating persistence in linear time" (SoCG 2006), with at
-        most two column additions (`_exchange`). Returns whether the pair set
-        changed; when it did, s and t trade places inside the pairs that hold
-        them.
-
-        Rejects a face transposed past its coface (the result would not be a
-        compatible indexing)."""
-        order, position = self.order, self.position
-        if not 0 <= k < len(order) - 1:
-            raise ValidationError(f"transposition position {k} out of range")
-        s, t = order[k], order[k + 1]
-        ds, dt = self.dims[s], self.dims[t]
-        # on a compatible order a face right before its coface is a facet:
-        # a face of higher codimension has a face of its own in between
-        if dt > ds and s in self.K.facet_indices(t):
-            raise ValidationError(
-                f"cannot transpose face {simplex_id(self.K.simplices[s])} past "
-                f"coface {simplex_id(self.K.simplices[t])}")
-        order[k], order[k + 1] = t, s
-        position[s], position[t] = k + 1, k
-        if ds != dt:
-            # only simplices of one dimension share a row or a chain
-            return False
-        return self._exchange(s, t, lambda x, y: position[x] < position[y])
 
     def transpose_to(self, idx1: SimplexIndexing) -> List[Tuple[int, int]]:
         """Transpose this reduction to the order of idx1 along the canonical

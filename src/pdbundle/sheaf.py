@@ -1,4 +1,4 @@
-"""Compatible cellular sheaf over the stratification graph: pair-set stalks,
+"""Cellular sheaf over the stratification graph: pair-set stalks,
 update-rule morphisms, section propagation, global sections and obstructed
 seeds, loop monodromy, and synthesis of bundle sections with an exact
 continuity check.
@@ -7,11 +7,14 @@ The sheaf lives on the graph with one vertex per stratification cell and one
 edge per face relation. The stalk at a cell is its pair set (optionally
 restricted to one homology degree); the morphism from a face cell into a
 coface cell is the canonical composed update bijection between their induced
-indexings, restricted accordingly. Stalks and morphisms are read off the
-stratification's one walk over the face poset, and a morphism that is the
-identity is one dict shared by every edge between equal stalks. Global
-sections and obstructed seeds are both read off one pass over the étalé
-graph of the sheaf.
+indexings, restricted accordingly. The sheaf is not always compatible at a
+0-cell v: for v < e < c the chain condition F(e≤c)∘F(v≤e) = F(v≤c) can
+fail at a non-commuting diamond, where the composites through the
+diamond's two 1-cells differ (`tests/test_diamonds.py`). Stalks and
+morphisms are read off the stratification's one walk over the face poset,
+and a morphism that is the identity is one dict shared by every edge
+between equal stalks. Global sections and obstructed seeds are both read
+off one pass over the étalé graph of the sheaf.
 """
 from __future__ import annotations
 
@@ -94,7 +97,10 @@ class CellularSheaf:
 
 def build_sheaf(strat: Stratification,
                 degree: Optional[int] = None) -> CellularSheaf:
-    """Construct the compatible cellular sheaf for a stratification. With a
+    """Construct the cellular sheaf for a stratification: on each face
+    relation, the canonical update bijection from the face's pair set to the
+    coface's. It is not always compatible: at a 0-cell v < e < c a
+    non-commuting diamond can make F(e≤c)∘F(v≤e) differ from F(v≤c). With a
     degree, stalks keep only the pairs whose birth simplex has that dimension
     (essential births included); update bijections preserve the degree, so the
     restriction is again a sheaf of bijections.

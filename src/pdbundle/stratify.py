@@ -346,10 +346,12 @@ class Stratification:
         self.fib = fib
         self.cells = cells
         self.faces = faces
-        self.cofaces: Dict[int, Set[int]] = {c.id: set() for c in cells}
+        cofaces: Dict[int, Set[int]] = {c.id: set() for c in cells}
         for cid, fs in faces.items():
             for f in fs:
-                self.cofaces[f].add(cid)
+                cofaces[f].add(cid)
+        self.cofaces: Dict[int, FrozenSet[int]] = {
+            cid: frozenset(cs) for cid, cs in cofaces.items()}
         self._pair_sets: Optional[Dict[int, PairSet]] = None
         simplices = range(fib.complex.n)
         self.indexings: Dict[int, SimplexIndexing] = {
@@ -370,7 +372,7 @@ class Stratification:
         return self.faces[cid]
 
     def cofaces_of(self, cid: int) -> FrozenSet[int]:
-        return frozenset(self.cofaces[cid])
+        return self.cofaces[cid]
 
     def cell_pairs(self, cid: int) -> PairSet:
         if self._pair_sets is None:

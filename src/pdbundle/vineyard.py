@@ -17,13 +17,13 @@ step. Transposing and relabelling are two steps: a reduction is transposed
 and lists the steps that swapped, and `update_image` relabels a pair set
 along that list, so a walk with no swap needs no relabelling.
 
-The walks between two indexings (`composed_bijection`, `path_vineyard`)
-follow the canonical schedule in one pass, `Reduction.transpose_to`. That
-pass visits only the steps between two simplices of one dimension: a step
-between two dimensions moves positions and nothing else, so the order is
-set once at the end. `swaps_along` transposes step by step along explicit
-positions, for `apply_transpositions` and `transposition_update`. All of
-them take a reduction of their first indexing and transpose a copy of it;
+Every walk between two indexings (`transposition_update`,
+`composed_bijection`, `path_vineyard`) follows the canonical schedule in one
+pass, `Reduction.transpose_to`: a transposition is the one-step schedule to
+the order with its two positions swapped. That pass visits only the steps
+between two simplices of one dimension: a step between two dimensions moves
+positions and nothing else, so the order is set once at the end. The walks
+take a reduction of their first indexing and transpose a copy of it;
 `path_vineyard` carries one reduction and one relabelling through all its
 samples, and a vine's label at a sample is the image of its first label.
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
     InvariantError,
@@ -94,14 +94,6 @@ def _start(source) -> Tuple[Dict[Element, Element], Dict[int, Element]]:
     return {e: e for e in source}, holder
 
 
-def swaps_along(red: Reduction, positions: Sequence[int]) -> List[Tuple[int, int]]:
-    """Transpose `red` in place at each of `positions` in turn. Returns the
-    simplex pairs of the steps that changed the pair set, in order: all of
-    the walk that its relabelling reads."""
-    order = red.order
-    return [(order[k], order[k + 1]) for k in positions if red.transpose(k)]
-
-
 def _relabel(image: Dict[Element, Element], holder: Dict[int, Element],
              swaps: Sequence[Tuple[int, int]]) -> None:
     """Relabel the walk state along `swaps`: at each, the two elements
@@ -116,23 +108,11 @@ def _relabel(image: Dict[Element, Element], holder: Dict[int, Element],
 def update_image(source, swaps: Sequence[Tuple[int, int]]
                  ) -> Dict[Element, Element]:
     """The update bijection from the pair set `source` along a walk with
-    these swaps (`Reduction.transpose_to`, `swaps_along`), as a mapping of
-    source onto the pair set the walk reaches."""
+    these swaps (`Reduction.transpose_to`), as a mapping of source onto the
+    pair set the walk reaches."""
     image, holder = _start(source)
     _relabel(image, holder, swaps)
     return image
-
-
-def _walked(red: Reduction, walk: Callable[[Reduction], List[Tuple[int, int]]]
-            ) -> Tuple[Reduction, PairBijection]:
-    """Walk a copy of the reduction `red` by `walk`, which transposes it in
-    place and returns the swaps: the reduction reached and the update
-    bijection from red's pair set to its pair set."""
-    source = red.elements()
-    reached = red.copy()
-    swaps = walk(reached)
-    return reached, PairBijection(source, reached.elements(),
-                                  update_image(source, swaps))
 
 
 def transposition_update(red: Reduction, k: int
@@ -143,15 +123,12 @@ def transposition_update(red: Reduction, k: int
 
     Rejects transpositions of a face past its coface (the result would not be
     a compatible indexing)."""
-    return apply_transpositions(red, [k])
-
-
-def apply_transpositions(red: Reduction, positions: Sequence[int]
-                         ) -> Tuple[SimplexIndexing, PairBijection]:
-    """Compose transposition updates along an explicit position sequence,
-    from the order of the reduction `red`, which is not changed."""
-    reached, bij = _walked(red, lambda r: swaps_along(r, positions))
-    return reached.indexing(), bij
+    order = list(red.order)
+    if not 0 <= k < len(order) - 1:
+        raise ValidationError(f"transposition position {k} out of range")
+    order[k], order[k + 1] = order[k + 1], order[k]
+    idx = SimplexIndexing(order)
+    return idx, composed_bijection(red, idx)
 
 
 def composed_bijection(red: Reduction, idx1: SimplexIndexing) -> PairBijection:
@@ -159,7 +136,10 @@ def composed_bijection(red: Reduction, idx1: SimplexIndexing) -> PairBijection:
     the order of the reduction `red` (not changed) to idx1. The result
     depends on the sequence in general; fixing the canonical one makes
     downstream constructions deterministic (`Reduction.transpose_to`)."""
-    reached, bij = _walked(red, lambda r: r.transpose_to(idx1))
+    source = red.elements()
+    reached = red.copy()
+    swaps = reached.transpose_to(idx1)
+    bij = PairBijection(source, reached.elements(), update_image(source, swaps))
     if tuple(reached.order) != idx1.order:
         raise InvariantError("canonical sequence failed to reach target indexing")
     return bij

@@ -1,7 +1,7 @@
 """The pair-set walk over the face poset (`Stratification.cell_pairs`), the
 one-pass canonical schedule it walks along (`Reduction.transpose_to`), and
 the sheaf read off the same walk: its stalks against fresh reductions, the
-one pass against `Reduction.transpose` at every step of the plain bubble
+one pass against `stepwise.transpose` at every step of the plain bubble
 sort, and its shared identity morphisms."""
 import random
 from itertools import combinations
@@ -26,6 +26,7 @@ from conftest import (
     random_rational_fibration,
 )
 from rereduction import bubble_schedule
+from stepwise import swaps_along
 from test_cli import C9_3X3
 
 
@@ -62,11 +63,7 @@ def _state(red: Reduction):
 def _stepwise(red: Reduction, idx1: SimplexIndexing):
     """Transpose red at each step of the plain bubble sort to idx1; the
     (moved, passed) simplex pairs of the steps that changed the pair set."""
-    swaps = []
-    for k in bubble_schedule(red.indexing(), idx1):
-        if red.transpose(k):
-            swaps.append((red.order[k], red.order[k + 1]))
-    return swaps
+    return swaps_along(red, bubble_schedule(SimplexIndexing(red.order), idx1))
 
 
 @settings(max_examples=300)

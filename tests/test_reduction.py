@@ -1,6 +1,7 @@
-"""Property tests of the R = D·V decomposition and its transposition update
-(persistence.Reduction), on random small complexes, random compatible
-indexings and random legal transpositions; every illegal one is rejected."""
+"""Property tests of the R = D·V decomposition (persistence.Reduction) and its
+step-by-step transposition update (stepwise.transpose), on random small
+complexes, random compatible indexings and random legal transpositions;
+every illegal one is rejected."""
 import random
 from collections import Counter
 from itertools import combinations
@@ -9,11 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdbundle.complexes import SimplicialComplex, ValidationError, induced_indexing
+from pdbundle.complexes import (
+    SimplexIndexing,
+    SimplicialComplex,
+    ValidationError,
+    induced_indexing,
+)
 from pdbundle.persistence import Reduction, reduce_pairs
 
 from conftest import random_complex, random_monotone_values
 from rereduction import column_reduction_pairs, is_face
+from stepwise import transpose
 
 
 @st.composite
@@ -84,16 +91,16 @@ def test_transposition_update_matches_fresh_reduction():
             order = list(red.order)
             for k in sorted(set(range(K.n - 1)) - set(legal)):
                 with pytest.raises(ValidationError, match="cannot transpose face"):
-                    red.transpose(k)
+                    transpose(red, k)
                 assert red.order == order
             if not legal:
                 return
             k = rng.choice(legal)
             kind = cem06_case(red, k)
             before = red.pair_set()
-            swapped = red.transpose(k)
+            swapped = transpose(red, k)
             after = red.pair_set()
-            assert after == reduce_pairs(K, red.indexing())
+            assert after == reduce_pairs(K, SimplexIndexing(red.order))
             assert swapped == (after != before)
             check_decomposition(red)
             seen[kind, swapped] += 1
@@ -112,8 +119,8 @@ def test_copy_is_independent(case):
     dup = red.copy()
     for k in range(K.n - 1):
         if not is_face(K.simplices[dup.order[k]], K.simplices[dup.order[k + 1]]):
-            dup.transpose(k)
-    assert red.indexing() == idx
+            transpose(dup, k)
+    assert SimplexIndexing(red.order) == idx
     assert red.pair_set() == reduce_pairs(K, idx)
     check_decomposition(red)
 

@@ -10,7 +10,6 @@ from pdbundle.persistence import Reduction, reduce_pairs
 from pdbundle.sheaf import build_sheaf
 from pdbundle.stratify import build_stratification, filtration_at, point_numerators
 from pdbundle.vineyard import (
-    apply_transpositions,
     composed_bijection,
     path_vineyard,
     rational_sample,
@@ -18,6 +17,7 @@ from pdbundle.vineyard import (
 )
 
 import rereduction
+import stepwise
 from conftest import (
     MESHES,
     A,
@@ -74,31 +74,59 @@ def test_transposition_rejects_face_coface(mono_complex):
         transposition_update(Reduction(mono_complex, idx), 8)
 
 
+def _state(red: Reduction):
+    return [list(x) for x in (red.order, red.position, red.R, red.V,
+                              red.low, red.owner)]
+
+
 def test_transposition_dichotomy_random():
+    """At every position k, the out-of-range -1 and n-1 included,
+    `transposition_update` gives the step-by-step reference's indexing and
+    bijection, or raises its error, and leaves the reduction as it was. A
+    legal transposition either keeps the pair set (identity) or swaps its
+    two simplices inside the pairs that hold them."""
     rng = random.Random(21)
-    checked = 0
+    complexes = checked = swapped = faces = 0
     for _ in range(120):
         K = random_complex(rng)
         if K.n < 2:
             continue
-        vals = random_monotone_values(rng, K)
-        idx = induced_indexing(vals, K)
-        k = rng.randrange(K.n - 1)
-        a, b = idx.order[k], idx.order[k + 1]
-        if set(K.simplices[a]) < set(K.simplices[b]):
-            continue
-        idx2, bij = transposition_update(Reduction(K, idx), k)
+        complexes += 1
+        idx = induced_indexing(random_monotone_values(rng, K), K)
+        red = Reduction(K, idx)
+        state = _state(red)
         before = reduce_pairs(K, idx).elements()
-        after = reduce_pairs(K, idx2).elements()
-        if bij.is_identity():
-            assert before == after
-        else:
-            sub = lambda x: b if x == a else (a if x == b else x)
-            swapped = {(sub(p), None if q is None else sub(q)) for p, q in before}
-            assert after == swapped
-            assert {bij.mapping[e] for e in before} == after
-        checked += 1
-    assert checked > 60
+        for k in range(-1, K.n):
+            try:
+                expected = stepwise.apply_transpositions(red, [k])
+            except ValidationError as err:
+                with pytest.raises(ValidationError) as got:
+                    transposition_update(red, k)
+                assert str(got.value) == str(err)
+                if 0 <= k < K.n - 1:
+                    assert str(err).startswith("cannot transpose face ")
+                    faces += 1
+                else:
+                    assert str(err) == f"transposition position {k} out of range"
+                assert _state(red) == state
+                continue
+            idx2, bij = transposition_update(red, k)
+            assert _state(red) == state
+            assert (idx2, bij) == expected
+            a, b = idx.order[k], idx.order[k + 1]
+            assert idx2.order[k:k + 2] == (b, a)
+            after = reduce_pairs(K, idx2).elements()
+            if bij.is_identity():
+                assert before == after
+            else:
+                sub = lambda x: b if x == a else (a if x == b else x)
+                swapped_set = {(sub(p), None if q is None else sub(q))
+                               for p, q in before}
+                assert after == swapped_set
+                assert {bij.mapping[e] for e in before} == after
+                swapped += 1
+            checked += 1
+    assert complexes > 90 and checked > 450 and swapped > 150 and faces > 80
 
 
 def test_composed_identity_and_single_step(mono_complex):
@@ -126,7 +154,7 @@ def test_composed_origin_to_q1_canonical(mono_complex):
 def test_sequence_dependence_nonuniqueness(mono_complex):
     # swapping (c, d) first yields the other of the two valid bijections
     idx0 = induced_indexing(mono_values(0, 0), mono_complex)
-    _, other = apply_transpositions(Reduction(mono_complex, idx0), [C, A])
+    _, other = stepwise.apply_transpositions(Reduction(mono_complex, idx0), [C, A])
     bij = composed_bijection(Reduction(mono_complex, idx0),
                              induced_indexing(mono_values(Fraction(1, 2), Fraction(1, 2)),
                                               mono_complex))
@@ -146,9 +174,10 @@ def test_composed_roundtrip_along_reversed_sequence():
         v1 = random_monotone_values(rng, K)
         i0, i1 = induced_indexing(v0, K), induced_indexing(v1, K)
         moves = rereduction.bubble_schedule(i0, i1)
-        end, fwd = apply_transpositions(Reduction(K, i0), moves)
+        end, fwd = stepwise.apply_transpositions(Reduction(K, i0), moves)
         assert end == i1
-        back_end, back = apply_transpositions(Reduction(K, i1), list(reversed(moves)))
+        back_end, back = stepwise.apply_transpositions(Reduction(K, i1),
+                                                       list(reversed(moves)))
         assert back_end == i0
         assert rereduction.compose(fwd, back).is_identity()
 
