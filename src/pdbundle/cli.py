@@ -79,8 +79,6 @@ def cmd_ph(args: argparse.Namespace) -> None:
     if not isinstance(obj, dict) or obj.get("simplices") is None:
         raise ValidationError("input: missing key 'simplices'")
     K, values = filtered_complex_from_json(obj)
-    if len(values) != K.n:
-        raise ValidationError(f"{len(values)} filtration values for {K.n} simplices")
     problems = list(monotonicity_violations(K.simplices, K.index_of, values))
     if problems:
         raise ValidationError("; ".join(problems))

@@ -25,19 +25,23 @@ from .complexes import (
 Element = Tuple[int, Optional[int]]
 
 
-@dataclass(frozen=True)
-class PairSet:
-    """(birth, death) simplex pairs plus unpaired (essential) births."""
+class PairSet(frozenset):
+    """A pair set: the frozenset of its elements, (birth, death) per finite
+    pair and (birth, None) per essential (unpaired) birth. It equals, and
+    hashes as, the plain frozenset of those elements."""
 
-    pairs: FrozenSet[Tuple[int, int]]
-    essential: FrozenSet[int]
+    __slots__ = ()
 
-    def elements(self) -> FrozenSet[Element]:
-        """Pairs with essential births encoded as (birth, None)."""
-        return frozenset(self.pairs) | frozenset((b, None) for b in self.essential)
+    @property
+    def pairs(self) -> FrozenSet[Tuple[int, int]]:
+        return frozenset(e for e in self if e[1] is not None)
+
+    @property
+    def essential(self) -> FrozenSet[int]:
+        return frozenset(b for b, d in self if d is None)
 
     def elements_of_degree(self, K: SimplicialComplex, q: int) -> FrozenSet[Element]:
-        return frozenset(e for e in self.elements() if K.dim(e[0]) == q)
+        return frozenset(e for e in self if K.dim(e[0]) == q)
 
     def check(self, K: SimplicialComplex, idx: Optional[SimplexIndexing] = None) -> None:
         """Assert the structural invariants; raises ValidationError."""
@@ -131,18 +135,11 @@ class Reduction:
             setattr(dup, name, list(getattr(self, name)))
         return dup
 
-    def pair_set(self) -> PairSet:
-        low, owner = self.low, self.owner
-        return PairSet(
-            pairs=frozenset((r, c) for c, r in enumerate(low) if r >= 0),
-            essential=frozenset(c for c in range(len(low))
-                                if low[c] < 0 and owner[c] < 0))
-
-    def elements(self) -> FrozenSet[Element]:
-        """`pair_set().elements()`, read off in one pass."""
+    def elements(self) -> PairSet:
+        """The pair set of the current order, read off in one pass."""
         owner = self.owner
-        return frozenset((r, c) if r >= 0 else (c, None)
-                         for c, r in enumerate(self.low) if r >= 0 or owner[c] < 0)
+        return PairSet((r, c) if r >= 0 else (c, None)
+                       for c, r in enumerate(self.low) if r >= 0 or owner[c] < 0)
 
     def transpose_to(self, idx1: SimplexIndexing) -> List[Tuple[int, int]]:
         """Transpose this reduction to the order of idx1 along the canonical
@@ -278,7 +275,7 @@ class Reduction:
 def reduce_pairs(K: SimplicialComplex, idx: SimplexIndexing) -> PairSet:
     """The pair set of the boundary matrix ordered by idx, from a fresh
     reduction."""
-    return Reduction(K, idx).pair_set()
+    return Reduction(K, idx).elements()
 
 
 @dataclass(frozen=True)
@@ -301,14 +298,9 @@ def diagram(pairs: PairSet, K: SimplicialComplex, values: Sequence,
     """Degree-q persistence diagram: one point (f(b), f(d)) per degree-q pair
     and (f(b), None) per essential degree-q birth. Zero-persistence points
     are retained."""
-    pts: List[Tuple[object, Optional[object]]] = []
-    for b, d in pairs.pairs:
-        if K.dim(b) == q:
-            pts.append((values[b], values[d]))
-    for b in pairs.essential:
-        if K.dim(b) == q:
-            pts.append((values[b], None))
-    return PersistenceDiagram.from_points(q, pts)
+    return PersistenceDiagram.from_points(
+        q, [(values[b], None if d is None else values[d])
+            for b, d in pairs if K.dim(b) == q])
 
 
 def diagrams_by_degree(pairs: PairSet, K: SimplicialComplex,

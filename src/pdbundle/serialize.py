@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -219,11 +220,11 @@ def element_to_json(K: SimplicialComplex, e: Element) -> List[str]:
 
 
 def elements_to_json(K: SimplicialComplex, elements) -> List[List[str]]:
+    """A pair set, or a stalk, as its sorted elements."""
     return sorted(element_to_json(K, e) for e in elements)
 
 
-def pairset_to_json(K: SimplicialComplex, pairs: PairSet) -> List[List[str]]:
-    return elements_to_json(K, pairs.elements())
+pairset_to_json = elements_to_json
 
 
 def mapping_to_json(K: SimplicialComplex,
@@ -327,8 +328,8 @@ def section_to_json(K: SimplicialComplex, section: SheafSection) -> Dict:
 def sections_to_json(sheaf: CellularSheaf, sections: List[SheafSection],
                      components: List[List[int]]) -> Dict:
     K = sheaf.fib.complex
-    per_component = [sum(1 for s in sections if s.scope == frozenset(comp))
-                     for comp in components]
+    by_scope = Counter(s.scope for s in sections)
+    per_component = [by_scope[frozenset(comp)] for comp in components]
     count = 1
     for c in per_component:
         count *= c

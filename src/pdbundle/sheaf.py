@@ -105,45 +105,42 @@ def build_sheaf(strat: Stratification,
     (essential births included); update bijections preserve the degree, so the
     restriction is again a sheaf of bijections.
 
-    Everything is read off the stratification's walk over the face poset
-    (`Stratification.walk`, stepping from every cell to each of its
-    cofaces): a cell's stalk off the reduction of its tree edge, and the
-    morphism of a face relation off the swaps of the step from the face.
-    A morphism that is the identity on the stalk is the one identity dict
-    of that stalk, and every morphism is checked onto the coface's stalk."""
+    Everything is read off the stratification's one walk over the face
+    poset (`Stratification.walk`, stepping from every cell to each of its
+    cofaces): a cell's stalk off the pair set the walk yields for it, and
+    the morphism of a face relation off the swaps of the step from the
+    face. A morphism that is the identity on the stalk is the one identity
+    dict of that stalk, and each morphism is checked onto the coface's
+    stalk as it is made."""
     K = strat.fib.complex
     dims = [K.dim(i) for i in range(K.n)]
-    distinct: Dict[FrozenSet[Element], FrozenSet[Element]] = {}
+    restricted: Dict[FrozenSet[Element], FrozenSet[Element]] = {}
     identities: Dict[FrozenSet[Element], Dict[Element, Element]] = {}
-    elements: Dict[int, FrozenSet[Element]] = {}
+    pair_sets: Dict[int, FrozenSet[Element]] = {}
     stalks: Dict[int, FrozenSet[Element]] = {}
-    walked: Dict[Tuple[int, int], Dict[Element, Element]] = {}
-    for face, cid, red, swaps in strat.walk(cofaces=True):
-        if cid not in elements:
-            full = red.elements()
-            full = elements[cid] = distinct.setdefault(full, full)
-            stalk = full if degree is None else frozenset(
-                e for e in full if dims[e[0]] == degree)
-            stalk = stalks[cid] = distinct.setdefault(stalk, stalk)
-            if stalk not in identities:
-                identities[stalk] = {e: e for e in stalk}
+    morphisms: Dict[Tuple[int, int], Dict[Element, Element]] = {}
+    for face, cid, pairs, swaps in strat.walk(cofaces=True):
+        if cid not in pair_sets:
+            pair_sets[cid] = pairs
+            stalk = restricted.get(pairs)
+            if stalk is None:
+                stalk = restricted[pairs] = pairs if degree is None else frozenset(
+                    e for e in pairs if dims[e[0]] == degree)
+                identities.setdefault(stalk, {e: e for e in stalk})
+            stalks[cid] = stalk
         if face is None or cid not in strat.cofaces[face]:
             continue
         stalk = stalks[face]
         mapping = identities[stalk]
         if swaps:
-            image = update_image(elements[face], swaps)
+            image = update_image(pair_sets[face], swaps)
             if any(image[e] != e for e in stalk):
                 mapping = {e: image[e] for e in stalk}
-        walked[(face, cid)] = mapping
-    morphisms: Dict[Tuple[int, int], Dict[Element, Element]] = {}
-    for cell in strat.cells:
-        target = stalks[cell.id]
-        for face in sorted(strat.faces_of(cell.id)):
-            mapping = morphisms[(face, cell.id)] = walked[(face, cell.id)]
-            if mapping is not identities[target] and set(mapping.values()) != target:
-                raise InvariantError(
-                    f"morphism {face} -> {cell.id} is not onto the coface stalk")
+        target = stalks[cid]
+        if mapping is not identities[target] and set(mapping.values()) != target:
+            raise InvariantError(
+                f"morphism {face} -> {cid} is not onto the coface stalk")
+        morphisms[(face, cid)] = mapping
     return CellularSheaf(strat, degree, [c.id for c in strat.cells],
                          {c.id: stalks[c.id] for c in strat.cells}, morphisms)
 

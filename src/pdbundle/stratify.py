@@ -30,12 +30,12 @@ simplex order is a sort of the integer value numerators at its
 representative point over their common positive denominator.
 
 Neighbouring cells differ in their orders by a few transpositions, and very
-many orders share one pair set. So every cell's reduction comes from one
+many orders share one pair set. So every cell's pair set comes from one
 breadth-first walk over the face poset (`Stratification.walk`): one full
 reduction per connected component, then, along each tree edge, the parent's
-reduction transposed into the child's order. The pair sets of all cells
-(`Stratification.cell_pairs`) and the sheaf (`sheaf.build_sheaf`) are read
-off that walk.
+reduction transposed into the child's order, off which the child's pair
+set is read. The pair sets of all cells (`Stratification.cell_pairs`) and
+the sheaf (`sheaf.build_sheaf`) are the walk's.
 """
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .complexes import (
@@ -337,8 +338,8 @@ class Stratification:
     positive denominator: the order `induced_indexing` gives those values.
     The fibration is monotone there, since it is at every mesh vertex.
 
-    `cell_pairs` reads from a table of pair sets that the first call fills
-    from the walk (`_walk_pair_sets`), so a cell order is never reduced from
+    `cell_pairs` reads from the table of the pair sets that one walk
+    yields, built on the first call, so a cell order is never reduced from
     scratch, except one per connected component."""
 
     def __init__(self, fib: PLFibration, cells: List[Cell],
@@ -352,18 +353,11 @@ class Stratification:
                 cofaces[f].add(cid)
         self.cofaces: Dict[int, FrozenSet[int]] = {
             cid: frozenset(cs) for cid, cs in cofaces.items()}
-        self._pair_sets: Optional[Dict[int, PairSet]] = None
         simplices = range(fib.complex.n)
         self.indexings: Dict[int, SimplexIndexing] = {
             c.id: SimplexIndexing(sorted(simplices,
                                          key=_rep_numerators(fib, c).__getitem__))
             for c in cells}
-        self._cells_by_triangle: Dict[int, List[Cell]] = {}
-        for c in cells:
-            for t in c.triangles:
-                self._cells_by_triangle.setdefault(t, []).append(c)
-        for lst in self._cells_by_triangle.values():
-            lst.sort(key=lambda c: (c.dim, c.id))
 
     def cell(self, cid: int) -> Cell:
         return self.cells[cid]
@@ -375,36 +369,48 @@ class Stratification:
         return self.cofaces[cid]
 
     def cell_pairs(self, cid: int) -> PairSet:
-        if self._pair_sets is None:
-            self._pair_sets = self._walk_pair_sets()
-        return self._pair_sets[cid]
+        return self._pair_table[cid]
+
+    @cached_property
+    def _pair_table(self) -> Dict[int, PairSet]:
+        return {w: pairs for _, w, pairs, _ in self.walk()}
 
     def walk(self, cofaces: bool = False
-             ) -> Iterator[Tuple[Optional[int], int, Reduction, List[Tuple[int, int]]]]:
+             ) -> Iterator[Tuple[Optional[int], int, PairSet, List[Tuple[int, int]]]]:
         """One breadth-first walk over the face relations (faces and
         cofaces). It yields each step from a cell u to a cell w as (u, w,
-        reduction, swaps): a copy of u's reduction transposed along the
-        canonical schedule to w's order in one pass (u's own, when the two
-        orders are equal), and the simplex pairs that the transpositions
-        changing the pair set swapped (`Reduction.transpose_to`). That pass
-        visits only the steps between two simplices of one dimension, the
-        only ones that can change R, V or the pair set; the other steps move
-        positions only, and the order is set once. The first cell of each
-        connected component is yielded as (None, w, reduction, []), reduced
-        in full; the first step to any other cell is its tree edge, which
-        gives the cell its reduction. With `cofaces`, each cell also steps
-        to every coface reached before, so that every face relation is
-        walked from its face exactly once. Reductions are not changed after
-        they are yielded, and only those of the walk's frontier stay
-        alive."""
+        pairs, swaps): w's pair set, and the simplex pairs that the
+        transpositions changing the pair set swapped on the way from u's
+        order to w's (`Reduction.transpose_to`). A step carries a copy of
+        u's reduction to w's order along the canonical schedule in one pass
+        (u's own, when the two orders are equal); that pass visits only the
+        steps between two simplices of one dimension, the only ones that can
+        change R, V or the pair set. The first cell of each connected
+        component is yielded as (None, w, pairs, []), reduced in full; the
+        first step to any other cell is its tree edge, which gives the cell
+        its reduction. With `cofaces`, each cell also steps to every coface
+        reached before, so that every face relation is walked from its face
+        exactly once. Every cell's pair set is read off its own reduction:
+        the lowest ones of R fix the pair set, so they key one pair set
+        object per distinct pair set, read once (`Reduction.elements`).
+        Only the reductions of the walk's frontier stay alive."""
         K = self.fib.complex
+        distinct: Dict[Tuple[int, ...], PairSet] = {}
+
+        def pairs_of(red: Reduction) -> PairSet:
+            low = tuple(red.low)
+            pairs = distinct.get(low)
+            if pairs is None:
+                pairs = distinct[low] = red.elements()
+            return pairs
+
         seen: Set[int] = set()
         for root in self.cells:
             if root.id in seen:
                 continue
             seen.add(root.id)
             red = Reduction(K, self.indexings[root.id])
-            yield None, root.id, red, []
+            yield None, root.id, pairs_of(red), []
             queue = deque([(root.id, red)])
             while queue:
                 u, red = queue.popleft()
@@ -417,28 +423,19 @@ class Stratification:
                     if self.indexings[u] != self.indexings[w]:
                         child = red.copy()
                         swaps = child.transpose_to(self.indexings[w])
-                    yield u, w, child, swaps
+                    yield u, w, pairs_of(child), swaps
                     if new:
                         seen.add(w)
                         queue.append((w, child))
 
-    def _walk_pair_sets(self) -> Dict[int, PairSet]:
-        """Every cell's pair set, read off the walk. A pair set depends only
-        on the indexing, so a cell whose indexing was reached before takes
-        that pair set, and a cell reached by transpositions none of which
-        changed the pair set takes its parent's. Equal pair sets are one
-        object."""
-        table: Dict[int, PairSet] = {}
-        by_order: Dict[SimplexIndexing, PairSet] = {}
-        distinct: Dict[PairSet, PairSet] = {}
-        for parent, cid, red, swaps in self.walk():
-            idx = self.indexings[cid]
-            if idx not in by_order:
-                unchanged = parent is not None and not swaps
-                ps = table[parent] if unchanged else red.pair_set()
-                by_order[idx] = distinct.setdefault(ps, ps)
-            table[cid] = by_order[idx]
-        return table
+    @cached_property
+    def _cells_by_triangle(self) -> Dict[int, List[Cell]]:
+        """The cells on each base triangle, low dimensions first."""
+        by_triangle: Dict[int, List[Cell]] = {}
+        for c in sorted(self.cells, key=lambda c: (c.dim, c.id)):
+            for t in c.triangles:
+                by_triangle.setdefault(t, []).append(c)
+        return by_triangle
 
     def locate(self, p: Point) -> Cell:
         """The unique cell containing p; cells of low dimension are tested

@@ -67,8 +67,8 @@ def column_reduction_pairs(K: SimplicialComplex, idx: SimplexIndexing) -> PairSe
             pairs.append((idx.order[col[-1]], idx.order[j]))
         else:
             births.append(j)
-    essential = frozenset(idx.order[j] for j in births if j not in low_owner)
-    return PairSet(pairs=frozenset(pairs), essential=essential)
+    essential = [(idx.order[j], None) for j in births if j not in low_owner]
+    return PairSet(pairs + essential)
 
 
 class ReducedPairs(dict):
@@ -132,7 +132,7 @@ def transposition_update(pairs: ReducedPairs, idx: SimplexIndexing, k: int
     if is_face(K.simplices[a], K.simplices[b]):
         raise ValidationError("cannot transpose a face past its coface")
     idx2 = transposed(idx, k)
-    src, tgt = pairs[idx].elements(), pairs[idx2].elements()
+    src, tgt = pairs[idx], pairs[idx2]
     if src == tgt:
         return idx2, identity(src)
     return idx2, PairBijection(src, tgt, {e: _swap_element(e, a, b) for e in src})
@@ -141,7 +141,7 @@ def transposition_update(pairs: ReducedPairs, idx: SimplexIndexing, k: int
 def apply_transpositions(pairs: ReducedPairs, idx: SimplexIndexing,
                          positions: Sequence[int]
                          ) -> Tuple[SimplexIndexing, PairBijection]:
-    bij = identity(pairs[idx].elements())
+    bij = identity(pairs[idx])
     for k in positions:
         idx, step = transposition_update(pairs, idx, k)
         bij = compose(bij, step)
@@ -161,7 +161,7 @@ def path_vineyard(K: SimplicialComplex, filtrations: Sequence[Sequence]
     loop bijection, with the sample parameters 0, 1, 2, ..."""
     pairs = ReducedPairs(K)
     indexings = [induced_indexing(f, K) for f in filtrations]
-    first = pairs[indexings[0]].elements()
+    first = pairs[indexings[0]]
     total = identity(first)
     current = {e: e for e in first}
     vines: Dict[Element, Tuple[list, list]] = {e: ([], []) for e in first}
@@ -211,7 +211,7 @@ def sheaf_morphisms(strat, pairs: ReducedPairs, degrees: Sequence[Optional[int]]
 
     def stalk(cid, degree):
         ps = pairs[strat.indexings[cid]]
-        return ps.elements() if degree is None else ps.elements_of_degree(K, degree)
+        return ps if degree is None else ps.elements_of_degree(K, degree)
 
     return {degree: {edge: {e: bij.mapping[e] for e in stalk(edge[0], degree)}
                      for edge, bij in bijections.items()}

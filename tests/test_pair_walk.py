@@ -195,7 +195,7 @@ def test_build_sheaf_reduces_one_order_per_component(monkeypatch, case):
         for cell in strat.cells:
             pairs = reduce_pairs(K, strat.indexings[cell.id])
             assert sheaf.stalks[cell.id] == (
-                pairs.elements() if degree is None
+                pairs if degree is None
                 else pairs.elements_of_degree(K, degree))
 
 

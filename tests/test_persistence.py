@@ -51,7 +51,7 @@ def test_diagram_examples(mono_complex):
     assert set(dg.points) == {(Fraction(5, 2), Fraction(21, 2)),
                               (Fraction(3, 2), Fraction(19, 2))}
     # empty pair set -> empty diagram
-    empty = PairSet(frozenset(), frozenset())
+    empty = PairSet()
     assert diagram(empty, mono_complex, vals, 1).points == ()
     # zero-persistence points are retained
     K = SimplicialComplex([[0], [1], [0, 1]])

@@ -97,9 +97,9 @@ def test_transposition_update_matches_fresh_reduction():
                 return
             k = rng.choice(legal)
             kind = cem06_case(red, k)
-            before = red.pair_set()
+            before = red.elements()
             swapped = transpose(red, k)
-            after = red.pair_set()
+            after = red.elements()
             assert after == reduce_pairs(K, SimplexIndexing(red.order))
             assert swapped == (after != before)
             check_decomposition(red)
@@ -121,7 +121,7 @@ def test_copy_is_independent(case):
         if not is_face(K.simplices[dup.order[k]], K.simplices[dup.order[k + 1]]):
             transpose(dup, k)
     assert SimplexIndexing(red.order) == idx
-    assert red.pair_set() == reduce_pairs(K, idx)
+    assert red.elements() == reduce_pairs(K, idx)
     check_decomposition(red)
 
 

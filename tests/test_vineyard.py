@@ -95,7 +95,7 @@ def test_transposition_dichotomy_random():
         idx = induced_indexing(random_monotone_values(rng, K), K)
         red = Reduction(K, idx)
         state = _state(red)
-        before = reduce_pairs(K, idx).elements()
+        before = reduce_pairs(K, idx)
         for k in range(-1, K.n):
             try:
                 expected = stepwise.apply_transpositions(red, [k])
@@ -115,7 +115,7 @@ def test_transposition_dichotomy_random():
             assert (idx2, bij) == expected
             a, b = idx.order[k], idx.order[k + 1]
             assert idx2.order[k:k + 2] == (b, a)
-            after = reduce_pairs(K, idx2).elements()
+            after = reduce_pairs(K, idx2)
             if bij.is_identity():
                 assert before == after
             else:
@@ -199,7 +199,7 @@ def test_path_vineyard_matches_fresh_reduction(mono_complex):
              for _ in range(12)]
     vines, _ = path_vineyard(mono_complex, [rational_sample(f) for f in filts])
     for j, vals in enumerate(filts):
-        fresh = pairs_for_filtration(mono_complex, vals).elements()
+        fresh = pairs_for_filtration(mono_complex, vals)
         tracked = {vine.labels[j] for vine in vines}
         assert tracked == fresh
 
