@@ -3,18 +3,26 @@
 size, each rung in its own child process under an address-space and a wall
 limit.
 
-    python3 bench/ladder.py --src SRC --label NAME [--out FILE]
+    python3 bench/ladder.py --src SRC --label NAME [--src SRC --label NAME ...]
+                            [--out FILE]
 
-SRC is the `src/` directory of the checkout to measure, so one copy of this
-script measures a change and its parent alike. The rungs (SIZES) are the
-c9-formula images at n×n for n = 2..6 (the acceptance test's pixel formula;
-67 simplices at 3×3, 241 at 6×6), each over one base triangle. The stages,
-run in this order in one process, are the load (`fibration_from_json` of
-the rung's canonical fibration JSON, then its triangle table; the text is
-written before timing, and the time is the least of LOAD_REPEATS loads),
-`build_stratification`, the pair-set walk (the first `cell_pairs` call),
-`build_sheaf(degree=1)` and `monodromy_scan`. The stages after the load run
-on the generated fibration, as they did before the load stage was added.
+SRC is the `src/` directory of a checkout to measure, so one copy of this
+script measures a change and its parent alike. Given several checkouts, each
+rung runs them in turn, the first one first on even rungs and last on odd
+ones, so that drift of the host between the runs of one rung stays small.
+The rungs (SIZES) are the c9-formula images at n×n for n = 2..6 (the
+acceptance test's pixel formula; 67 simplices at 3×3, 241 at 6×6), each over
+one base triangle. The stages, run in this order in one process, are the
+load (`fibration_from_json` of the rung's canonical fibration JSON, then its
+triangle table; the text is written before timing, and the time is the least
+of LOAD_REPEATS loads), the vineyard at each of VINE_STEPS
+(`point_numerators`, `path_vineyard` and `vines_to_csv` along PENTAGON, a
+fixed closed pentagon strictly inside the weight triangle, each side cut into
+that many steps; it runs before `build_stratification`, so that it runs on
+every rung, and keeps nothing alive after it), `build_stratification`, the
+pair-set walk (the first `cell_pairs` call), `build_sheaf(degree=1)` and
+`monodromy_scan`. The stages after the load run on the generated fibration,
+as they did before the load stage was added.
 A stage whose first run takes under REPEAT_UNDER_S seconds runs REPEATS
 times in all: its record holds every run's time as `runs_s` and the least as
 `s`. Each walk after the first runs on a fresh `Stratification` of the same
@@ -27,12 +35,13 @@ A child sets `RLIMIT_AS` on itself only (AS_MB), and is stopped at the wall
 limit (WALL_S).
 A stage that runs out of memory or time is recorded as "memory" or
 "timeout", and the stages after it as "not run"; a rung is never dropped
-and its size never reduced. With --out, the run is stored in FILE under
-`runs[NAME]`, next to the runs already there.
+and its size never reduced. With --out, each checkout's run is stored in
+FILE under `runs[NAME]`, next to the runs already there.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,9 +50,13 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
-STAGES = ["load", "stratify", "walk", "sheaf", "monodromy"]
+VINE_STEPS = (12, 120)
+PENTAGON = [(3, 1), (6, 2), (5, 4), (2, 6), (1, 3)]   # in tenths of a weight
+STAGES = (["load"] + [f"vineyard-{steps}" for steps in VINE_STEPS]
+          + ["stratify", "walk", "sheaf", "monodromy"])
 SIZES = range(2, 7)
 AS_MB, WALL_S = 3072, 600
 LOAD_REPEATS = 5
@@ -57,6 +70,17 @@ def c9_ppm(n: int) -> str:
                  for c in range(n)) for r in range(n)) + "\n"
 
 
+def pentagon_path(steps: int) -> list:
+    """PENTAGON's sides, each cut into `steps` equal steps, closed by its
+    first point: 5·steps + 1 base points, all strictly inside the weight
+    triangle w1, w2 > 0, w1 + w2 < 1."""
+    corners = [(Fraction(x, 10), Fraction(y, 10)) for x, y in PENTAGON]
+    points = [tuple(a + (b - a) * Fraction(k, steps) for a, b in zip(p, q))
+              for p, q in zip(corners, corners[1:] + corners[:1])
+              for k in range(steps)]
+    return points + points[:1]
+
+
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
@@ -68,9 +92,12 @@ def run_rung(src: str, n: int) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     sys.path.insert(0, src)
     from pdbundle.generators import gen_image_fibration
-    from pdbundle.serialize import canonical_dumps, fibration_from_json, fibration_to_json
+    from pdbundle.serialize import (canonical_dumps, fibration_from_json,
+                                    fibration_to_json, vines_to_csv)
     from pdbundle.sheaf import build_sheaf, monodromy_scan
-    from pdbundle.stratify import Stratification, build_stratification
+    from pdbundle.stratify import (Stratification, build_stratification,
+                                   point_numerators)
+    from pdbundle.vineyard import path_vineyard
 
     fib = gen_image_fibration(c9_ppm(n))[0]
     text = canonical_dumps(fibration_to_json(fib))
@@ -83,6 +110,19 @@ def run_rung(src: str, n: int) -> None:
             fibration_from_json(json.loads(text)).table(0)
             best = min(best, time.perf_counter() - t0)
         return {"bytes": len(text), "s": best}
+
+    def vineyard(steps):
+        path = pentagon_path(steps)
+        t0 = time.perf_counter()
+        samples = [point_numerators(fib, p) for p in path]
+        vines, _ = path_vineyard(fib.complex, samples)
+        csv = vines_to_csv(fib.complex, vines)
+        seconds = time.perf_counter() - t0
+        orders = [sorted(range(fib.complex.n), key=nums.__getitem__)
+                  for nums, _ in samples]
+        return {"s": seconds, "samples": len(samples),
+                "order_changes": sum(a != b for a, b in zip(orders, orders[1:])),
+                "csv_bytes": len(csv)}
 
     def stratify():
         found.pop("strat", None)
@@ -116,7 +156,9 @@ def run_rung(src: str, n: int) -> None:
                 "nontrivial_loops": sum(loop.nontrivial for loop in report.loops),
                 "obstructed_seeds": len(report.obstructed_seeds)}
 
-    for name, stage in zip(STAGES, (load, stratify, walk, sheaf, monodromy)):
+    vineyards = [functools.partial(vineyard, steps) for steps in VINE_STEPS]
+    for name, stage in zip(STAGES, [load, *vineyards, stratify, walk, sheaf,
+                                    monodromy]):
         runs = []
         try:
             while not runs or len(runs) < REPEATS and runs[0] < REPEAT_UNDER_S:
@@ -165,31 +207,38 @@ def main() -> int:
         run_rung(sys.argv[3], int(sys.argv[2]))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", required=True)
-    parser.add_argument("--label", required=True)
+    parser.add_argument("--src", action="append", required=True)
+    parser.add_argument("--label", action="append", required=True)
     parser.add_argument("--out")
     args = parser.parse_args()
-    src = str(Path(args.src).resolve())
-    rungs = []
+    if len(args.src) != len(args.label):
+        parser.error("give one --label per --src")
+    checkouts = [(label, str(Path(src).resolve()))
+                 for label, src in zip(args.label, args.src)]
+    runs = {label: [] for label, _ in checkouts}
     for n in SIZES:
-        rungs.append(measure(src, n))
-        print(json.dumps(rungs[-1]), flush=True)
+        for label, src in checkouts[::1 if n % 2 == 0 else -1]:
+            runs[label].append(measure(src, n))
+            print(json.dumps({"label": label, **runs[label][-1]}), flush=True)
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {}
         doc.update({
             "ladder": "c9-formula images at n×n, one base triangle",
-            "stages": "load (least of %d), stratify, pair-set walk, "
-                      "build_sheaf(degree=1), monodromy_scan; a stage whose "
-                      "first run takes under %g s runs %d times, with every "
-                      "run in runs_s and the least in s; peak_rss_mb is the "
-                      "process peak after each stage"
-                      % (LOAD_REPEATS, REPEAT_UNDER_S, REPEATS),
+            "stages": "load (least of %d), vineyard-N (point_numerators, "
+                      "path_vineyard and vines_to_csv along a closed pentagon "
+                      "with N steps a side, for N in %s), stratify, pair-set "
+                      "walk, build_sheaf(degree=1), monodromy_scan; a stage "
+                      "whose first run takes under %g s runs %d times, with "
+                      "every run in runs_s and the least in s; peak_rss_mb is "
+                      "the process peak after each stage"
+                      % (LOAD_REPEATS, list(VINE_STEPS), REPEAT_UNDER_S,
+                         REPEATS),
             "limits": {"address_space_mb": AS_MB, "wall_s": WALL_S},
             "machine": {"python": platform.python_version(),
                         "cpus": os.cpu_count()},
         })
-        doc.setdefault("runs", {})[args.label] = rungs
+        doc.setdefault("runs", {}).update(runs)
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

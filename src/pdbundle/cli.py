@@ -155,6 +155,8 @@ def cmd_gen_image(args: argparse.Namespace) -> None:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {args.input}: {exc}") from exc
+    except ValueError as exc:   # not UTF-8
+        raise ValidationError(f"{args.input} is not UTF-8 text: {exc}") from exc
     fib, metadata = gen_image_fibration(text)
     _write_text(args.output, canonical_dumps(fibration_to_json(fib, metadata)))
 

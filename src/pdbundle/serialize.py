@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -366,13 +367,45 @@ def vines_to_csv(K: SimplicialComplex, vines) -> str:
     the literal inf. A value is the float nearest to it: the numerator over
     the sample's denominator in int true division, which rounds correctly
     (and so equals float() of the reduced Fraction). The vines of a path
-    share their params, which are formatted once."""
+    share their params and their values, so each param, and each distinct
+    value of a sample, is formatted once. A value too large for a float
+    raises ValidationError, naming the vine of the first row that holds one."""
     lines = ["vine_id,t,birth,death"]
-    params, ts = None, []
+    params = values = None
     for vid, vine in enumerate(vines):
         if vine.params is not params:
             params, ts = vine.params, [repr(float(t)) for t in vine.params]
-        for t, (nums, den), (b, d) in zip(ts, vine.values, vine.labels):
-            death = "inf" if d is None else repr(nums[d] / den)
-            lines.append(f"{vid},{t},{repr(nums[b] / den)},{death}")
+        if vine.values is not values:
+            values = vine.values
+            texts = [_value_texts(nums, den) for nums, den in values]
+            fits = all(None not in text.values() for text in texts)
+        if not fits:
+            _check_fits(vid, ts, texts, vine)
+        for t, text, (nums, _), (b, d) in zip(ts, texts, values, vine.labels):
+            death = "inf" if d is None else text[nums[d]]
+            lines.append(f"{vid},{t},{text[nums[b]]},{death}")
     return "\n".join(lines) + "\n"
+
+
+def _value_texts(nums: Sequence[int], den: int) -> Dict[int, Optional[str]]:
+    """repr(v / den) of each distinct numerator v of one sample, or None where
+    the value is too large for a float."""
+    texts: Dict[int, Optional[str]] = {}
+    for v in set(nums):
+        try:
+            texts[v] = repr(v / den)
+        except OverflowError:
+            texts[v] = None
+    return texts
+
+
+def _check_fits(vid: int, ts: Sequence[str],
+                texts: Sequence[Dict[int, Optional[str]]], vine) -> None:
+    """Raise ValidationError at the first birth or death of the vine, in row
+    order, that is too large for a float (that has no text)."""
+    for t, text, (nums, den), (b, d) in zip(ts, texts, vine.values, vine.labels):
+        for x in (b,) if d is None else (b, d):
+            if text[nums[x]] is None:
+                raise ValidationError(
+                    f"vine {vid} at t={t}: value {Decimal(nums[x]) / den:.17g} "
+                    f"is too large for a float")

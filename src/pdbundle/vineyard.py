@@ -26,6 +26,10 @@ positions and nothing else, so the order is set once at the end. The walks
 take a reduction of their first indexing and transpose a copy of it;
 `path_vineyard` carries one reduction and one relabelling through all its
 samples, and a vine's label at a sample is the image of its first label.
+Its cost follows the path's order changes: every sample is sorted once, and
+only a sample whose order differs from the previous sample's is checked
+monotone, indexed, walked to with `transpose_to` and read off the
+relabelling; a sample of an unchanged order repeats the labels before it.
 
 A path sample is integer: every simplex's value times one positive integer,
 as a base triangle's affine table gives it. It is ordered, checked and
@@ -37,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
@@ -193,7 +198,8 @@ def path_vineyard(K: SimplicialComplex, samples: Sequence[Sample],
     of the simplices by numerator, the order `induced_indexing` gives the
     values, and a sample that is not a filtration on K raises
     ValidationError. The first sample is reduced once, and that reduction and
-    one relabelling of its elements are carried through the rest.
+    one relabelling of its elements are carried through the rest; only where
+    the order changes is a sample checked and the reduction walked.
 
     Consecutive samples should be close enough that the canonical bijection
     between them matches the crossing structure of the underlying path;
@@ -204,29 +210,45 @@ def path_vineyard(K: SimplicialComplex, samples: Sequence[Sample],
     samples = list(samples)
     if len(params) != len(samples):
         raise ValidationError("params and filtrations differ in length")
-    pairs = K.facet_pairs
 
-    def indexing(nums: Sequence[int], den: int) -> SimplexIndexing:
+    def order_of(nums: Sequence[int], den: int) -> List[int]:
         if den <= 0:
             raise ValidationError(f"sample denominator {den} is not positive")
-        if len(nums) != K.n or any(nums[j] > nums[i] for j, i in pairs):
+        if len(nums) != K.n:
+            check_monotone(K, nums)   # raises on the length
+        return sorted(range(K.n), key=nums.__getitem__)
+
+    def checked(order: List[int], nums: Sequence[int], den: int
+                ) -> SimplexIndexing:
+        # K lists faces before cofaces, so a stable sort by value is a
+        # filtration order exactly when the values are monotone: a sample
+        # whose order equals one checked here is monotone without a check.
+        if any(nums[j] > nums[i] for j, i in K.facet_pairs):
             # raises on the first violation, worded as for rational values
             check_monotone(K, [Fraction(v, den) for v in nums])
-        return SimplexIndexing(sorted(range(K.n), key=nums.__getitem__))
+        return SimplexIndexing(order)
 
-    prev = indexing(*samples[0])
-    red = Reduction(K, prev)
+    prev = order_of(*samples[0])
+    red = Reduction(K, checked(prev, *samples[0]))
     first = red.elements()
     target = first
     image, holder = _start(first)
-    vines = [Vine(params, samples, [e]) for e in sorted(first)]
+    starts = sorted(first)
+    # per run of consecutive samples of one order: its labels and its length
+    labels, counts = [starts], [1]
     for nums, den in samples[1:]:
-        idx = indexing(nums, den)
-        if idx != prev:
-            _relabel(image, holder, red.transpose_to(idx))
-            target = red.elements()
-            _check_onto(image, target)
-        for vine in vines:
-            vine.labels.append(image[vine.labels[0]])
-        prev = idx
+        order = order_of(nums, den)
+        if order == prev:
+            counts[-1] += 1
+            continue
+        _relabel(image, holder, red.transpose_to(checked(order, nums, den)))
+        target = red.elements()
+        _check_onto(image, target)
+        labels.append([image[e] for e in starts])
+        counts.append(1)
+        prev = order
+    vines = [Vine(params, samples, []) for _ in starts]
+    for run, count in zip(labels, counts):
+        for vine, label in zip(vines, run):
+            vine.labels.extend(repeat(label, count))
     return vines, PairBijection(first, target, image)

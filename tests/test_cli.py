@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdbundle
 from pdbundle.cli import build_parser, main
@@ -194,6 +197,75 @@ def test_gen_image_command(tmp_path, capsys):
     bad = write(tmp_path, "bad.ppm", "P3\n2 1 255\n10 20\n")
     code, _, err = run(["gen-image", "--input", bad], capsys)
     assert code == 1 and "PPM" in err
+
+
+# -- the exit-code contract of `gen-image` on malformed PPM text ---------------
+
+ppm_token = st.one_of(
+    st.integers(-3, 300).map(str), st.sampled_from(
+        ["P3", "P6", "p3", "#", "# c", "0x1", "1.5", "1e2", "1_0", "-0", "+2",
+         "\u0663", "\u00b2", "9" * 5000, "nan", ""]),
+    st.text(max_size=3))
+
+
+@st.composite
+def ppm_texts(draw):
+    """Bytes near a small valid P3 image: its tokens, some dropped, doubled
+    or replaced, joined by random whitespace or comments, then maybe cut
+    short or given bytes that are not UTF-8; or random text or bytes."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return draw(st.text(max_size=30)).encode("utf-8", "surrogatepass")
+    if kind == 1:
+        return draw(st.binary(max_size=30))
+    w, h, maxval = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(
+        st.integers(1, 255))
+    tokens = ["P3", str(w), str(h), str(maxval)] + [
+        str(draw(st.integers(0, maxval))) for _ in range(3 * w * h)]
+    # kind 2 may stay valid; the others are edited at least once
+    for _ in range(draw(st.integers(0 if kind == 2 else 1, 3))):
+        k = draw(st.integers(0, len(tokens) - 1))
+        how = draw(st.integers(0, 2))
+        if how == 0:
+            del tokens[k]
+        elif how == 1:
+            tokens.insert(k, tokens[k])
+        else:
+            tokens[k] = draw(ppm_token)
+    text = "".join(t + draw(st.sampled_from([" ", "\n", "\t", "\r\n", " # c\n",
+                                             "\x0b", "\u2028"]))
+                   for t in tokens).encode("utf-8", "surrogatepass")
+    if kind == 4:
+        text = text[:draw(st.integers(0, len(text)))]
+    if kind == 5:
+        k = draw(st.integers(0, len(text)))
+        bad = draw(st.sampled_from([b"\xe9", b"\xff\xfe", b"\x80"]))
+        text = text[:k] + bad + text[k:]
+    return text
+
+
+@pytest.fixture(scope="module")
+def ppm_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("gen-image-contract")
+
+
+@settings(max_examples=200)
+@given(data=ppm_texts())
+def test_gen_image_on_malformed_ppm_exits_0_or_1(ppm_dir, data):
+    """Exit 0 with no error output, or exit 1 with one `error:` line: never
+    an uncaught exception, and never exit 2."""
+    ppm = ppm_dir / "img.ppm"
+    ppm.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gen-image", "--input", str(ppm),
+                     "--output", str(ppm_dir / "fib.json")])
+    if code == 0:
+        assert err.getvalue() == "", (data, err.getvalue())
+    else:
+        assert code == 1 and out.getvalue() == "", (data, code)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (data, lines)
 
 
 def test_constant_fibration_sections_count(tmp_path, capsys):

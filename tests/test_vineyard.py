@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdbundle.complexes import SimplicialComplex, ValidationError, induced_indexing
 from pdbundle.generators import gen_image_fibration
 from pdbundle.persistence import Reduction, reduce_pairs
+from pdbundle.serialize import vines_to_csv
 from pdbundle.sheaf import build_sheaf
 from pdbundle.stratify import build_stratification, filtration_at, point_numerators
 from pdbundle.vineyard import (
@@ -18,6 +20,7 @@ from pdbundle.vineyard import (
 
 import rereduction
 import stepwise
+import vine_oracle
 from conftest import (
     MESHES,
     A,
@@ -308,3 +311,74 @@ def test_path_vineyard_matches_rereduction(differential_strats, mono_complex):
         oracle_vines, oracle_loop = rereduction.path_vineyard(K, filts)
         assert [(v.samples, v.labels) for v in vines] == oracle_vines
         assert loop == oracle_loop
+
+
+HUGE = 10 ** 400    # a scale past which most values no longer fit a float
+
+
+@st.composite
+def vine_paths(draw):
+    """A random complex and a sequence of samples of a few monotone bases,
+    each moved by a positive scale and a shift over a random denominator, so
+    orders repeat while values change. Ties are frequent, one path in three
+    may scale samples by HUGE, past float range, and a sample that is
+    non-monotone, of the wrong length or with a denominator <= 0 may sit at
+    any position."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    K = random_complex(rng, max_vertices=5)
+    while not K.facet_pairs:    # at least one edge, so that orders can move
+        K = random_complex(rng, max_vertices=5)
+    bases = [random_monotone_values(rng, K, max_step=2)
+             for _ in range(draw(st.integers(1, 3)))]
+    scales = [1, 2, 7] + [HUGE] * (draw(st.integers(0, 2)) == 0)
+    samples = []
+    for _ in range(draw(st.integers(1, 10))):
+        scale = draw(st.sampled_from(scales))
+        shift = draw(st.integers(-3, 3))
+        samples.append(([scale * x + shift for x in draw(st.sampled_from(bases))],
+                         draw(st.integers(1, 4))))
+    bad = draw(st.sampled_from([None] * 4 + ["non-monotone", "short", "long",
+                                             "denominator"]))
+    if bad is not None:
+        nums = list(draw(st.sampled_from(bases)))
+        den = 1
+        if bad == "non-monotone":
+            j, i = draw(st.sampled_from(K.facet_pairs))
+            nums[j] = nums[i] + draw(st.integers(1, 3))
+        elif bad == "short":
+            nums.pop()
+        elif bad == "long":
+            nums.append(0)
+        else:
+            den = draw(st.integers(-2, 0))
+        samples.insert(draw(st.integers(0, len(samples))), (nums, den))
+    params = draw(st.none() | st.just([Fraction(k, 3) for k in range(len(samples))]))
+    return K, samples, params
+
+
+def _vineyard_outcome(vineyard, to_csv, K, samples, params):
+    """The vines, loop and CSV of a path, or the error that ended it."""
+    try:
+        vines, loop = vineyard(K, samples, params)
+    except Exception as exc:
+        return type(exc), str(exc)
+    try:
+        csv = to_csv(K, vines)
+    except Exception as exc:
+        csv = type(exc), str(exc)
+    return ([(v.params, v.values, v.labels) for v in vines],
+            (loop.source, loop.target, loop.mapping), csv)
+
+
+@settings(max_examples=300)
+@given(vine_paths())
+def test_path_vineyard_and_csv_match_per_sample_oracle(case):
+    """Checking, indexing and walking only where a sample's order moves, and
+    formatting each distinct value of a sample once, give the vines, labels,
+    loop bijection and CSV bytes of the per-sample, per-row oracle, or the
+    same error."""
+    K, samples, params = case
+    fast = _vineyard_outcome(path_vineyard, vines_to_csv, K, samples, params)
+    slow = _vineyard_outcome(vine_oracle.path_vineyard, vine_oracle.vines_to_csv,
+                             K, samples, params)
+    assert fast == slow

@@ -1,7 +1,7 @@
 """`pdbundle vineyard` against its `Fraction` oracle, and the contracts its
 integer path relies on: samples that are no filtration are rejected, the CSV's
-int true division rounds as float() of a Fraction does, and a bad path exits
-1 with one error line."""
+int true division rounds as float() of a Fraction does, and a bad path or a
+value past float range exits 1 with one error line."""
 import contextlib
 import io
 import json
@@ -249,6 +249,27 @@ def test_vineyard_path_with_huge_json_integer_exits_1(mono_file):
     code, out, err = run_main(["vineyard", "--input", str(mono_file),
                                "--path", str(path_file)])
     assert code == 1 and out == "" and err.startswith("error: "), err
+
+
+def test_vineyard_value_too_large_for_a_float_exits_1(mono_file):
+    """Values past float range are exact in the fibration and along the
+    path, but the CSV cannot write them: one error line naming the vine and
+    the value, exit 1, and no CSV."""
+    fib = json.loads(mono_file.read_text(encoding="utf-8"))
+    fib["values"] = {s: [str(10 ** 400 + s.count("-"))] * len(v)
+                     for s, v in fib["values"].items()}
+    fib_file = mono_file.parent / "huge-values.json"
+    fib_file.write_text(json.dumps(fib), encoding="utf-8")
+    path_file = mono_file.parent / "two-points.json"
+    path_file.write_text(json.dumps([["1/2", "1/2"], ["-1/2", "1/2"]]),
+                         encoding="utf-8")
+    csv_file = mono_file.parent / "huge.csv"
+    code, out, err = run_main(["vineyard", "--input", str(fib_file), "--path",
+                               str(path_file), "--output", str(csv_file)])
+    assert (code, out) == (1, "")
+    assert err == ("error: vine 0 at t=0.0: value 1.0000000000000000e+400 "
+                   "is too large for a float\n")
+    assert not csv_file.exists()
 
 
 def test_vineyard_path_not_utf8_exits_1(mono_file):
