@@ -20,9 +20,11 @@ of LOAD_REPEATS loads), the vineyard at each of VINE_STEPS
 fixed closed pentagon strictly inside the weight triangle, each side cut into
 that many steps; it runs before `build_stratification`, so that it runs on
 every rung, and keeps nothing alive after it), `build_stratification`, the
-pair-set walk (the first `cell_pairs` call), `build_sheaf(degree=1)` and
-`monodromy_scan`. The stages after the load run on the generated fibration,
-as they did before the load stage was added.
+pair-set walk (the first `cell_pairs` call), `build_sheaf(degree=1)`,
+`monodromy_scan` and the sections (`bundle_section`, at its defaults, on
+each section of the degree-1 sheaf; the sections are enumerated once,
+untimed). The stages after the load run on the generated fibration, as they
+did before the load stage was added.
 A stage whose first run takes under REPEAT_UNDER_S seconds runs REPEATS
 times in all: its record holds every run's time as `runs_s` and the least as
 `s`. Each walk after the first runs on a fresh `Stratification` of the same
@@ -56,7 +58,7 @@ from pathlib import Path
 VINE_STEPS = (12, 120)
 PENTAGON = [(3, 1), (6, 2), (5, 4), (2, 6), (1, 3)]   # in tenths of a weight
 STAGES = (["load"] + [f"vineyard-{steps}" for steps in VINE_STEPS]
-          + ["stratify", "walk", "sheaf", "monodromy"])
+          + ["stratify", "walk", "sheaf", "monodromy", "sections"])
 SIZES = range(2, 7)
 AS_MB, WALL_S = 3072, 600
 LOAD_REPEATS = 5
@@ -94,7 +96,8 @@ def run_rung(src: str, n: int) -> None:
     from pdbundle.generators import gen_image_fibration
     from pdbundle.serialize import (canonical_dumps, fibration_from_json,
                                     fibration_to_json, vines_to_csv)
-    from pdbundle.sheaf import build_sheaf, monodromy_scan
+    from pdbundle.sheaf import (build_sheaf, bundle_section,
+                                enumerate_global_sections, monodromy_scan)
     from pdbundle.stratify import (Stratification, build_stratification,
                                    point_numerators)
     from pdbundle.vineyard import path_vineyard
@@ -156,9 +159,20 @@ def run_rung(src: str, n: int) -> None:
                 "nontrivial_loops": sum(loop.nontrivial for loop in report.loops),
                 "obstructed_seeds": len(report.obstructed_seeds)}
 
+    def sections():
+        sh = found["sheaf"]
+        if "sections" not in found:   # untimed, once for every run
+            found["sections"] = enumerate_global_sections(sh)
+        t0 = time.perf_counter()
+        checked = sum(bundle_section(sh, section).boundary_points_checked
+                      for section in found["sections"])
+        return {"s": time.perf_counter() - t0,
+                "sections": len(found["sections"]),
+                "boundary_points_checked": checked}
+
     vineyards = [functools.partial(vineyard, steps) for steps in VINE_STEPS]
     for name, stage in zip(STAGES, [load, *vineyards, stratify, walk, sheaf,
-                                    monodromy]):
+                                    monodromy, sections]):
         runs = []
         try:
             while not runs or len(runs) < REPEATS and runs[0] < REPEAT_UNDER_S:
@@ -228,7 +242,9 @@ def main() -> int:
             "stages": "load (least of %d), vineyard-N (point_numerators, "
                       "path_vineyard and vines_to_csv along a closed pentagon "
                       "with N steps a side, for N in %s), stratify, pair-set "
-                      "walk, build_sheaf(degree=1), monodromy_scan; a stage "
+                      "walk, build_sheaf(degree=1), monodromy_scan, sections "
+                      "(bundle_section at its defaults on each section of the "
+                      "degree-1 sheaf, enumerated once untimed); a stage "
                       "whose first run takes under %g s runs %d times, with "
                       "every run in runs_s and the least in s; peak_rss_mb is "
                       "the process peak after each stage"

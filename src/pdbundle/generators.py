@@ -280,26 +280,18 @@ def gen_image_fibration(ppm_text: str) -> Tuple[PLFibration, Dict]:
     mesh = BaseMesh(IMAGE_BASE_VERTICES, [(0, 1, 2)])
     # base corner order: (0,0) blue, (1,0) red, (0,1) green
     channel_of_corner = (2, 0, 1)
-    values: List[List[Fraction]] = []
-    for s in K.simplices:
-        if len(s) == 3:
-            pix = pixels[tri_pixel[s]]
-            values.append([Fraction(pix[channel_of_corner[k]]) for k in range(3)])
-        else:
-            values.append([None, None, None])  # filled below
-    for i, s in enumerate(K.simplices):
-        if len(s) == 3:
-            continue
-        mins: List[Optional[Fraction]] = [None, None, None]
-        for tri, pix_idx in tri_pixel.items():
-            if set(s) <= set(tri):
-                pix = pixels[pix_idx]
-                for k in range(3):
-                    ch = Fraction(pix[channel_of_corner[k]])
-                    mins[k] = ch if mins[k] is None or ch < mins[k] else mins[k]
-        if any(x is None for x in mins):
+    values: List[Optional[List[Fraction]]] = [None] * K.n
+    # each triangle lowers the per-corner minima of itself and its faces
+    for tri, pix_idx in tri_pixel.items():
+        own = [Fraction(pixels[pix_idx][ch]) for ch in channel_of_corner]
+        a, b, c = tri
+        for face in (tri, (a,), (b,), (c,), (a, b), (a, c), (b, c)):
+            i = K.index_of[face]
+            row = values[i]
+            values[i] = own if row is None else [min(x, y) for x, y in zip(row, own)]
+    for s, row in zip(K.simplices, values):
+        if row is None:
             raise InvariantError(f"simplex {s} has no 2-simplex coface")
-        values[i] = mins  # type: ignore[assignment]
     fib = PLFibration(K, mesh, values)
     metadata = {
         "generator": "image",

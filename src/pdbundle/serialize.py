@@ -368,13 +368,14 @@ def vines_to_csv(K: SimplicialComplex, vines) -> str:
     the sample's denominator in int true division, which rounds correctly
     (and so equals float() of the reduced Fraction). The vines of a path
     share their params and their values, so each param, and each distinct
-    value of a sample, is formatted once. A value too large for a float
-    raises ValidationError, naming the vine of the first row that holds one."""
+    value of a sample, is formatted once. A param or a value too large for a
+    float raises ValidationError: a param naming the first vine that has it,
+    a value naming the vine of the first row that holds one."""
     lines = ["vine_id,t,birth,death"]
     params = values = None
     for vid, vine in enumerate(vines):
         if vine.params is not params:
-            params, ts = vine.params, [repr(float(t)) for t in vine.params]
+            params, ts = vine.params, [_param_text(vid, t) for t in vine.params]
         if vine.values is not values:
             values = vine.values
             texts = [_value_texts(nums, den) for nums, den in values]
@@ -385,6 +386,17 @@ def vines_to_csv(K: SimplicialComplex, vines) -> str:
             death = "inf" if d is None else text[nums[d]]
             lines.append(f"{vid},{t},{text[nums[b]]},{death}")
     return "\n".join(lines) + "\n"
+
+
+def _param_text(vid: int, t) -> str:
+    """repr(float(t)), or ValidationError when t is too large for a float."""
+    try:
+        return repr(float(t))
+    except OverflowError:
+        t = Fraction(t)
+        raise ValidationError(
+            f"vine {vid}: param {Decimal(t.numerator) / t.denominator:.17g} "
+            f"is too large for a float") from None
 
 
 def _value_texts(nums: Sequence[int], den: int) -> Dict[int, Optional[str]]:

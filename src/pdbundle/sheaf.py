@@ -14,7 +14,8 @@ diamond's two 1-cells differ (`tests/test_diamonds.py`). Stalks and
 morphisms are read off the stratification's one walk over the face poset,
 and a morphism that is the identity is one dict shared by every edge
 between equal stalks. Global sections and obstructed seeds are both read
-off one pass over the étalé graph of the sheaf.
+off one pass over the étalé graph of the sheaf. A bundle section and the
+edge certificate draw a random point of a cell only where they evaluate it.
 """
 from __future__ import annotations
 
@@ -28,14 +29,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from .complexes import InvariantError, ValidationError
 from .persistence import Element
 from .stratify import (
-    Cell,
-    CellDraw,
     PLFibration,
     Stratification,
-    draw_in_cell,
-    drawn_point,
     filtration_at,
     point_numerators,
+    sample_in_cell,
 )
 from .vineyard import update_image
 
@@ -403,25 +401,30 @@ class BundleSectionSample:
 @dataclass
 class BundleSection:
     """A sheaf section evaluated into the persistence plane, and the number
-    of continuity checks that certified it. The evaluation points are drawn
-    when the section is built; `samples` evaluates them on first read, each
-    at its pair's birth and death simplices only."""
+    of continuity checks that certified it. `samples` draws and evaluates
+    its points on first read, each at its pair's birth and death simplices
+    only."""
 
     boundary_points_checked: int
-    fib: PLFibration = field(repr=False)
-    # per cell: the cell, its section element and its sample draws
-    draws: List[Tuple[Cell, Element, List[CellDraw]]] = field(repr=False)
+    sheaf: CellularSheaf = field(repr=False)
+    assignment: Dict[int, Element] = field(repr=False)
+    samples_per_cell: int = field(repr=False)
+    seed: int = field(repr=False)
 
     @cached_property
     def samples(self) -> List[BundleSectionSample]:
-        """The representative and the drawn points of every cell, in cell id
-        order, each with its element's exact (birth, death) values."""
+        """The representative of every cell and `samples_per_cell - 1` of its
+        points drawn from one `random.Random(seed)`, in cell id order, each
+        with its element's exact (birth, death) values."""
+        rng = random.Random(self.seed)
         samples: List[BundleSectionSample] = []
-        for cell, e, draws in self.draws:
+        for cid, e in sorted(self.assignment.items()):
+            cell = self.sheaf.strat.cell(cid)
             simplices = e if e[1] is not None else e[:1]
-            for p in [cell.rep] + [drawn_point(d) for d in draws]:
-                samples.append(BundleSectionSample(cell.id, p, *filtration_at(
-                    self.fib, p, cell.triangles[0], simplices)))
+            for p in [cell.rep] + [sample_in_cell(cell, rng)
+                                   for _ in range(self.samples_per_cell - 1)]:
+                samples.append(BundleSectionSample(cid, p, *filtration_at(
+                    self.sheaf.fib, p, cell.triangles[0], simplices)))
         return samples
 
 
@@ -434,59 +437,60 @@ def _certify_edge(sheaf: CellularSheaf, face: int, coface: int,
                   matches: Sequence[Tuple[Element, Element]], points: int,
                   rng: random.Random) -> int:
     """Check that each (face element, coface element) match evaluates to the
-    same exact values at `points` points of the face cell: its representative
-    and random interior samples. The samples are always drawn, but points are
-    built and evaluated only when some match is not an identity: an identity
-    match compares a value with itself and cannot fail, but is still counted.
-    The two sides of a match are compared as integer numerators over one
-    positive denominator. Raises InvariantError at the first mismatch;
-    returns the checks made."""
-    fcell = sheaf.strat.cell(face)
-    draws = [draw_in_cell(fcell, rng) for _ in range(max(0, points - 1))]
+    same exact values at `max(1, points)` points of the face cell: its
+    representative first, then `points - 1` random interior samples. An
+    identity match compares a value with itself and cannot fail, so it is
+    counted but not evaluated, and the samples are drawn from rng only when
+    some match is not an identity. The two sides of a match are compared as
+    integer numerators over one positive denominator. Raises InvariantError
+    at the first mismatch; returns the checks made."""
     moved = [(e, img) for e, img in matches if e != img]
-    for p in [fcell.rep] + [drawn_point(d) for d in draws] if moved else ():
-        nums, dz = point_numerators(sheaf.fib, p, fcell.triangles[0])
-        for e, img in moved:
-            lhs, rhs = _pair_values(nums, e), _pair_values(nums, img)
-            if lhs != rhs:
-                lhs, rhs = (tuple(None if v is None else Fraction(v, dz) for v in pair)
-                            for pair in (lhs, rhs))
-                raise InvariantError(
-                    f"discontinuous across edge ({face}, {coface}) at {p}: "
-                    f"face pair {e} evaluates to {lhs}, coface pair {img} to {rhs}")
-    return (1 + len(draws)) * len(matches)
+    if moved:
+        fcell = sheaf.strat.cell(face)
+        points_at = [fcell.rep] + [sample_in_cell(fcell, rng)
+                                   for _ in range(points - 1)]
+        for p in points_at:
+            nums, dz = point_numerators(sheaf.fib, p, fcell.triangles[0])
+            for e, img in moved:
+                lhs, rhs = _pair_values(nums, e), _pair_values(nums, img)
+                if lhs != rhs:
+                    lhs, rhs = (tuple(None if v is None else Fraction(v, dz) for v in pair)
+                                for pair in (lhs, rhs))
+                    raise InvariantError(
+                        f"discontinuous across edge ({face}, {coface}) at {p}: "
+                        f"face pair {e} evaluates to {lhs}, coface pair {img} to {rhs}")
+    return max(1, points) * len(matches)
 
 
 def bundle_section(sheaf: CellularSheaf, section: SheafSection,
                    samples_per_cell: int = 3, boundary_samples: int = 5,
                    seed: int = 0) -> BundleSection:
-    """Evaluate a sheaf section into the persistence plane at sampled base
-    points, and certify continuity across every in-scope face relation by
-    exact evaluation at boundary points of the face cell.
+    """Certify a sheaf section as a continuous bundle section: check
+    continuity across every in-scope face relation by exact evaluation at
+    boundary points of the face cell, drawn from `random.Random(seed)`.
+    The section's `samples` (`samples_per_cell` points per cell, drawn from
+    a second `random.Random(seed)`) are evaluated into the persistence plane
+    when first read.
 
     A certificate failure means the sheaf (or the section) is inconsistent
     with the fibration and raises InvariantError naming the edge, the point
     and both value pairs."""
-    strat = sheaf.strat
     rng = random.Random(seed)
     chosen = section.assignment
-    draws = []
-    for cid in sorted(chosen):
-        cell = strat.cell(cid)
-        draws.append((cell, chosen[cid], [draw_in_cell(cell, rng)
-                                          for _ in range(max(0, samples_per_cell - 1))]))
     checked = sum(
         _certify_edge(sheaf, face, coface, [(chosen[face], chosen[coface])],
                       boundary_samples, rng)
         for face, coface in sheaf.edges() if face in chosen and coface in chosen)
-    return BundleSection(checked, sheaf.fib, draws)
+    return BundleSection(checked, sheaf, chosen, samples_per_cell, seed)
 
 
 def edge_value_certificate(sheaf: CellularSheaf, samples_per_edge: int = 5,
                            seed: int = 0) -> int:
     """Check, for every edge morphism and every pair in the face stalk, that
     the pair and its image evaluate to the same exact values at sampled points
-    of the face cell. Returns the number of equality checks performed."""
+    of the face cell, drawn (as in `_certify_edge`) only for morphisms that
+    are not the identity. Returns the number of equality checks performed,
+    `max(1, samples_per_edge)` per pair of each morphism."""
     rng = random.Random(seed)
     return sum(_certify_edge(sheaf, face, coface, list(phi.items()),
                              samples_per_edge, rng)

@@ -592,38 +592,22 @@ def build_stratification(fib: PLFibration) -> Stratification:
     return Stratification(fib, cells, {cid: frozenset(f) for cid, f in faces.items()})
 
 
-# The rng draw of one point in a cell: the piece drawn and the integer
-# weights of its corners, or None for a vertex piece.
-CellDraw = Tuple[Piece, Optional[Tuple[int, ...]]]
-
-
-def draw_in_cell(cell: Cell, rng: random.Random, denom: int = 997) -> CellDraw:
-    """The random choices of `sample_in_cell`, made in its order, without
-    building the point (`drawn_point` builds it)."""
+def sample_in_cell(cell: Cell, rng: random.Random, denom: int = 997) -> Point:
+    """A deterministic pseudo-random point in the cell's relative interior:
+    the mean of a random piece's corners under random integer weights,
+    summed in integers over the piece's common coordinate denominator."""
     piece = cell.pieces[rng.randrange(len(cell.pieces))]
     if len(piece) == 1:
-        return piece, None
+        return piece[0]
     if len(piece) == 2:
         t = rng.randint(1, denom - 1)
-        return piece, (denom - t, t)
-    return piece, tuple(rng.randint(1, denom) for _ in piece)
-
-
-def drawn_point(draw: CellDraw) -> Point:
-    """The point of a draw: the weighted mean of the piece's corners, summed
-    in integers over the piece's common coordinate denominator."""
-    piece, weights = draw
-    if weights is None:
-        return piece[0]
+        weights = [denom - t, t]
+    else:
+        weights = [rng.randint(1, denom) for _ in piece]
     scale, grid = _to_grid(piece)
     total = sum(weights) * scale
     return (Fraction(sum(w * x for w, (x, _) in zip(weights, grid)), total),
             Fraction(sum(w * y for w, (_, y) in zip(weights, grid)), total))
-
-
-def sample_in_cell(cell: Cell, rng: random.Random, denom: int = 997) -> Point:
-    """A deterministic pseudo-random point in the cell's relative interior."""
-    return drawn_point(draw_in_cell(cell, rng, denom))
 
 
 # ---------------------------------------------------------------------------

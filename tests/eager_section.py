@@ -1,13 +1,15 @@
-"""Sheaf sections evaluated and certified the way pdbundle did it before it
-kept the random draws of a section and built its samples on first read: the
-oracle of the differential tests in test_bundle_section.py.
+"""Sheaf sections evaluated and certified eagerly, the oracle of the
+differential tests in test_bundle_section.py.
 
-`bundle_section` builds and evaluates every sample point of every cell when
-it is called, and `certify_edge` builds every boundary point of a face cell
-and compares the `Fraction` values of each match there. Points are drawn
-by `barycentric.sample_in_cell` (Fraction sums), never by pdbundle's draws,
-and evaluated at every simplex by `filtration_at`. Both take the random
-source as an argument, so that a test can compare its state afterwards.
+`bundle_section` draws, builds and evaluates every sample point of every
+cell when it is called, in cell id order from its samples' random source,
+and then certifies the section from a second random source. `certify_edge`
+draws the boundary points of a face cell only when some match is not an
+identity, the policy pdbundle follows, builds them all, and compares the
+`Fraction` values of each moved match there. Points are drawn by
+`barycentric.sample_in_cell` (Fraction sums), never by pdbundle's sampler,
+and evaluated at every simplex by `filtration_at`. Both take their random
+sources as arguments, so that a test can compare their states afterwards.
 """
 import random
 from typing import List, Sequence, Tuple
@@ -27,24 +29,27 @@ def _pair_values(values, e: Element):
 def certify_edge(sheaf: CellularSheaf, face: int, coface: int,
                  matches: Sequence[Tuple[Element, Element]], points: int,
                  rng: random.Random) -> int:
-    fcell = sheaf.strat.cell(face)
-    pts = [fcell.rep]
-    pts += [sample_in_cell(fcell, rng) for _ in range(max(0, points - 1))]
     moved = [(e, img) for e, img in matches if e != img]
-    for p in pts if moved else ():
-        values = filtration_at(sheaf.fib, p, triangle_hint=fcell.triangles[0])
-        for e, img in moved:
-            lhs, rhs = _pair_values(values, e), _pair_values(values, img)
-            if lhs != rhs:
-                raise InvariantError(
-                    f"discontinuous across edge ({face}, {coface}) at {p}: "
-                    f"face pair {e} evaluates to {lhs}, coface pair {img} to {rhs}")
-    return len(pts) * len(matches)
+    if moved:
+        fcell = sheaf.strat.cell(face)
+        pts = [fcell.rep]
+        pts += [sample_in_cell(fcell, rng) for _ in range(max(0, points - 1))]
+        for p in pts:
+            values = filtration_at(sheaf.fib, p, triangle_hint=fcell.triangles[0])
+            for e, img in moved:
+                lhs, rhs = _pair_values(values, e), _pair_values(values, img)
+                if lhs != rhs:
+                    raise InvariantError(
+                        f"discontinuous across edge ({face}, {coface}) at {p}: "
+                        f"face pair {e} evaluates to {lhs}, coface pair {img} to {rhs}")
+    # every match counts once per point, drawn or not
+    return max(1, points) * len(matches)
 
 
 def bundle_section(sheaf: CellularSheaf, section: SheafSection,
                    samples_per_cell: int, boundary_samples: int,
-                   rng: random.Random) -> Tuple[List[tuple], int]:
+                   samples_rng: random.Random, certificate_rng: random.Random
+                   ) -> Tuple[List[tuple], int]:
     """The samples as (cell, point, birth, death) tuples in order, and the
     number of boundary checks."""
     samples = []
@@ -52,13 +57,14 @@ def bundle_section(sheaf: CellularSheaf, section: SheafSection,
         cell = sheaf.strat.cell(cid)
         e = section.assignment[cid]
         pts = [cell.rep]
-        pts += [sample_in_cell(cell, rng) for _ in range(max(0, samples_per_cell - 1))]
+        pts += [sample_in_cell(cell, samples_rng)
+                for _ in range(max(0, samples_per_cell - 1))]
         for p in pts:
             values = filtration_at(sheaf.fib, p, triangle_hint=cell.triangles[0])
             samples.append((cid, p, *_pair_values(values, e)))
     chosen = section.assignment
     checked = sum(
         certify_edge(sheaf, face, coface, [(chosen[face], chosen[coface])],
-                     boundary_samples, rng)
+                     boundary_samples, certificate_rng)
         for face, coface in sheaf.edges() if face in chosen and coface in chosen)
     return samples, checked

@@ -125,9 +125,11 @@ def _certificate(module, sheaf, seed):
 
 
 def test_edge_certificate_matches_full_evaluation():
-    """The certificate skips identity matches but draws the same points and
-    reports the same count, and it still catches every broken morphism that
-    evaluating all matches catches."""
+    """The certificate skips identity matches, and draws random points only
+    for a morphism that moves some pair, yet reports the same count as
+    evaluating every match at points drawn for every morphism; on a one-edge
+    restriction, where both draw the same points, it catches every broken
+    morphism that evaluating all matches catches, with the same message."""
     rng = random.Random(23)
     caught = 0
     for fib in _fibrations(rng, 8):

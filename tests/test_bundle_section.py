@@ -1,7 +1,7 @@
 """Differential tests of `bundle_section` and the edge certificate against
 the eager oracle in eager_section.py: the same samples, check counts,
-random state and `InvariantError`s, on the monodromy example and the
-acceptance corpus, at degree 1 and at all degrees."""
+states of both random sources and `InvariantError`s, on the monodromy
+example and the acceptance corpus, at degree 1 and at all degrees."""
 import random
 from types import SimpleNamespace
 
@@ -52,6 +52,9 @@ def made_rngs(monkeypatch):
 
 
 def _fast(sheaf, section, spc, bsmp, seed, made):
+    """The outcome, and the states of the random sources made for it: the
+    certificate's, then, once the samples are read, the samples'."""
+    made.clear()
     try:
         bs = bundle_section(sheaf, section, samples_per_cell=spc,
                             boundary_samples=bsmp, seed=seed)
@@ -59,16 +62,17 @@ def _fast(sheaf, section, spc, bsmp, seed, made):
                   bs.boundary_points_checked)
     except InvariantError as exc:
         result = str(exc)
-    return result, made[-1].getstate()
+    return result, [rng.getstate() for rng in made]
 
 
 def _eager(sheaf, section, spc, bsmp, seed):
-    rng = random.Random(seed)
+    samples_rng, certificate_rng = random.Random(seed), random.Random(seed)
     try:
-        result = eager_section.bundle_section(sheaf, section, spc, bsmp, rng)
+        result = eager_section.bundle_section(sheaf, section, spc, bsmp,
+                                              samples_rng, certificate_rng)
     except InvariantError as exc:
-        result = str(exc)
-    return result, rng.getstate()
+        return str(exc), [certificate_rng.getstate()]
+    return result, [certificate_rng.getstate(), samples_rng.getstate()]
 
 
 def _corrupted(sheaf, section, rng):
@@ -135,35 +139,39 @@ def test_certify_edge_matches_eager_oracle(sheaves):
 
 
 def test_samples_are_evaluated_only_when_read(sheaves, monkeypatch):
-    """bundle_section builds only the boundary points of edges whose match
-    moves, and evaluates no sample; reading `samples` evaluates each sample
-    once, at its birth and death only."""
-    calls = {"filtration_at": [], "drawn_point": 0}
-    filtration_at, drawn_point = pdbundle.sheaf.filtration_at, pdbundle.sheaf.drawn_point
+    """bundle_section draws only the boundary points of edges whose match
+    moves, and draws and evaluates no sample; reading `samples` draws each
+    sample once and evaluates it once, at its birth and death only."""
+    calls = {"filtration_at": [], "sample_in_cell": 0}
+    filtration_at = pdbundle.sheaf.filtration_at
+    sample_in_cell = pdbundle.sheaf.sample_in_cell
 
     def counted_filtration_at(fib, p, hint, simplices):
         calls["filtration_at"].append(tuple(simplices))
         return filtration_at(fib, p, hint, simplices)
 
-    def counted_drawn_point(draw):
-        calls["drawn_point"] += 1
-        return drawn_point(draw)
+    def counted_sample_in_cell(cell, rng):
+        calls["sample_in_cell"] += 1
+        return sample_in_cell(cell, rng)
 
     monkeypatch.setattr(pdbundle.sheaf, "filtration_at", counted_filtration_at)
-    monkeypatch.setattr(pdbundle.sheaf, "drawn_point", counted_drawn_point)
-    sheaf = sheaves[1]  # the monodromy example at all degrees
-    sections = enumerate_global_sections(sheaf)
-    assert sections
-    for section in sections:
-        calls["drawn_point"] = 0
-        bs = bundle_section(sheaf, section, samples_per_cell=3, boundary_samples=5)
-        chosen = section.assignment
-        moved = sum(chosen[f] != chosen[c] for f, c in sheaf.edges()
-                    if f in chosen and c in chosen)
-        assert calls == {"filtration_at": [], "drawn_point": 4 * moved}
-        samples = bs.samples
-        assert len(samples) == 3 * len(chosen)
-        assert calls["filtration_at"] == [
-            tuple(x for x in chosen[s.cell] if x is not None) for s in samples]
-        assert bs.samples is samples
-        calls["filtration_at"].clear()
+    monkeypatch.setattr(pdbundle.sheaf, "sample_in_cell", counted_sample_in_cell)
+    moved_edges = 0
+    for sheaf in sheaves:
+        for section in enumerate_global_sections(sheaf):
+            calls["sample_in_cell"] = 0
+            bs = bundle_section(sheaf, section, samples_per_cell=3,
+                                boundary_samples=5)
+            chosen = section.assignment
+            moved = sum(chosen[f] != chosen[c] for f, c in sheaf.edges()
+                        if f in chosen and c in chosen)
+            moved_edges += moved
+            assert calls == {"filtration_at": [], "sample_in_cell": 4 * moved}
+            samples = bs.samples
+            assert len(samples) == 3 * len(chosen)
+            assert calls["sample_in_cell"] == 4 * moved + 2 * len(chosen)
+            assert calls["filtration_at"] == [
+                tuple(x for x in chosen[s.cell] if x is not None) for s in samples]
+            assert bs.samples is samples
+            calls["filtration_at"].clear()
+    assert moved_edges

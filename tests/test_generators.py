@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,12 @@ from pdbundle.generators import (
     parse_ppm,
 )
 from pdbundle.persistence import diagrams_by_degree
+from pdbundle.serialize import canonical_dumps, fibration_to_json
 from pdbundle.stratify import build_stratification, filtration_at
 
-from conftest import A, B, C, D, deg1_pairs, pairs_for_filtration, quadrant_of
+import image_oracle
+from conftest import (A, B, C, D, deg1_pairs, pairs_for_filtration, quadrant_of,
+                      random_ppm)
 
 F = Fraction
 
@@ -161,6 +165,18 @@ def test_image_corners_match_single_channel(corner, channel):
     assert set(dg_bundle) == set(dg_oracle)
     for q in dg_bundle:
         assert dg_bundle[q].points == dg_oracle[q].points
+
+
+def test_image_fibration_matches_coface_scan():
+    """Lowering each triangle's faces once gives the fibration JSON, byte for
+    byte, of scanning every triangle for each lower simplex's cofaces."""
+    rng = random.Random(31)
+    for _ in range(240):
+        ppm = random_ppm(rng, rng.randint(1, 8), rng.randint(1, 5),
+                         rng.choice([1, 15, 255]))
+        fib, _ = gen_image_fibration(ppm)
+        assert (canonical_dumps(fibration_to_json(fib))
+                == canonical_dumps(fibration_to_json(image_oracle.gen_image_fibration(ppm))))
 
 
 def test_image_single_pixel_red_corner():

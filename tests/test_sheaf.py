@@ -1,10 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdbundle.complexes import SimplicialComplex, ValidationError
 from pdbundle.sheaf import (
+    CellularSheaf,
     InvariantError,
     Obstruction,
     SheafSection,
@@ -22,6 +25,7 @@ from pdbundle.stratify import (
     BaseMesh,
     PLFibration,
     build_stratification,
+    filtration_at,
     merge_cells,
 )
 
@@ -319,6 +323,41 @@ def test_edge_value_certificate_catches_corruption(mono_sheaf1):
     ks = sorted(ophi)
     ophi[ks[0]], ophi[ks[1]] = ophi[ks[1]], ophi[ks[0]]
     assert edge_value_certificate(sheaf2, samples_per_edge=3, seed=2) > 0
+
+
+def _pair_value(values, e):
+    return values[e[0]], None if e[1] is None else values[e[1]]
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), degree=st.sampled_from([1, None]),
+       points=st.integers(0, 5), certificate_seed=st.integers(0, 100))
+def test_edge_value_certificate_fuzz(seed, degree, points, certificate_seed):
+    """On a random small fibration the certificate passes and counts
+    max(1, points) checks per pair of each morphism; trading the images of
+    two face elements whose images differ in value at the face cell's
+    representative point makes it raise."""
+    rng = random.Random(seed)
+    fib = random_fibration(rng)
+    sheaf = build_sheaf(build_stratification(fib), degree=degree)
+    assert (edge_value_certificate(sheaf, points, certificate_seed)
+            == max(1, points) * sum(len(phi) for phi in sheaf.morphisms.values()))
+    trades = []
+    for (face, coface), phi in sorted(sheaf.morphisms.items()):
+        cell = sheaf.strat.cell(face)
+        values = filtration_at(fib, cell.rep, triangle_hint=cell.triangles[0])
+        elements = sorted(phi, key=_element_key)
+        trades += [((face, coface), x, y) for i, x in enumerate(elements)
+                   for y in elements[i + 1:]
+                   if _pair_value(values, phi[x]) != _pair_value(values, phi[y])]
+    if not trades:
+        return
+    edge, x, y = rng.choice(trades)
+    phi = sheaf.morphisms[edge]
+    broken = CellularSheaf(sheaf.strat, degree, sheaf.vertices, sheaf.stalks,
+                           {**sheaf.morphisms, edge: {**phi, x: phi[y], y: phi[x]}})
+    with pytest.raises(InvariantError, match=re.escape(f"edge {edge} at")):
+        edge_value_certificate(broken, points, certificate_seed)
 
 
 def _element_key(e):

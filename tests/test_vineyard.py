@@ -370,6 +370,24 @@ def _vineyard_outcome(vineyard, to_csv, K, samples, params):
             (loop.source, loop.target, loop.mapping), csv)
 
 
+@pytest.mark.parametrize("param,text", [
+    (Fraction(10 ** 400), "1.0000000000000000e+400"),
+    (Fraction(-10 ** 400, 3), "-3.3333333333333333e+399"),
+    (10 ** 400, "1.0000000000000000e+400"),
+])
+def test_csv_param_too_large_for_a_float(param, text):
+    """A path param past float range is a ValidationError naming the vine
+    and the param, as in the per-row oracle, not an OverflowError."""
+    K = SimplicialComplex([[0], [1], [0, 1]])
+    vines, _ = path_vineyard(K, [([0, 0, 1], 1), ([0, 0, 2], 1)],
+                             params=[Fraction(1, 2), param])
+    want = f"vine 0: param {text} is too large for a float"
+    for to_csv in (vines_to_csv, vine_oracle.vines_to_csv):
+        with pytest.raises(ValidationError) as caught:
+            to_csv(K, vines)
+        assert str(caught.value) == want
+
+
 @settings(max_examples=300)
 @given(vine_paths())
 def test_path_vineyard_and_csv_match_per_sample_oracle(case):

@@ -5,9 +5,10 @@ in test_vineyard.py.
 walks the reduction to it, and reads every vine's label off the bijection
 composed so far, at every sample, whether or not the sample's order moved; it
 composes the update bijection of each walk in turn instead of carrying one
-relabelling. `vines_to_csv` formats each value of each row with its own int
-true division. Both are the way pdbundle did this before it worked per order
-change and per distinct value; the reduction and its walk
+relabelling. `vines_to_csv` formats each param of each vine, and each value
+of each row with its own int true division. Both are the way pdbundle did
+this before it worked per order change and per distinct value; the
+reduction and its walk
 (`Reduction.transpose_to`) and the update bijection of one walk
 (`update_image`) are pdbundle's own.
 """
@@ -68,11 +69,23 @@ def _value(vid: int, t: str, num: int, den: int) -> str:
                               f"float") from None
 
 
+def _param(vid: int, t) -> str:
+    try:
+        return repr(float(t))
+    except OverflowError:
+        t = Fraction(t)
+        raise ValidationError(f"vine {vid}: param "
+                              f"{Decimal(t.numerator) / t.denominator:.17g} is "
+                              f"too large for a float") from None
+
+
 def vines_to_csv(K: SimplicialComplex, vines) -> str:
+    """Rows in order, after the vine's params: a param too large for a float
+    is reported before any value."""
     lines = ["vine_id,t,birth,death"]
     for vid, vine in enumerate(vines):
-        for t, (nums, den), (b, d) in zip(vine.params, vine.values, vine.labels):
-            t = repr(float(t))
+        ts = [_param(vid, t) for t in vine.params]
+        for t, (nums, den), (b, d) in zip(ts, vine.values, vine.labels):
             birth = _value(vid, t, nums[b], den)
             death = "inf" if d is None else _value(vid, t, nums[d], den)
             lines.append(f"{vid},{t},{birth},{death}")
