@@ -35,10 +35,14 @@ alive.
 
 A child sets `RLIMIT_AS` on itself only (AS_MB), and is stopped at the wall
 limit (WALL_S).
-A stage that runs out of memory or time is recorded as "memory" or
-"timeout", and the stages after it as "not run"; a rung is never dropped
-and its size never reduced. With --out, each checkout's run is stored in
-FILE under `runs[NAME]`, next to the runs already there.
+A stage runs whenever the stages it reads (READS) have finished: one that
+runs out of memory is recorded as "memory", and one whose input did not
+finish as "not run", so the sections stage, which reads only the sheaf,
+still runs after `monodromy_scan` runs out of memory. The wall limit ends
+the child, so the stage it stops is recorded as "timeout" and the stages
+after it as "not run". A rung is never dropped and its size never reduced.
+With --out, each checkout's run is stored in FILE under `runs[NAME]`, next
+to the runs already there.
 """
 from __future__ import annotations
 
@@ -60,6 +64,9 @@ PENTAGON = [(3, 1), (6, 2), (5, 4), (2, 6), (1, 3)]   # in tenths of a weight
 STAGES = (["load"] + [f"vineyard-{steps}" for steps in VINE_STEPS]
           + ["stratify", "walk", "sheaf", "monodromy", "sections"])
 SIZES = range(2, 7)
+# the stages each stage reads its input from
+READS = {"walk": ("stratify",), "sheaf": ("walk",), "monodromy": ("sheaf",),
+         "sections": ("sheaf",)}
 AS_MB, WALL_S = 3072, 600
 LOAD_REPEATS = 5
 REPEATS, REPEAT_UNDER_S = 5, 10.0
@@ -171,8 +178,12 @@ def run_rung(src: str, n: int) -> None:
                 "boundary_points_checked": checked}
 
     vineyards = [functools.partial(vineyard, steps) for steps in VINE_STEPS]
+    finished = set()
     for name, stage in zip(STAGES, [load, *vineyards, stratify, walk, sheaf,
                                     monodromy, sections]):
+        if not finished.issuperset(READS.get(name, ())):
+            print(json.dumps({"stage": name, "outcome": "not run"}), flush=True)
+            continue
         runs = []
         try:
             while not runs or len(runs) < REPEATS and runs[0] < REPEAT_UNDER_S:
@@ -181,9 +192,9 @@ def run_rung(src: str, n: int) -> None:
                 seconds = time.perf_counter() - t0
                 runs.append(counts.pop("s", seconds))   # a stage that times itself
         except MemoryError:
-            found.clear()
             print(json.dumps({"stage": name, "outcome": "memory"}), flush=True)
-            return
+            continue
+        finished.add(name)
         print(json.dumps({"stage": name, "s": round(min(runs), 6),
                           "runs_s": [round(s, 6) for s in runs],
                           "peak_rss_mb": round(peak_rss_mb(), 1), **counts}),
@@ -245,11 +256,14 @@ def main() -> int:
                       "walk, build_sheaf(degree=1), monodromy_scan, sections "
                       "(bundle_section at its defaults on each section of the "
                       "degree-1 sheaf, enumerated once untimed); a stage "
-                      "whose first run takes under %g s runs %d times, with "
+                      "runs when the stages it reads have finished (%s); a "
+                      "stage whose first run takes under %g s runs %d times, with "
                       "every run in runs_s and the least in s; peak_rss_mb is "
                       "the process peak after each stage"
-                      % (LOAD_REPEATS, list(VINE_STEPS), REPEAT_UNDER_S,
-                         REPEATS),
+                      % (LOAD_REPEATS, list(VINE_STEPS),
+                         ", ".join(f"{k} reads {' and '.join(v)}"
+                                   for k, v in READS.items()),
+                         REPEAT_UNDER_S, REPEATS),
             "limits": {"address_space_mb": AS_MB, "wall_s": WALL_S},
             "machine": {"python": platform.python_version(),
                         "cpus": os.cpu_count()},

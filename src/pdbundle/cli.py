@@ -37,9 +37,8 @@ from .serialize import (
 from .sheaf import (
     build_sheaf,
     bundle_section,
-    connected_components,
-    enumerate_global_sections,
     monodromy_scan,
+    sections_by_component,
 )
 from .stratify import build_stratification, merge_cells, point_numerators
 from .vineyard import path_vineyard
@@ -100,16 +99,13 @@ def cmd_sheaf(args: argparse.Namespace) -> None:
 def cmd_sections(args: argparse.Namespace) -> None:
     _, strat = _load_stratification(args)
     sheaf = build_sheaf(strat, degree=args.degree)
-    sections = enumerate_global_sections(sheaf)
-    comps = connected_components(sheaf)
-    out = sections_to_json(sheaf, sections, comps)
+    by_component = sections_by_component(sheaf)
+    out = sections_to_json(sheaf, by_component)
     # certify each section against the fibration (exact boundary evaluation)
-    certified = []
-    for section in sections:
-        bs = bundle_section(sheaf, section, samples_per_cell=args.samples,
-                            seed=args.seed)
-        certified.append(bs.boundary_points_checked)
-    out["continuity_checks_per_section"] = certified
+    out["continuity_checks_per_section"] = [
+        bundle_section(sheaf, section, samples_per_cell=args.samples,
+                       seed=args.seed).boundary_points_checked
+        for _, sections in by_component for section in sections]
     _write_text(args.output, canonical_dumps(out))
 
 

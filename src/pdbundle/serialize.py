@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
@@ -319,27 +318,21 @@ def sheaf_to_json(sheaf: CellularSheaf) -> Dict:
     }
 
 
-def section_to_json(K: SimplicialComplex, section: SheafSection) -> Dict:
-    return {
-        "assignment": sorted(
-            [[cid, element_to_json(K, e)] for cid, e in section.assignment.items()]),
-    }
-
-
-def sections_to_json(sheaf: CellularSheaf, sections: List[SheafSection],
-                     components: List[List[int]]) -> Dict:
+def sections_to_json(sheaf: CellularSheaf,
+                     by_component: List[Tuple[List[int], List[SheafSection]]]
+                     ) -> Dict:
+    """The components and their sections, as `sections_by_component` gives
+    them; each section as its (cell, element) assignment, by cell."""
     K = sheaf.fib.complex
-    by_scope = Counter(s.scope for s in sections)
-    per_component = [by_scope[frozenset(comp)] for comp in components]
-    count = 1
-    for c in per_component:
-        count *= c
+    per_component = [len(sections) for _, sections in by_component]
     return {
         "degree": sheaf.degree,
-        "components": components,
-        "sections": [section_to_json(K, s) for s in sections],
+        "components": [cells for cells, _ in by_component],
+        "sections": [{"assignment": sorted(
+            [cid, element_to_json(K, e)] for cid, e in s.assignment.items())}
+            for _, sections in by_component for s in sections],
         "sections_per_component": per_component,
-        "global_section_count": count,
+        "global_section_count": math.prod(per_component),
     }
 
 

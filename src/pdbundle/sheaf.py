@@ -13,9 +13,10 @@ fail at a non-commuting diamond, where the composites through the
 diamond's two 1-cells differ (`tests/test_diamonds.py`). Stalks and
 morphisms are read off the stratification's one walk over the face poset,
 and a morphism that is the identity is one dict shared by every edge
-between equal stalks. Global sections and obstructed seeds are both read
-off one pass over the étalé graph of the sheaf. A bundle section and the
-edge certificate draw a random point of a cell only where they evaluate it.
+between equal stalks. Global sections and obstructed seeds are read off
+the étalé graph, one component at a time, each walked from its element at
+its cell component's smallest cell. A bundle section and the edge
+certificate draw a random point of a cell only where they evaluate it.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .complexes import InvariantError, ValidationError
 from .persistence import Element
@@ -48,9 +49,9 @@ class CellularSheaf:
     the morphisms are also laid out as two-way edge transport:
     `transport[u][w]` carries the stalk of cell u to that of an adjacent cell
     w, by the morphism when w is a coface of u and by its inverse when w is a
-    face. Neighbours are listed in edge order. Every morphism object has one
-    inverse object, and an identity is its own inverse. Morphisms are shared
-    and must not be changed in place."""
+    face. Neighbours are listed in edge order, which is sorted once, here.
+    Every morphism object has one inverse object, and an identity is its own
+    inverse. Morphisms are shared and must not be changed in place."""
 
     strat: Stratification
     degree: Optional[int]
@@ -59,11 +60,13 @@ class CellularSheaf:
     morphisms: Dict[Tuple[int, int], Dict[Element, Element]]
     transport: Dict[int, Dict[int, Dict[Element, Element]]] = field(
         init=False, repr=False)
+    _edges: List[Tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._edges = sorted(self.morphisms)
         self.transport = {v: {} for v in self.vertices}
         inverses: Dict[int, Dict[Element, Element]] = {}
-        for face, coface in self.edges():
+        for face, coface in self._edges:
             phi = self.morphisms[(face, coface)]
             inverse = inverses.get(id(phi))
             if inverse is None:
@@ -78,7 +81,8 @@ class CellularSheaf:
         return self.strat.fib
 
     def edges(self) -> List[Tuple[int, int]]:
-        return sorted(self.morphisms.keys())
+        """The face relations, sorted; shared, not to be changed."""
+        return self._edges
 
     def restrict(self, cells) -> "CellularSheaf":
         """Sub-sheaf on a subset of vertices (edges with both ends kept)."""
@@ -218,55 +222,52 @@ def connected_components(sheaf: CellularSheaf) -> List[List[int]]:
     seen: Set[int] = set()
     comps: List[List[int]] = []
     for cid in sheaf.vertices:
-        if cid in seen:
-            continue
-        comp = []
-        queue = deque([cid])
-        seen.add(cid)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in sheaf.transport[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
+        if cid not in seen:
+            seen.add(cid)
+            comp = [cid]
+            for u in comp:  # comp grows while it is read: the BFS queue
+                for w in sheaf.transport[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            comps.append(sorted(comp))
     return comps
 
 
-def _etale_pass(sheaf: CellularSheaf
-                ) -> Tuple[List[SheafSection], List[Tuple[int, Element]]]:
-    """Sections and obstructed seeds from one breadth-first pass over the
-    étalé graph: one node per (cell, stalk element), joined along the edge
-    transport. The transport maps are bijections, so a component meets every
-    cell of its connected component of cells. It is a section when it meets
-    each of them once; otherwise each of its nodes is an obstructed seed.
-
-    Seeds are taken by cell id, then element, so every component starts at
-    its smallest cell: sections come out ordered by cell component and then
-    by their element there, and obstructed seeds by (cell, element)."""
-    seeds = [(v, x) for v in sheaf.vertices
-             for x in sorted(sheaf.stalks[v], key=_element_sort_key)]
-    component: Dict[Tuple[int, Element], int] = {}
-    is_section: List[bool] = []
-    sections: List[SheafSection] = []
-    for seed in seeds:
-        if seed in component:
+def _etale_components(sheaf: CellularSheaf, cells: List[int]
+                      ) -> Iterator[List[Tuple[int, Element]]]:
+    """The étalé components over one connected component of cells, each as
+    its (cell, element) nodes in breadth-first order. The transport maps are
+    bijections, so each meets every cell of the component and is fixed by its
+    element at the smallest cell: the walks start there, by element, and
+    skip the elements an earlier walk reached. A component is a section
+    exactly when it has one node per cell; otherwise each of its nodes is an
+    obstructed seed. Only the component being walked is held."""
+    first = cells[0]
+    reached: Set[Element] = set()
+    for x in sorted(sheaf.stalks[first], key=_element_sort_key):
+        if x in reached:
             continue
-        index = component[seed] = len(is_section)
-        nodes = [seed]
-        for u, x in nodes:  # nodes grows while it is read: the BFS queue
+        nodes = [(first, x)]
+        seen = {nodes[0]}
+        for u, y in nodes:  # nodes grows while it is read: the BFS queue
             for w, phi in sheaf.transport[u].items():
-                node = (w, phi[x])
-                if node not in component:
-                    component[node] = index
+                node = (w, phi[y])
+                if node not in seen:
+                    seen.add(node)
                     nodes.append(node)
-        assignment = dict(nodes)
-        is_section.append(len(assignment) == len(nodes))
-        if is_section[-1]:
-            sections.append(SheafSection(assignment))
-    obstructed = [seed for seed in seeds if not is_section[component[seed]]]
-    return sections, obstructed
+        reached.update(y for v, y in nodes if v == first)
+        yield nodes
+
+
+def sections_by_component(sheaf: CellularSheaf
+                          ) -> List[Tuple[List[int], List[SheafSection]]]:
+    """Each connected component of cells, ordered by its smallest cell, with
+    all of its sections, ordered by their element at that cell."""
+    return [(cells, [SheafSection(dict(nodes))
+                     for nodes in _etale_components(sheaf, cells)
+                     if len(nodes) == len(cells)])
+            for cells in connected_components(sheaf)]
 
 
 def enumerate_global_sections(sheaf: CellularSheaf) -> List[SheafSection]:
@@ -274,7 +275,7 @@ def enumerate_global_sections(sheaf: CellularSheaf) -> List[SheafSection]:
     then by their element at the component's smallest-id cell. Sections of
     different components combine independently (cartesian product); they are
     emitted per component, not multiplied out."""
-    return _etale_pass(sheaf)[0]
+    return [s for _, sections in sections_by_component(sheaf) for s in sections]
 
 
 def walk_permutation(sheaf: CellularSheaf, walk: Sequence[int]
@@ -371,7 +372,7 @@ def _link_cycle(sheaf: CellularSheaf, v: int) -> Optional[List[int]]:
 
 def monodromy_scan(sheaf: CellularSheaf) -> MonodromyReport:
     """Loop permutations around every interior 0-cell, plus every seed that
-    admits no global extension on its component."""
+    admits no global extension on its component, by (cell, element)."""
     loops: List[LoopClass] = []
     members = set(sheaf.vertices)
     for cell in sheaf.strat.cells:
@@ -383,7 +384,11 @@ def monodromy_scan(sheaf: CellularSheaf) -> MonodromyReport:
         perm = loop_monodromy(sheaf, cycle)
         loops.append(LoopClass(cell.id, cycle, perm,
                                any(k != v for k, v in perm.items())))
-    return MonodromyReport(loops, _etale_pass(sheaf)[1])
+    obstructed = [node for cells in connected_components(sheaf)
+                  for nodes in _etale_components(sheaf, cells)
+                  if len(nodes) != len(cells) for node in nodes]
+    obstructed.sort(key=lambda seed: (seed[0], _element_sort_key(seed[1])))
+    return MonodromyReport(loops, obstructed)
 
 
 # ---------------------------------------------------------------------------
@@ -467,21 +472,26 @@ def bundle_section(sheaf: CellularSheaf, section: SheafSection,
                    seed: int = 0) -> BundleSection:
     """Certify a sheaf section as a continuous bundle section: check
     continuity across every in-scope face relation by exact evaluation at
-    boundary points of the face cell, drawn from `random.Random(seed)`.
-    The section's `samples` (`samples_per_cell` points per cell, drawn from
-    a second `random.Random(seed)`) are evaluated into the persistence plane
-    when first read.
+    boundary points of the face cell, drawn from `random.Random(seed)`;
+    a relation where the section's element does not move is counted, as
+    `max(1, boundary_samples)` checks, but not evaluated. The section's
+    `samples` (`samples_per_cell` points per cell, drawn from a second
+    `random.Random(seed)`) are evaluated into the persistence plane when
+    first read.
 
     A certificate failure means the sheaf (or the section) is inconsistent
     with the fibration and raises InvariantError naming the edge, the point
     and both value pairs."""
     rng = random.Random(seed)
     chosen = section.assignment
-    checked = sum(
-        _certify_edge(sheaf, face, coface, [(chosen[face], chosen[coface])],
-                      boundary_samples, rng)
-        for face, coface in sheaf.edges() if face in chosen and coface in chosen)
-    return BundleSection(checked, sheaf, chosen, samples_per_cell, seed)
+    in_scope = [(face, coface) for face, coface in sheaf.edges()
+                if face in chosen and coface in chosen]
+    for face, coface in in_scope:
+        if chosen[face] != chosen[coface]:
+            _certify_edge(sheaf, face, coface, [(chosen[face], chosen[coface])],
+                          boundary_samples, rng)
+    return BundleSection(max(1, boundary_samples) * len(in_scope), sheaf,
+                         chosen, samples_per_cell, seed)
 
 
 def edge_value_certificate(sheaf: CellularSheaf, samples_per_edge: int = 5,
@@ -492,6 +502,7 @@ def edge_value_certificate(sheaf: CellularSheaf, samples_per_edge: int = 5,
     are not the identity. Returns the number of equality checks performed,
     `max(1, samples_per_edge)` per pair of each morphism."""
     rng = random.Random(seed)
-    return sum(_certify_edge(sheaf, face, coface, list(phi.items()),
+    return sum(_certify_edge(sheaf, face, coface,
+                             list(sheaf.morphisms[(face, coface)].items()),
                              samples_per_edge, rng)
-               for (face, coface), phi in sorted(sheaf.morphisms.items()))
+               for face, coface in sheaf.edges())

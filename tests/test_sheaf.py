@@ -1,3 +1,5 @@
+import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -5,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdbundle.cli import main
 from pdbundle.complexes import SimplicialComplex, ValidationError
+from pdbundle.serialize import canonical_dumps, fibration_to_json, sections_to_json
 from pdbundle.sheaf import (
     CellularSheaf,
     InvariantError,
@@ -19,6 +23,7 @@ from pdbundle.sheaf import (
     loop_monodromy,
     monodromy_scan,
     propagate,
+    sections_by_component,
     walk_permutation,
 )
 from pdbundle.stratify import (
@@ -29,7 +34,8 @@ from pdbundle.stratify import (
     merge_cells,
 )
 
-from conftest import MESHES, A, B, C, D, quadrant_of, random_fibration
+from conftest import (MESHES, A, B, C, D, mono_fibration, quadrant_of,
+                      random_fibration)
 
 F = Fraction
 
@@ -417,3 +423,105 @@ def test_etale_pass_matches_per_seed_propagation(mono_strat):
         found += len(sections)
         obstructed += len(seeds)
     assert found > 50 and obstructed > 0
+
+
+def _components_by_union(sheaf):
+    """Oracle: the connected components of cells, by union-find over the
+    face relations, each sorted and ordered by its smallest cell."""
+    root = {v: v for v in sheaf.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for face, coface in sheaf.morphisms:
+        root[find(face)] = find(coface)
+    groups = {}
+    for v in sheaf.vertices:
+        groups.setdefault(find(v), []).append(v)
+    return sorted(sorted(g) for g in groups.values())
+
+
+def _check_against_propagation(sheaf, doc):
+    """Sections and obstructed seeds against per-seed propagation, and the
+    `sections` JSON fields against the propagated sections per component;
+    returns the components, sections and obstructed seeds."""
+    comps = _components_by_union(sheaf)
+    sections = _sections_by_propagation(sheaf)
+    obstructed = _obstructed_by_propagation(sheaf)
+    assert enumerate_global_sections(sheaf) == sections
+    assert monodromy_scan(sheaf).obstructed_seeds == obstructed
+    per_component = [sum(s.scope == frozenset(comp) for s in sections)
+                     for comp in comps]
+    assert doc["components"] == comps
+    assert doc["sections_per_component"] == per_component
+    assert doc["global_section_count"] == math.prod(per_component)
+    return comps, sections, obstructed
+
+
+def _mirrored_monodromy_fibration():
+    """The monodromy fan over [-1, 1]^2 and its mirror image in the line
+    x = 1, which the two squares share. The triangles of the two copies
+    alternate, so the ids of their cells interleave."""
+    fib = mono_fibration()
+    verts = list(fib.mesh.vertices)
+    index = {p: i for i, p in enumerate(verts)}
+    mirror = {}
+    for i, (x, y) in enumerate(fib.mesh.vertices):
+        p = (2 - x, y)
+        if p not in index:
+            index[p] = len(verts)
+            verts.append(p)
+        mirror[i] = index[p]
+    tris = [t for a, b, c in fib.mesh.triangles
+            for t in ((a, b, c), (mirror[a], mirror[b], mirror[c]))]
+    values = [row + [None] * (len(verts) - len(row)) for row in fib.values]
+    for row in values:
+        for i, j in mirror.items():
+            row[j] = row[i]
+    return PLFibration(fib.complex, BaseMesh(verts, tris), values)
+
+
+@pytest.mark.parametrize("degree", [1, None])
+def test_restriction_into_interleaved_components(degree):
+    # removing the cells on the shared side x = 1 splits the mirrored
+    # monodromy example into its two squares, each with its loop around its
+    # own centre, so both components carry obstructed seeds
+    sheaf = build_sheaf(build_stratification(_mirrored_monodromy_fibration()),
+                        degree=degree)
+    assert len(_components_by_union(sheaf)) == 1
+    sub = sheaf.restrict(c.id for c in sheaf.strat.cells
+                         if not all(p[0] == 1 for piece in c.pieces
+                                    for p in piece))
+    doc = sections_to_json(sub, sections_by_component(sub))
+    comps, sections, obstructed = _check_against_propagation(sub, doc)
+    assert len(comps) == 2
+    left, right = comps
+    assert left[0] < right[0] < left[-1] < right[-1]   # interleaved ids
+    assert {v for v, _ in obstructed} == set(sub.vertices)
+    for comp in comps:
+        loops = [loop for loop in monodromy_scan(sub).loops
+                 if loop.zero_cell in comp and loop.nontrivial]
+        assert len(loops) == 1
+
+
+def test_degree_above_the_top_dimension(tmp_path, capsys):
+    # every stalk is empty: each component has no section and no seed
+    fib = mono_fibration()
+    degree = max(fib.complex.dim(i) for i in range(fib.complex.n)) + 1
+    path = tmp_path / "mono.json"
+    path.write_text(canonical_dumps(fibration_to_json(fib)))
+    docs = {}
+    for cmd in ("sections", "monodromy"):
+        assert main([cmd, "--input", str(path), "--degree", str(degree)]) == 0
+        docs[cmd] = json.loads(capsys.readouterr().out)
+    sheaf = build_sheaf(build_stratification(fib), degree=degree)
+    assert not any(sheaf.stalks.values())
+    comps, sections, obstructed = _check_against_propagation(
+        sheaf, docs["sections"])
+    assert comps and sections == [] and obstructed == []
+    assert docs["sections"]["sections_per_component"] == [0] * len(comps)
+    assert docs["sections"]["global_section_count"] == 0
+    assert docs["sections"]["continuity_checks_per_section"] == []
+    assert docs["monodromy"]["obstructed_seeds"] == []
