@@ -8,10 +8,17 @@ sorted keys so equal inputs produce byte-identical outputs.
 + "\n"`: ASCII only, each list item and dict entry on its own line at two
 spaces of indent per level, "," after every item but the last and ": " after
 each key. It writes them with `str.join` instead of the standard library's
-pure-Python indenting encoder. In the builders' trees, cells with equal pair
-sets or stalks, and edges with one morphism object, share one list object;
-`json.dumps` writes a shared subtree as it writes a copy, and
+pure-Python indenting encoder.
+
+The builders format each distinct part of their output once. Cells with
+equal pair sets or stalks, and edges with one morphism object, share one
+list object; `json.dumps` writes a shared subtree as it writes a copy, and
 `canonical_dumps` encodes a shared list of lists once per indent level.
+Each distinct element is one `[birth, death]` list per output, and each
+corner point that the cells of one base triangle share is one `[x, y]`
+list, keyed by the element or by the point object, never by hashing a
+`Fraction`; they are lists of strs, which `canonical_dumps` joins wherever
+they occur.
 """
 from __future__ import annotations
 
@@ -19,8 +26,8 @@ import json
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .complexes import (
     SimplicialComplex,
@@ -29,9 +36,10 @@ from .complexes import (
     parse_simplex_id,
     simplex_id,
 )
+from .geometry import Point
 from .persistence import Element, PairSet, diagrams_by_degree
 from .sheaf import CellularSheaf, MonodromyReport, SheafSection
-from .stratify import BaseMesh, Cell, PLFibration, Stratification
+from .stratify import BaseMesh, PLFibration, Stratification
 
 
 def format_rational(x) -> str:
@@ -39,15 +47,17 @@ def format_rational(x) -> str:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_INT_ONLY = {int}
 
 
 def canonical_dumps(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte, for
     a tree of dicts with str keys, lists, tuples, str, int, float, bool and
-    None; anything else raises TypeError. A list of lists that occurs more
-    than once in the tree, such as the pair set that cells share, is written
-    once per indent level: memoised on its id, which stays stable while the
-    tree is alive."""
+    None; anything else raises TypeError. A list of strs, or of ints such
+    as a face relation, is one join. A list of lists that occurs more than
+    once in the tree, such as the pair set that cells share, is written once
+    per indent level: memoised on its id, which stays stable while the tree
+    is alive."""
     memo: Dict[Tuple[int, str], str] = {}
 
     def write(o, nl: str) -> str:
@@ -64,6 +74,9 @@ def canonical_dumps(obj) -> str:
                     return f"[{inner}{sep.join(map(_encode_str, o))}{nl}]"
                 except TypeError:   # not every item is a str
                     pass
+            elif type(o[0]) is int:
+                if {*map(type, o)} == _INT_ONLY:   # no bool among them
+                    return f"[{inner}{sep.join(map(int.__repr__, o))}{nl}]"
             elif isinstance(o[0], (list, tuple)):
                 key = (id(o), nl)
                 text = memo.get(key)
@@ -82,7 +95,11 @@ def canonical_dumps(obj) -> str:
             sep = "," + inner
             parts = []
             for k in sorted(o):
-                parts += (sep, _encode_str(k), ": ", write(o[k], inner))
+                v = o[k]
+                kind = type(v)
+                parts += (sep, _encode_str(k), ": ",
+                          _encode_str(v) if kind is str
+                          else int.__repr__(v) if kind is int else write(v, inner))
             parts[0] = "{" + inner
             parts.append(nl + "}")
             return "".join(parts)
@@ -104,7 +121,12 @@ def canonical_dumps(obj) -> str:
             return float.__repr__(o)
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    return write(obj, "\n") + "\n"
+    try:
+        return write(obj, "\n") + "\n"
+    finally:
+        # write refers to itself through its closure, so without this the
+        # memo and its texts would live on until the cyclic collector runs
+        memo.clear()
 
 
 def _require(obj, key, kind, where):
@@ -219,9 +241,27 @@ def element_to_json(K: SimplicialComplex, e: Element) -> List[str]:
     return [K.ids[b], "inf" if d is None else K.ids[d]]
 
 
+def _shared_elements(K: SimplicialComplex) -> Callable[[Element], List[str]]:
+    """`element_to_json` that builds one list per distinct element and
+    returns that list wherever the element occurs again."""
+    texts: Dict[Element, List[str]] = {}
+
+    def to_json(e: Element) -> List[str]:
+        text = texts.get(e)
+        if text is None:
+            text = texts[e] = element_to_json(K, e)
+        return text
+    return to_json
+
+
+def _sorted_mapping(element: Callable[[Element], List[str]],
+                    mapping: Mapping[Element, Element]) -> List[List[List[str]]]:
+    return sorted([element(e), element(img)] for e, img in mapping.items())
+
+
 def elements_to_json(K: SimplicialComplex, elements) -> List[List[str]]:
     """A pair set, or a stalk, as its sorted elements."""
-    return sorted(element_to_json(K, e) for e in elements)
+    return sorted(map(_shared_elements(K), elements))
 
 
 pairset_to_json = elements_to_json
@@ -230,8 +270,7 @@ pairset_to_json = elements_to_json
 def mapping_to_json(K: SimplicialComplex,
                     mapping: Mapping[Element, Element]) -> List[List[List[str]]]:
     """A bijection of pair-set elements as sorted [element, image] pairs."""
-    return sorted([element_to_json(K, e), element_to_json(K, img)]
-                  for e, img in mapping.items())
+    return _sorted_mapping(_shared_elements(K), mapping)
 
 
 def diagrams_to_json(K: SimplicialComplex, pairs: PairSet,
@@ -253,29 +292,43 @@ def point_to_json(p) -> List[str]:
     return [format_rational(p[0]), format_rational(p[1])]
 
 
-def cell_to_json(cell: Cell, stalk_json: List[List[str]]) -> Dict:
-    return {
-        "id": cell.id,
-        "dim": cell.dim,
-        "triangles": list(cell.triangles),
-        "geometry": [[point_to_json(p) for p in piece] for piece in cell.pieces],
-        "representative_point": point_to_json(cell.rep),
-        "pairs": stalk_json,
-    }
+def _shared_points() -> Callable[[Point], List[str]]:
+    """`point_to_json` that builds one list per point object and returns
+    that list wherever the object occurs again, as the corners that the
+    cells of one triangle share do. Keyed by identity: hashing a `Fraction`
+    costs more than its text. The points must outlive the returned
+    function."""
+    texts: Dict[int, List[str]] = {}
+
+    def to_json(p: Point) -> List[str]:
+        text = texts.get(id(p))
+        if text is None:
+            text = texts[id(p)] = point_to_json(p)
+        return text
+    return to_json
 
 
 def stratification_to_json(strat: Stratification) -> Dict:
     """The cells and face relations. Cells with equal pair sets share one
-    JSON list, which `canonical_dumps` writes once."""
-    K = strat.fib.complex
+    JSON list, which `canonical_dumps` writes once; each corner point and
+    each element is formatted once."""
+    element = _shared_elements(strat.fib.complex)
+    point = _shared_points()
     shared: Dict[PairSet, List[List[str]]] = {}
     cells = []
     for cell in strat.cells:
         pairs = strat.cell_pairs(cell.id)
         pairs_json = shared.get(pairs)
         if pairs_json is None:
-            pairs_json = shared[pairs] = pairset_to_json(K, pairs)
-        cells.append(cell_to_json(cell, pairs_json))
+            pairs_json = shared[pairs] = sorted(map(element, pairs))
+        cells.append({
+            "id": cell.id,
+            "dim": cell.dim,
+            "triangles": list(cell.triangles),
+            "geometry": [[point(p) for p in piece] for piece in cell.pieces],
+            "representative_point": point(cell.rep),
+            "pairs": pairs_json,
+        })
     return {
         "cells": cells,
         "face_relations": sorted(
@@ -288,15 +341,15 @@ def stratification_to_json(strat: Stratification) -> Dict:
 def sheaf_to_json(sheaf: CellularSheaf) -> Dict:
     """The stalks and morphisms. Cells with equal stalks share one JSON list,
     and so do edges with one morphism object (the shared identities), which
-    `canonical_dumps` writes once."""
-    K = sheaf.fib.complex
+    `canonical_dumps` writes once; each element is formatted once."""
+    element = _shared_elements(sheaf.fib.complex)
     shared: Dict[FrozenSet[Element], List[List[str]]] = {}
     vertices = []
     for cell in sheaf.strat.cells:
         stalk = sheaf.stalks[cell.id]
         stalk_json = shared.get(stalk)
         if stalk_json is None:
-            stalk_json = shared[stalk] = elements_to_json(K, stalk)
+            stalk_json = shared[stalk] = sorted(map(element, stalk))
         vertices.append({
             "cell": cell.id,
             "dim": cell.dim,
@@ -309,7 +362,7 @@ def sheaf_to_json(sheaf: CellularSheaf) -> Dict:
         phi = sheaf.morphisms[(face, coface)]
         phi_json = shared_maps.get(id(phi))
         if phi_json is None:
-            phi_json = shared_maps[id(phi)] = mapping_to_json(K, phi)
+            phi_json = shared_maps[id(phi)] = _sorted_mapping(element, phi)
         edges.append({"face": face, "coface": coface, "morphism": phi_json})
     return {
         "degree": sheaf.degree,
@@ -322,14 +375,15 @@ def sections_to_json(sheaf: CellularSheaf,
                      by_component: List[Tuple[List[int], List[SheafSection]]]
                      ) -> Dict:
     """The components and their sections, as `sections_by_component` gives
-    them; each section as its (cell, element) assignment, by cell."""
-    K = sheaf.fib.complex
+    them; each section as its (cell, element) assignment, by cell. Each
+    element is formatted once."""
+    element = _shared_elements(sheaf.fib.complex)
     per_component = [len(sections) for _, sections in by_component]
     return {
         "degree": sheaf.degree,
         "components": [cells for cells, _ in by_component],
         "sections": [{"assignment": sorted(
-            [cid, element_to_json(K, e)] for cid, e in s.assignment.items())}
+            [cid, element(e)] for cid, e in s.assignment.items())}
             for _, sections in by_component for s in sections],
         "sections_per_component": per_component,
         "global_section_count": math.prod(per_component),
@@ -337,13 +391,13 @@ def sections_to_json(sheaf: CellularSheaf,
 
 
 def monodromy_to_json(sheaf: CellularSheaf, report: MonodromyReport) -> Dict:
-    K = sheaf.fib.complex
+    element = _shared_elements(sheaf.fib.complex)
     loops = []
     for loop in report.loops:
         loops.append({
             "zero_cell": loop.zero_cell,
             "cell_cycle": loop.cycle,
-            "permutation": mapping_to_json(K, loop.permutation),
+            "permutation": _sorted_mapping(element, loop.permutation),
             "nontrivial": loop.nontrivial,
         })
     return {
@@ -351,7 +405,7 @@ def monodromy_to_json(sheaf: CellularSheaf, report: MonodromyReport) -> Dict:
         "loops": loops,
         "nontrivial_loop_count": sum(1 for l in loops if l["nontrivial"]),
         "obstructed_seeds": sorted(
-            [cid, element_to_json(K, e)] for cid, e in report.obstructed_seeds),
+            [cid, element(e)] for cid, e in report.obstructed_seeds),
     }
 
 

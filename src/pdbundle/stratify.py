@@ -6,8 +6,9 @@ inside each base triangle, empty, a chord, the whole triangle, or a single
 vertex. Overlaying the chords with the triangle boundary partitions the base
 into convex cells on which the simplex order is constant; cells are not merged
 across triangle boundaries (a post-processing merge is available separately).
-All geometry is exact: integer arithmetic, with `Fraction`s only in the
-points of a `Cell`.
+All geometry is exact integer arithmetic. `Fraction`s occur only in the
+output fields of a `Cell`, its corner points and its representative point,
+each built once from a homogeneous integer point.
 
 Each triangle is cut line by line into convex polygons, the 2-cells. Since
 every line is a full chord of the triangle, every arrangement vertex on the
@@ -25,9 +26,10 @@ value at a point is one integer dot product over a positive denominator
 their rows, read off without computing its endpoints.
 
 Polygons and cell orders are integer too. A triangle is cut by its trace
-lines in homogeneous integer points (`geometry.split_convex`), and a cell's
-simplex order is a sort of the integer value numerators at its
-representative point over their common positive denominator.
+lines in homogeneous integer points (`geometry.split_convex`). A cell's
+representative point is the integer mean of the corners that key it, and
+its simplex order a sort of the integer value numerators there, read off
+the table of the triangle it lies in with one dot product per distinct row.
 
 Neighbouring cells differ in their orders by a few transpositions, and very
 many orders share one pair set. So every cell's pair set comes from one
@@ -64,8 +66,6 @@ from .geometry import (
     on_segment,
     orient,
     point_in_convex,
-    polygon_centroid,
-    segment_midpoint,
     split_convex,
 )
 from .persistence import PairSet, Reduction
@@ -159,9 +159,15 @@ class TriangleTable:
     >= 0. Simplex i has the value (a·X + b·Y + c·Z) / (den·Z) there, with
     (a, b, c) = `rows[i]`, and `corner_values[i]` are its values at the
     three corners scaled to integers by one common positive factor, so the
-    signs of their differences are those of the value differences."""
+    signs of their differences are those of the value differences.
 
-    __slots__ = ("edges", "rows", "den", "corner_values")
+    Simplices with equal corner values share one row: `distinct_rows` holds
+    each row once, in order of first use, and `rows[i]` is
+    `distinct_rows[row_index[i]]`, so a point is evaluated with one dot
+    product per distinct row."""
+
+    __slots__ = ("edges", "rows", "den", "corner_values", "distinct_rows",
+                 "row_index")
 
     def __init__(self, corners: Sequence[Point], values: Sequence[Sequence[Fraction]]):
         scale, q = _to_grid(corners)
@@ -175,18 +181,19 @@ class TriangleTable:
         self.corner_values = [
             tuple(v.numerator * (vscale // v.denominator) for v in row)
             for row in values]
+        index: Dict[Tuple[int, ...], int] = {}
+        self.row_index = [index.setdefault(cv, len(index))
+                          for cv in self.corner_values]
         # row = u·edges[0] + v·edges[1] + w·edges[2], once per distinct
         # corner values (u, v, w)
         (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = self.edges
-        rows: Dict[Tuple[int, ...], Tuple[int, int, int]] = {}
-        for u, v, w in set(self.corner_values):
-            rows[(u, v, w)] = (u * a0 + v * a1 + w * a2, u * b0 + v * b1 + w * b2,
-                               u * c0 + v * c1 + w * c2)
+        forms = [(u * a0 + v * a1 + w * a2, u * b0 + v * b1 + w * b2,
+                  u * c0 + v * c1 + w * c2) for u, v, w in index]
         den = vscale * area2
-        g = math.gcd(den, *(x for row in rows.values() for x in row))
+        g = math.gcd(den, *(x for row in forms for x in row))
         self.den = den // g
-        rows = {cv: (a // g, b // g, c // g) for cv, (a, b, c) in rows.items()}
-        self.rows = [rows[cv] for cv in self.corner_values]
+        self.distinct_rows = [(a // g, b // g, c // g) for a, b, c in forms]
+        self.rows = [self.distinct_rows[i] for i in self.row_index]
 
     def contains(self, X: int, Y: int, Z: int) -> bool:
         (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = self.edges
@@ -194,8 +201,10 @@ class TriangleTable:
                 and a2 * X + b2 * Y + c2 * Z >= 0)
 
     def numerators(self, X: int, Y: int, Z: int) -> List[int]:
-        """Every simplex's value at (X/Z, Y/Z) times den·Z > 0."""
-        return [a * X + b * Y + c * Z for a, b, c in self.rows]
+        """Every simplex's value at (X/Z, Y/Z) times den·Z > 0: one dot
+        product per distinct row, expanded through `row_index`."""
+        values = [a * X + b * Y + c * Z for a, b, c in self.distinct_rows]
+        return list(map(values.__getitem__, self.row_index))
 
 
 class PLFibration:
@@ -303,21 +312,36 @@ def intersection_trace(fib: PLFibration, sigma: int, tau: int,
 class Cell:
     """One stratification cell. geometry pieces are points (1 point), open
     segments (2 points) or open convex polygons (counterclockwise loops);
-    unmerged cells always have a single piece."""
+    unmerged cells always have a single piece. `hrep` is the representative
+    point `rep` in canonical homogeneous integer form, and `rep_triangle` a
+    base triangle whose closure holds it, by default the first of
+    `triangles` (where an unmerged cell's rep lies); the cell's order is
+    read off that triangle's table at `hrep`."""
 
     id: int
     dim: int
     pieces: Tuple[Piece, ...]
     rep: Point
     triangles: Tuple[int, ...]
+    hrep: Optional[HPoint] = None
+    rep_triangle: Optional[int] = None
+
+    def __post_init__(self):
+        if self.hrep is None:
+            self.hrep = homogeneous(self.rep)
+        if self.rep_triangle is None:
+            self.rep_triangle = self.triangles[0]
 
 
-def _piece_rep(piece: Piece) -> Point:
-    if len(piece) == 1:
-        return piece[0]
-    if len(piece) == 2:
-        return segment_midpoint(piece[0], piece[1])
-    return polygon_centroid(piece)
+def _mean_point(points: Sequence[HPoint]) -> HPoint:
+    """The mean of homogeneous integer points, in canonical form: a vertex
+    itself, a side's midpoint, a loop's centroid."""
+    scale = math.lcm(*(z for _, _, z in points))
+    x = sum(X * (scale // Z) for X, _, Z in points)
+    y = sum(Y * (scale // Z) for _, Y, Z in points)
+    z = len(points) * scale
+    g = math.gcd(x, y, z)
+    return x // g, y // g, z // g
 
 
 def _point_in_piece(piece: Piece, p: Point) -> bool:
@@ -356,7 +380,7 @@ class Stratification:
         simplices = range(fib.complex.n)
         self.indexings: Dict[int, SimplexIndexing] = {
             c.id: SimplexIndexing(sorted(simplices,
-                                         key=_rep_numerators(fib, c).__getitem__))
+                                         key=_cell_numerators(fib, c).__getitem__))
             for c in cells}
 
     def cell(self, cid: int) -> Cell:
@@ -377,23 +401,26 @@ class Stratification:
 
     def walk(self, cofaces: bool = False
              ) -> Iterator[Tuple[Optional[int], int, PairSet, List[Tuple[int, int]]]]:
-        """One breadth-first walk over the face relations (faces and
-        cofaces). It yields each step from a cell u to a cell w as (u, w,
-        pairs, swaps): w's pair set, and the simplex pairs that the
-        transpositions changing the pair set swapped on the way from u's
+        """One breadth-first walk over the face relations: those of
+        codimension 1 only (0-cell to 1-cell, 1-cell to 0- or 2-cell), which
+        take fewer transpositions a step than a 0-cell to a 2-cell, or, with
+        `cofaces`, all of them. It yields each step from a cell u to a cell
+        w as (u, w, pairs, swaps): w's pair set, and the simplex pairs that
+        the transpositions changing the pair set swapped on the way from u's
         order to w's (`Reduction.transpose_to`). A step carries a copy of
         u's reduction to w's order along the canonical schedule in one pass
         (u's own, when the two orders are equal); that pass visits only the
         steps between two simplices of one dimension, the only ones that can
-        change R, V or the pair set. The first cell of each connected
-        component is yielded as (None, w, pairs, []), reduced in full; the
-        first step to any other cell is its tree edge, which gives the cell
-        its reduction. With `cofaces`, each cell also steps to every coface
-        reached before, so that every face relation is walked from its face
-        exactly once. Every cell's pair set is read off its own reduction:
-        the lowest ones of R fix the pair set, so they key one pair set
-        object per distinct pair set, read once (`Reduction.elements`).
-        Only the reductions of the walk's frontier stay alive."""
+        change R, V or the pair set. The first cell of each component that
+        the walked relations connect is yielded as (None, w, pairs, []),
+        reduced in full; the first step to any other cell is its tree edge,
+        which gives the cell its reduction. With `cofaces`, each cell also
+        steps to every coface reached before, so that every face relation is
+        walked from its face exactly once. Every cell's pair set is read
+        off its own reduction: the lowest ones of R fix the pair set, so
+        they key one pair set object per distinct pair set, read once
+        (`Reduction.elements`). Only the reductions of the walk's frontier
+        stay alive."""
         K = self.fib.complex
         distinct: Dict[Tuple[int, ...], PairSet] = {}
 
@@ -415,7 +442,12 @@ class Stratification:
             while queue:
                 u, red = queue.popleft()
                 revisit = self.cofaces[u] if cofaces else ()
-                for w in self.faces[u] | self.cofaces[u]:
+                neighbours = self.faces[u] | self.cofaces[u]
+                if not cofaces:
+                    dim = self.cells[u].dim
+                    neighbours = [w for w in neighbours
+                                  if self.cells[w].dim - dim in (1, -1)]
+                for w in neighbours:
                     new = w not in seen
                     if not new and w not in revisit:
                         continue
@@ -489,15 +521,18 @@ def filtration_at(fib: PLFibration, p: Sequence,
     pt: Point = (as_fraction(p[0]), as_fraction(p[1]))
     table, (X, Y, Z) = _table_at(fib, pt, triangle_hint)
     dz = table.den * Z
-    rows = table.rows if simplices is None else [table.rows[i] for i in simplices]
-    return [Fraction(a * X + b * Y + c * Z, dz) for a, b, c in rows]
+    if simplices is not None:
+        rows = table.rows
+        return [Fraction(a * X + b * Y + c * Z, dz)
+                for a, b, c in map(rows.__getitem__, simplices)]
+    values = [Fraction(a * X + b * Y + c * Z, dz) for a, b, c in table.distinct_rows]
+    return list(map(values.__getitem__, table.row_index))
 
 
-def _rep_numerators(fib: PLFibration, cell: Cell) -> List[int]:
+def _cell_numerators(fib: PLFibration, cell: Cell) -> List[int]:
     """Every simplex's value at the cell's representative point times one
-    positive integer. The rep lies in the first triangle of an unmerged
-    cell; a merged cell's may lie only in another of its triangles."""
-    return point_numerators(fib, cell.rep, cell.triangles[0])[0]
+    positive integer, read off the table of the triangle it lies in."""
+    return fib.table(cell.rep_triangle).numerators(*cell.hrep)
 
 
 def _triangle_lines(fib: PLFibration, t: int) -> List[Line]:
@@ -536,19 +571,21 @@ def _arrange_triangle(fib: PLFibration, t: int
     through that vertex would cut the cell). The 0-cells are therefore the
     corners and the 1-cells the loop sides.
 
-    The triangle is cut in homogeneous integer points; each distinct corner
-    becomes a `Fraction` point once, after the last cut, and is ranked in
-    the order of those points, so ranks compare as the points do."""
+    The triangle is cut in homogeneous integer points. The corners are
+    ranked by integer keys, their coordinates over the common denominator
+    of all of them, so ranks compare as the points do; each becomes a
+    `Fraction` point once."""
     polys = [[homogeneous(p) for p in fib.mesh.corners(t)]]
     for line in _triangle_lines(fib, t):
         polys = [part for poly in polys for part in split_convex(poly, line)
                  if part]
-    point = {v: (Fraction(v[0], v[2]), Fraction(v[1], v[2]))
-             for v in {v for poly in polys for v in poly}}
-    corners = sorted(point, key=point.__getitem__)
+    distinct = {v for poly in polys for v in poly}
+    scale = math.lcm(*(z for _, _, z in distinct))
+    corners = sorted(distinct, key=lambda v: (v[0] * (scale // v[2]),
+                                              v[1] * (scale // v[2])))
     rank = {v: r for r, v in enumerate(corners)}
     loops = sorted(tuple(rank[v] for v in poly) for poly in polys)
-    return corners, [point[v] for v in corners], loops
+    return corners, [(Fraction(x, z), Fraction(y, z)) for x, y, z in corners], loops
 
 
 def build_stratification(fib: PLFibration) -> Stratification:
@@ -556,7 +593,9 @@ def build_stratification(fib: PLFibration) -> Stratification:
     the face poset (all face relations, any codimension). 1- and 0-cells on
     shared triangle boundaries are identified across triangles by their
     canonical integer corners. A 2-cell's faces are its corners and sides, a
-    1-cell's its two endpoints."""
+    1-cell's its two endpoints. A cell's representative point is the mean of
+    the corners that key it (`_mean_point`), in integers; a `Fraction` point
+    is built once per corner and once per representative."""
     cells: List[Cell] = []
     faces: Dict[int, Set[int]] = {}
     seen: Dict[Tuple[HPoint, ...], int] = {}
@@ -566,11 +605,13 @@ def build_stratification(fib: PLFibration) -> Stratification:
         if cid is not None:
             cell = cells[cid]
             if t not in cell.triangles:
-                cells[cid] = Cell(cid, dim, cell.pieces, cell.rep,
-                                  tuple(sorted(cell.triangles + (t,))))
+                cell.triangles = tuple(sorted(cell.triangles + (t,)))
             return cid
         cid = len(cells)
-        cells.append(Cell(cid, dim, (piece,), _piece_rep(piece), (t,)))
+        hrep = _mean_point(key)
+        rep = piece[0] if dim == 0 else (Fraction(hrep[0], hrep[2]),
+                                         Fraction(hrep[1], hrep[2]))
+        cells.append(Cell(cid, dim, (piece,), rep, (t,), hrep, t))
         faces[cid] = set()
         seen[key] = cid
         return cid
@@ -643,7 +684,7 @@ def merge_cells(strat: Stratification) -> Stratification:
     # merge on equality of the simplex ORDER (tie structure included), not of
     # the tie-broken indexing: a wall where two values tie can share its
     # indexing with a strict neighbor yet still be a genuine stratum boundary
-    signature = {c.id: order_signature(_rep_numerators(fib, c))
+    signature = {c.id: order_signature(_cell_numerators(fib, c))
                  for c in strat.cells}
 
     by_dim: Dict[int, List[Cell]] = {0: [], 1: [], 2: []}
@@ -690,7 +731,9 @@ def merge_cells(strat: Stratification) -> Stratification:
         pieces = tuple(p for m in members for p in strat.cell(m).pieces)
         tris = tuple(sorted({t for m in members for t in strat.cell(m).triangles}))
         nid = len(new_cells)
-        new_cells.append(Cell(nid, dim, pieces, strat.cell(rep_member).rep, tris))
+        rep = strat.cell(rep_member)
+        new_cells.append(Cell(nid, dim, pieces, rep.rep, tris, rep.hrep,
+                              rep.rep_triangle))
         for m in members:
             new_id_of[m] = nid
 

@@ -8,8 +8,11 @@ crossing a `Fraction` step along its side and each part oriented by its
 area. `rep_values` evaluates the filtration at a cell's representative
 point, whose `induced_indexing` is the cell order the tests expect.
 `representative_point` recomputes a cell's representative from its piece,
-and `order_constancy_check` compares the order at sampled points of a cell
-with the order there.
+in `Fraction`s, where the stratification computes it in homogeneous
+integers. `per_simplex_numerators` evaluates a triangle table with one dot
+product per simplex, where the table takes one per distinct row.
+`order_constancy_check` compares the order at sampled points of a cell with
+the order there.
 """
 import random
 from fractions import Fraction
@@ -29,6 +32,7 @@ from pdbundle.stratify import (
     Cell,
     PLFibration,
     Stratification,
+    TriangleTable,
     filtration_at,
     sample_in_cell,
 )
@@ -105,6 +109,13 @@ def representative_point(cell: Cell) -> Point:
     if len(piece) == 2:
         return segment_midpoint(piece[0], piece[1])
     return polygon_centroid(piece)
+
+
+def per_simplex_numerators(table: TriangleTable, X: int, Y: int, Z: int
+                           ) -> List[int]:
+    """Every simplex's value at (X/Z, Y/Z) times den·Z, one dot product per
+    simplex row."""
+    return [a * X + b * Y + c * Z for a, b, c in table.rows]
 
 
 def order_constancy_check(fib: PLFibration, strat: Stratification, cell_id: int,

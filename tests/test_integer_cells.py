@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
 import cell_oracle
@@ -16,10 +17,11 @@ from pdbundle.geometry import (
     simplify_loop,
     split_convex,
 )
-from pdbundle.stratify import build_stratification, merge_cells
+from pdbundle.stratify import build_stratification, filtration_at, merge_cells
 
 from conftest import (
     MESHES,
+    acceptance_fibrations,
     mono_fibration,
     random_fibration,
     random_ppm,
@@ -29,31 +31,87 @@ from conftest import (
 F = Fraction
 
 
-def test_cell_orders_match_induced_indexing():
-    """Every cell's indexing is `induced_indexing` of the values at its
-    representative point, on integer and rational fibrations, 2×2 and
-    binary 3×3 images, and merged stratifications, whose representatives
-    may lie outside a cell's first triangle."""
+def _c9_ppm(n: int) -> str:
+    """The acceptance test's c9 pixel formula as an n×n image."""
+    return f"P3\n{n} {n} 31\n" + "\n".join(
+        " ".join(f"{(3 * r + 2 * c) % 11} {(r * c + 7) % 13} {(r + 5 * c) % 17}"
+                 for c in range(n)) for r in range(n)) + "\n"
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The acceptance corpus, the monodromy example, the c9 3×3 and 4×4
+    images, integer and rational fibrations on every mesh, and 2×2 and
+    binary 3×3 images, with their stratifications."""
     rng = random.Random(61)
-    fibs = [mono_fibration()]
+    fibs = acceptance_fibrations(20) + [mono_fibration()]
+    fibs += [gen_image_fibration(_c9_ppm(n))[0] for n in (3, 4)]
     fibs += [random_fibration(rng, mesh_name=name) for name in sorted(MESHES)]
     fibs += [random_rational_fibration(rng, mesh_name=name)
              for name in sorted(MESHES) for _ in range(2)]
     fibs += [gen_image_fibration(random_ppm(rng, 2, 2, 15))[0] for _ in range(2)]
     fibs += [gen_image_fibration(random_ppm(rng, 3, 3, 1))[0] for _ in range(2)]
+    return [(fib, build_stratification(fib)) for fib in fibs]
+
+
+def test_cell_orders_match_induced_indexing(corpus):
+    """Every cell's integer representative is the canonical form of the
+    `Fraction` vertex, side midpoint or corner mean, and lies in the closed
+    triangle whose table gives the cell its order. Every cell's indexing,
+    merged cells' included, whose representatives may lie outside their
+    first triangle, is `induced_indexing` of the values at its
+    representative point: on every cell, except where a stratification has
+    over 1,000 cells (the 4×4 image has 7,073), where a `Fraction` sort per
+    cell would take seconds, and 600 cells drawn at random are checked."""
+    rng = random.Random(73)
     most_ties = off_first_triangle = 0
-    for fib in fibs:
-        strat = build_stratification(fib)
+    for fib, strat in corpus:
+        for c in strat.cells:
+            rep = cell_oracle.representative_point(c)
+            assert c.rep == rep and c.hrep == homogeneous(rep)
+            assert c.rep_triangle == c.triangles[0]
+            assert fib.table(c.rep_triangle).contains(*c.hrep)
         for s in (strat, merge_cells(strat)):
-            for c in s.cells:
+            cells = s.cells if len(s.cells) <= 1000 else rng.sample(s.cells, 600)
+            for c in cells:
                 vals = cell_oracle.rep_values(s, c.id)
                 assert s.indexings[c.id] == induced_indexing(vals, fib.complex)
                 if c.dim == 0:
                     most_ties = max(most_ties, fib.complex.n - len(set(vals)))
                 off_first_triangle += not fib.table(c.triangles[0]).contains(
-                    *homogeneous(c.rep))
+                    *c.hrep)
     assert most_ties >= 60           # a binary 3×3 image corner: 67 simplices
     assert off_first_triangle >= 1
+
+
+def test_per_row_numerators_match_per_simplex_dot_products(corpus):
+    """`TriangleTable.numerators` takes one dot product per distinct row;
+    at every cell representative and at random points, on and off the
+    triangle, it gives the per-simplex dot products, and `filtration_at`
+    their `Fraction`s, of every simplex or of a subset."""
+    rng = random.Random(71)
+    shared = 0
+    for fib, strat in corpus:
+        n = fib.complex.n
+        for t in range(len(fib.mesh.triangles)):
+            table = fib.table(t)
+            assert [table.distinct_rows[i] for i in table.row_index] == table.rows
+            assert len(set(table.distinct_rows)) == len(table.distinct_rows)
+            shared += n - len(table.distinct_rows)
+            points = [c.hrep for c in strat.cells if c.rep_triangle == t]
+            points += [(rng.randint(-99, 99), rng.randint(-99, 99),
+                        rng.randint(1, 99)) for _ in range(5)]
+            for k, (X, Y, Z) in enumerate(points):
+                want = cell_oracle.per_simplex_numerators(table, X, Y, Z)
+                assert table.numerators(X, Y, Z) == want
+                if k % 20 and len(points) > 200 or not table.contains(X, Y, Z):
+                    continue    # the Fractions at a twentieth of many points
+                p = (F(X, Z), F(Y, Z))
+                values = [F(v, table.den * Z) for v in want]
+                assert filtration_at(fib, p, t) == values
+                subset = rng.sample(range(n), rng.randint(0, n))
+                assert filtration_at(fib, p, t, subset) == [values[i] for i in subset]
+    assert shared > 100
 
 
 # -- the splitter ---------------------------------------------------------------

@@ -159,8 +159,9 @@ def test_walked_pair_sets_match_fresh_reductions(monkeypatch):
     """On the acceptance suite's 20 random fibrations, the monodromy example
     (eight triangles) and its merged cells, a rational fibration on the fan
     mesh and the 3×3 c9-formula image, every cell's walked pair set is the
-    one a fresh reduction of its order gives, and the walk reduces one order
-    per connected component of the face poset."""
+    one a fresh reduction of its order gives, and the walk, along relations
+    of codimension 1 only, reduces one order per connected component of the
+    face poset."""
     merged = 0
     for strat in _walk_cases():
         K = strat.fib.complex
@@ -168,6 +169,9 @@ def test_walked_pair_sets_match_fresh_reductions(monkeypatch):
         walked = [strat.cell_pairs(cell.id) for cell in strat.cells]
         assert len(made) == _components(strat)
         monkeypatch.undo()
+        # the walk steps along relations of codimension 1 only
+        assert all(abs(strat.cell(u).dim - strat.cell(w).dim) == 1
+                   for u, w, _, _ in strat.walk() if u is not None)
         fresh = [reduce_pairs(K, strat.indexings[cell.id]) for cell in strat.cells]
         assert walked == fresh
         # equal pair sets are one object

@@ -51,6 +51,8 @@ def shared_trees(draw):
 @settings(max_examples=200)
 @given(trees)
 @example([True, 1, 0, False, 2 ** 70, -(2 ** 70), 1.0, "1"])
+@example([[1, True], [0, 2 ** 70], [3, 1.0], ["a", 1], [2, None]])
+@example({"a": True, "b": 1, "c": "x", "d": 1.5, "e": [0, False]})
 def test_canonical_dumps_matches_oracle(obj):
     assert canonical_dumps(obj) == oracle_dumps(obj)
 
@@ -79,3 +81,15 @@ def test_cells_share_one_list_per_pair_set(mono_fib):
     vertices = sheaf_to_json(build_sheaf(strat, degree=1))["vertices"]
     assert len({id(v["stalk"]) for v in vertices}) == len(
         {p.elements_of_degree(strat.fib.complex, 1) for p in pair_sets})
+    # one list per distinct element, and per corner point of a triangle
+    for lists in ([e for c in cells for e in c["pairs"]],
+                  [e for v in vertices for e in v["stalk"]]):
+        assert len({id(e) for e in lists}) == len({tuple(e) for e in lists})
+    shared = {}
+    for c in cells:
+        if len(c["triangles"]) == 1:
+            for piece in c["geometry"]:
+                for point in piece:
+                    key = (c["triangles"][0], tuple(point))
+                    assert shared.setdefault(key, point) is point
+    assert len(shared) < sum(len(piece) for c in cells for piece in c["geometry"])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pdbundle.complexes import SimplicialComplex, ValidationError
 from pdbundle.generators import gen_image_fibration
@@ -43,6 +44,7 @@ from conftest import (
     quadrant_of,
     random_fibration,
     random_ppm,
+    random_rational_fibration,
 )
 
 F = Fraction
@@ -337,6 +339,36 @@ def test_merge_cells_random_consistency():
         assert len(merged.cells) <= len(strat.cells)
         for c in merged.cells:
             assert order_constancy_check(fib, merged, c.id, 4, seed=8) is None
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), mesh=st.sampled_from(sorted(MESHES)),
+       rational=st.booleans())
+@example(seed=24, mesh="strip", rational=True)
+@example(seed=30, mesh="strip", rational=True)
+def test_merge_cells_property(seed, mesh, rational):
+    """On random small fibrations, every merged cell has the indexing of
+    each of its members, the pair set of a fresh reduction at its
+    representative point, and holds the representative of every member, as
+    `locate` finds it. The two examples each have a merged cell whose
+    representative lies outside its first triangle, where that triangle's
+    affine forms would give another order."""
+    rng = random.Random(seed)
+    fib = (random_rational_fibration if rational else random_fibration)(rng, mesh)
+    K = fib.complex
+    strat = build_stratification(fib)
+    merged = merge_cells(strat)
+    owner = {piece: m.id for m in merged.cells for piece in m.pieces}
+    members = {}
+    for c in strat.cells:
+        members.setdefault(owner[c.pieces[0]], []).append(c)
+    assert sorted(members) == [m.id for m in merged.cells]
+    for m in merged.cells:
+        assert merged.cell_pairs(m.id) == pairs_for_filtration(
+            K, filtration_at(fib, m.rep))
+        for c in members[m.id]:
+            assert merged.indexings[m.id] == strat.indexings[c.id]
+            assert merged.locate(c.rep).id == m.id
 
 
 def test_random_stratifications_partition_oracle():
