@@ -10,22 +10,22 @@ SRC is the `src/` directory of a checkout to measure, so one copy of this
 script measures a change and its parent alike. Given several checkouts, each
 rung runs them in turn, the first one first on even rungs and last on odd
 ones, so that drift of the host between the runs of one rung stays small.
-The rungs (SIZES) are the c9-formula images at n×n for n = 2..6 (the
-acceptance test's pixel formula; 67 simplices at 3×3, 241 at 6×6), each over
-one base triangle. The stages, run in this order in one process, are the
-load (`fibration_from_json` of the rung's canonical fibration JSON, then its
-triangle table; the text is written before timing, and the time is the least
-of LOAD_REPEATS loads), the vineyard at each of VINE_STEPS
-(`point_numerators`, `path_vineyard` and `vines_to_csv` along PENTAGON, a
-fixed closed pentagon strictly inside the weight triangle, each side cut into
-that many steps; it runs before `build_stratification`, so that it runs on
-every rung, and keeps nothing alive after it), `build_stratification`, the
-pair-set walk (the first `cell_pairs` call), `build_sheaf(degree=1)`,
-`monodromy_scan` and the sections (`bundle_section`, at its defaults, on
-each section of the degree-1 sheaf; the sections are enumerated once, by
-`enumerate_global_sections`, and that enumeration is timed apart, as the
-record's `enumerate_s`). The stages after the load run on the generated
-fibration, as they did before the load stage was added.
+The rungs (SIZES) are the c9-formula images at n×n for n = 2..7 (the
+acceptance test's pixel formula; 67 simplices at 3×3, 241 at 6×6, 323 at
+7×7), each over one base triangle. The stages, run in this order in one
+process, are the load (`fibration_from_json` of the rung's canonical
+fibration JSON, then its triangle table; the text is written before timing,
+and the time is the least of LOAD_REPEATS loads), the vineyard at each of
+VINE_STEPS (`point_numerators`, `path_vineyard` and `vines_to_csv` along
+PENTAGON, a fixed closed pentagon strictly inside the weight triangle, each
+side cut into that many steps; it runs before `build_stratification`, so that
+it runs on every rung, and keeps nothing alive after it),
+`build_stratification`, the pair-set walk (the first `cell_pairs` call),
+`build_sheaf(degree=1)`, `monodromy_scan` and the sections (`bundle_section`,
+at its defaults, on each section of the degree-1 sheaf; the sections are
+enumerated once, by `enumerate_global_sections`, and that enumeration is
+timed apart, as the record's `enumerate_s`). The stages after the load run on
+the generated fibration, as they did before the load stage was added.
 A stage whose first run takes under REPEAT_UNDER_S seconds runs REPEATS
 times in all: its record holds every run's time as `runs_s` and the least as
 `s`. Each walk after the first runs on a fresh `Stratification` of the same
@@ -64,7 +64,7 @@ VINE_STEPS = (12, 120)
 PENTAGON = [(3, 1), (6, 2), (5, 4), (2, 6), (1, 3)]   # in tenths of a weight
 STAGES = (["load"] + [f"vineyard-{steps}" for steps in VINE_STEPS]
           + ["stratify", "walk", "sheaf", "monodromy", "sections"])
-SIZES = range(2, 7)
+SIZES = range(2, 8)
 # the stages each stage reads its input from
 READS = {"walk": ("stratify",), "sheaf": ("walk",), "monodromy": ("sheaf",),
          "sections": ("sheaf",)}

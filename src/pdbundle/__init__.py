@@ -1,6 +1,6 @@
 """Persistence-diagram bundles for piecewise-linear fibered filtrations over
 triangulated planar base spaces: exact stratification into constant-order
-cells, compatible cellular sheaves, sections, and monodromy."""
+cells, cellular sheaves, sections, and monodromy."""
 
 from .complexes import (
     InvariantError,

@@ -160,7 +160,7 @@ def cmd_gen_image(args: argparse.Namespace) -> None:
 COMMANDS = {
     "ph": (cmd_ph, "persistence diagrams of a filtered complex file"),
     "stratify": (cmd_stratify, "stratify the base space of a fibration file"),
-    "sheaf": (cmd_sheaf, "build the compatible cellular sheaf"),
+    "sheaf": (cmd_sheaf, "build the cellular sheaf"),
     "sections": (cmd_sections, "enumerate global sections of the sheaf"),
     "monodromy": (cmd_monodromy, "loop permutations and obstructed seeds"),
     "vineyard": (cmd_vineyard, "vineyard along a sampled base path (CSV)"),

@@ -294,8 +294,8 @@ def point_to_json(p) -> List[str]:
 
 def _shared_points() -> Callable[[Point], List[str]]:
     """`point_to_json` that builds one list per point object and returns
-    that list wherever the object occurs again, as the corners that the
-    cells of one triangle share do. Keyed by identity: hashing a `Fraction`
+    that list wherever the object occurs again, as the corners that cells
+    share do, across triangles too. Keyed by identity: hashing a `Fraction`
     costs more than its text. The points must outlive the returned
     function."""
     texts: Dict[int, List[str]] = {}

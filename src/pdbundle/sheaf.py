@@ -13,10 +13,13 @@ fail at a non-commuting diamond, where the composites through the
 diamond's two 1-cells differ (`tests/test_diamonds.py`). Stalks and
 morphisms are read off the stratification's one walk over the face poset,
 and a morphism that is the identity is one dict shared by every edge
-between equal stalks. Global sections and obstructed seeds are read off
-the étalé graph, one component at a time, each walked from its element at
-its cell component's smallest cell. A bundle section and the edge
-certificate draw a random point of a cell only where they evaluate it.
+between equal stalks. Every morphism is a bijection, so the étalé space
+covers the cell graph: components, global sections and obstructed seeds
+are read off one breadth-first walk per cell component (`_gauges`), which
+carries the root cell's stalk to every cell along a spanning tree and
+joins the root elements that each other edge's holonomy exchanges. A
+bundle section and the edge certificate draw a random point of a cell only
+where they evaluate it.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from .persistence import Element
 from .stratify import (
     PLFibration,
     Stratification,
+    UnionFind,
     filtration_at,
     point_numerators,
     sample_in_cell,
@@ -218,56 +222,60 @@ def propagate(sheaf: CellularSheaf, v0: int, x0: Element,
     return SheafSection(assignment)
 
 
-def connected_components(sheaf: CellularSheaf) -> List[List[int]]:
+def _gauges(sheaf: CellularSheaf) -> Iterator[
+        Tuple[List[int], Dict[int, Dict[Element, Element]], List[List[Element]]]]:
+    """One breadth-first walk per cell component, from its smallest cell r.
+    A cell c's gauge g_c composes the tree's maps from r's stalk to c's; an
+    identity tree edge passes its gauge object on. Each other edge u→w with
+    map φ joins x and g_w⁻¹∘φ∘g_u(x) in one union-find over r's elements by
+    rank, unless g_u is g_w and φ is an identity (its own inverse). Yields
+    each component's sorted cells, gauges, and classes (the étalé
+    components) in element order: a class {x} is the section c ↦ g_c(x),
+    and every g_c(x) of a larger class is an obstructed seed."""
+    transport = sheaf.transport
     seen: Set[int] = set()
-    comps: List[List[int]] = []
-    for cid in sheaf.vertices:
-        if cid not in seen:
-            seen.add(cid)
-            comp = [cid]
-            for u in comp:  # comp grows while it is read: the BFS queue
-                for w in sheaf.transport[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-            comps.append(sorted(comp))
-    return comps
-
-
-def _etale_components(sheaf: CellularSheaf, cells: List[int]
-                      ) -> Iterator[List[Tuple[int, Element]]]:
-    """The étalé components over one connected component of cells, each as
-    its (cell, element) nodes in breadth-first order. The transport maps are
-    bijections, so each meets every cell of the component and is fixed by its
-    element at the smallest cell: the walks start there, by element, and
-    skip the elements an earlier walk reached. A component is a section
-    exactly when it has one node per cell; otherwise each of its nodes is an
-    obstructed seed. Only the component being walked is held."""
-    first = cells[0]
-    reached: Set[Element] = set()
-    for x in sorted(sheaf.stalks[first], key=_element_sort_key):
-        if x in reached:
+    for r in sheaf.vertices:
+        if r in seen:
             continue
-        nodes = [(first, x)]
-        seen = {nodes[0]}
-        for u, y in nodes:  # nodes grows while it is read: the BFS queue
-            for w, phi in sheaf.transport[u].items():
-                node = (w, phi[y])
-                if node not in seen:
-                    seen.add(node)
-                    nodes.append(node)
-        reached.update(y for v, y in nodes if v == first)
-        yield nodes
+        elements = sorted(sheaf.stalks[r], key=_element_sort_key)
+        rank = {x: i for i, x in enumerate(elements)}
+        uf = UnionFind(len(elements))
+        gauges = {r: {x: x for x in elements}}
+        inverses: Dict[int, Dict[Element, Element]] = {}
+        order = [r]
+        for u in order:  # order grows while it is read: the BFS queue
+            g_u = gauges[u]
+            for w, phi in transport[u].items():
+                g_w = gauges.get(w)
+                if g_w is None:
+                    gauges[w] = g_u if transport[w][u] is phi else {
+                        x: phi[y] for x, y in g_u.items()}
+                    order.append(w)
+                elif g_w is not g_u or transport[w][u] is not phi:
+                    inverse = inverses.get(id(g_w))
+                    if inverse is None:
+                        inverse = inverses[id(g_w)] = {y: x for x, y in g_w.items()}
+                    for x, y in g_u.items():
+                        if (z := inverse[phi[y]]) != x:
+                            uf.union(rank[x], rank[z])
+        seen.update(order)
+        classes: Dict[int, List[Element]] = {}
+        for i, x in enumerate(elements):
+            classes.setdefault(uf.find(i), []).append(x)
+        yield sorted(order), gauges, list(classes.values())
+
+
+def connected_components(sheaf: CellularSheaf) -> List[List[int]]:
+    return [cells for cells, _, _ in _gauges(sheaf)]
 
 
 def sections_by_component(sheaf: CellularSheaf
                           ) -> List[Tuple[List[int], List[SheafSection]]]:
     """Each connected component of cells, ordered by its smallest cell, with
     all of its sections, ordered by their element at that cell."""
-    return [(cells, [SheafSection(dict(nodes))
-                     for nodes in _etale_components(sheaf, cells)
-                     if len(nodes) == len(cells)])
-            for cells in connected_components(sheaf)]
+    return [(cells, [SheafSection({c: gauges[c][x] for c in cells})
+                     for cls in classes if len(cls) == 1 for x in cls])
+            for cells, gauges, classes in _gauges(sheaf)]
 
 
 def enumerate_global_sections(sheaf: CellularSheaf) -> List[SheafSection]:
@@ -289,7 +297,8 @@ def walk_permutation(sheaf: CellularSheaf, walk: Sequence[int]
         phi = sheaf.transport[u].get(w)
         if phi is None:
             raise ValidationError(f"cells {u} and {w} are not adjacent in the sheaf")
-        mapping = {e: phi[x] for e, x in mapping.items()}
+        if phi is not sheaf.transport[w][u]:  # an identity is its own inverse
+            mapping = {e: phi[x] for e, x in mapping.items()}
     return mapping
 
 
@@ -384,9 +393,8 @@ def monodromy_scan(sheaf: CellularSheaf) -> MonodromyReport:
         perm = loop_monodromy(sheaf, cycle)
         loops.append(LoopClass(cell.id, cycle, perm,
                                any(k != v for k, v in perm.items())))
-    obstructed = [node for cells in connected_components(sheaf)
-                  for nodes in _etale_components(sheaf, cells)
-                  if len(nodes) != len(cells) for node in nodes]
+    obstructed = [(c, gauges[c][x]) for cells, gauges, classes in _gauges(sheaf)
+                  for cls in classes if len(cls) > 1 for x in cls for c in cells]
     obstructed.sort(key=lambda seed: (seed[0], _element_sort_key(seed[1])))
     return MonodromyReport(loops, obstructed)
 

@@ -560,11 +560,11 @@ def _loop_edges(loop: Sequence[int]) -> List[Tuple[int, ...]]:
 
 
 def _arrange_triangle(fib: PLFibration, t: int
-                      ) -> Tuple[List[HPoint], List[Point], List[Tuple[int, ...]]]:
+                      ) -> Tuple[List[HPoint], List[Tuple[int, ...]]]:
     """Overlay the trace chords with one triangle's boundary. Returns the
     corners of the cut, as canonical homogeneous integer points (gcd 1,
-    Z > 0) sorted by their rational points, those rational points, and the
-    open 2-cells as sorted counterclockwise loops of corner ranks.
+    Z > 0) sorted by their rational points, and the open 2-cells as sorted
+    counterclockwise loops of corner ranks.
 
     Every line is a full chord of the convex triangle, so an arrangement
     vertex on the closure of a 2-cell is one of its corners (otherwise a line
@@ -573,8 +573,7 @@ def _arrange_triangle(fib: PLFibration, t: int
 
     The triangle is cut in homogeneous integer points. The corners are
     ranked by integer keys, their coordinates over the common denominator
-    of all of them, so ranks compare as the points do; each becomes a
-    `Fraction` point once."""
+    of all of them, so ranks compare as the points do."""
     polys = [[homogeneous(p) for p in fib.mesh.corners(t)]]
     for line in _triangle_lines(fib, t):
         polys = [part for poly in polys for part in split_convex(poly, line)
@@ -584,8 +583,7 @@ def _arrange_triangle(fib: PLFibration, t: int
     corners = sorted(distinct, key=lambda v: (v[0] * (scale // v[2]),
                                               v[1] * (scale // v[2])))
     rank = {v: r for r, v in enumerate(corners)}
-    loops = sorted(tuple(rank[v] for v in poly) for poly in polys)
-    return corners, [(Fraction(x, z), Fraction(y, z)) for x, y, z in corners], loops
+    return corners, sorted(tuple(rank[v] for v in poly) for poly in polys)
 
 
 def build_stratification(fib: PLFibration) -> Stratification:
@@ -595,12 +593,14 @@ def build_stratification(fib: PLFibration) -> Stratification:
     canonical integer corners. A 2-cell's faces are its corners and sides, a
     1-cell's its two endpoints. A cell's representative point is the mean of
     the corners that key it (`_mean_point`), in integers; a `Fraction` point
-    is built once per corner and once per representative."""
+    is built once per cell, and a corner's is its 0-cell's representative,
+    one object in every triangle that has the corner."""
     cells: List[Cell] = []
     faces: Dict[int, Set[int]] = {}
     seen: Dict[Tuple[HPoint, ...], int] = {}
 
-    def add_cell(dim: int, key: Tuple[HPoint, ...], piece: Piece, t: int) -> int:
+    def add_cell(dim: int, key: Tuple[HPoint, ...], t: int,
+                 piece: Optional[Piece] = None) -> int:
         cid = seen.get(key)
         if cid is not None:
             cell = cells[cid]
@@ -609,24 +609,24 @@ def build_stratification(fib: PLFibration) -> Stratification:
             return cid
         cid = len(cells)
         hrep = _mean_point(key)
-        rep = piece[0] if dim == 0 else (Fraction(hrep[0], hrep[2]),
-                                         Fraction(hrep[1], hrep[2]))
-        cells.append(Cell(cid, dim, (piece,), rep, (t,), hrep, t))
+        rep = (Fraction(hrep[0], hrep[2]), Fraction(hrep[1], hrep[2]))
+        cells.append(Cell(cid, dim, (piece or (rep,),), rep, (t,), hrep, t))
         faces[cid] = set()
         seen[key] = cid
         return cid
 
     for t in range(len(fib.mesh.triangles)):
-        corners, points, loops = _arrange_triangle(fib, t)
-        zero_ids = [add_cell(0, (v,), (p,), t) for v, p in zip(corners, points)]
+        corners, loops = _arrange_triangle(fib, t)
+        zero_ids = [add_cell(0, (v,), t) for v in corners]
+        points = [cells[cid].rep for cid in zero_ids]
         one_ids = {}
         for a, b in sorted({e for loop in loops for e in _loop_edges(loop)}):
-            cid = one_ids[a, b] = add_cell(1, (corners[a], corners[b]),
-                                           (points[a], points[b]), t)
+            cid = one_ids[a, b] = add_cell(1, (corners[a], corners[b]), t,
+                                           (points[a], points[b]))
             faces[cid].update((zero_ids[a], zero_ids[b]))
         for loop in loops:
-            cid = add_cell(2, tuple(corners[r] for r in loop),
-                           tuple(points[r] for r in loop), t)
+            cid = add_cell(2, tuple(corners[r] for r in loop), t,
+                           tuple(points[r] for r in loop))
             faces[cid].update(zero_ids[r] for r in loop)
             faces[cid].update(one_ids[e] for e in _loop_edges(loop))
 
@@ -655,7 +655,9 @@ def sample_in_cell(cell: Cell, rng: random.Random, denom: int = 997) -> Point:
 # Optional post-processing: merge equal-order cells across walls.
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
+class UnionFind:
+    """Union-find over 0..n-1; a union keeps the smaller root."""
+
     def __init__(self, n: int):
         self.parent = list(range(n))
 
@@ -679,7 +681,7 @@ def merge_cells(strat: Stratification) -> Stratification:
     equivalent (the removed morphisms were identities)."""
     fib = strat.fib
     n = len(strat.cells)
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     absorbed: Set[int] = set()
     # merge on equality of the simplex ORDER (tie structure included), not of
     # the tie-broken indexing: a wall where two values tie can share its

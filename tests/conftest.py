@@ -130,9 +130,39 @@ def random_ppm(rng: random.Random, width: int, height: int, maxval: int) -> str:
     return f"P3\n{width} {height} {maxval}\n{samples}\n"
 
 
+def c9_ppm(n: int) -> str:
+    """The acceptance test's c9 pixel formula as an n×n image."""
+    return f"P3\n{n} {n} 31\n" + "\n".join(
+        " ".join(f"{(3 * r + 2 * c) % 11} {(r * c + 7) % 13} {(r + 5 * c) % 17}"
+                 for c in range(n)) for r in range(n)) + "\n"
+
+
 def mono_fibration():
     from pdbundle.generators import gen_monodromy
     return gen_monodromy()
+
+
+def mirrored_monodromy_fibration():
+    """The monodromy fan over [-1, 1]^2 and its mirror image in the line
+    x = 1, which the two squares share. The triangles of the two copies
+    alternate, so the ids of their cells interleave."""
+    fib = mono_fibration()
+    verts = list(fib.mesh.vertices)
+    index = {p: i for i, p in enumerate(verts)}
+    mirror = {}
+    for i, (x, y) in enumerate(fib.mesh.vertices):
+        p = (2 - x, y)
+        if p not in index:
+            index[p] = len(verts)
+            verts.append(p)
+        mirror[i] = index[p]
+    tris = [t for a, b, c in fib.mesh.triangles
+            for t in ((a, b, c), (mirror[a], mirror[b], mirror[c]))]
+    values = [row + [None] * (len(verts) - len(row)) for row in fib.values]
+    for row in values:
+        for i, j in mirror.items():
+            row[j] = row[i]
+    return PLFibration(fib.complex, BaseMesh(verts, tris), values)
 
 
 @pytest.fixture(scope="session")

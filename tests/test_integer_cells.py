@@ -22,6 +22,7 @@ from pdbundle.stratify import build_stratification, filtration_at, merge_cells
 from conftest import (
     MESHES,
     acceptance_fibrations,
+    c9_ppm,
     mono_fibration,
     random_fibration,
     random_ppm,
@@ -31,13 +32,6 @@ from conftest import (
 F = Fraction
 
 
-def _c9_ppm(n: int) -> str:
-    """The acceptance test's c9 pixel formula as an n×n image."""
-    return f"P3\n{n} {n} 31\n" + "\n".join(
-        " ".join(f"{(3 * r + 2 * c) % 11} {(r * c + 7) % 13} {(r + 5 * c) % 17}"
-                 for c in range(n)) for r in range(n)) + "\n"
-
-
 @pytest.fixture(scope="module")
 def corpus():
     """The acceptance corpus, the monodromy example, the c9 3×3 and 4×4
@@ -45,7 +39,7 @@ def corpus():
     binary 3×3 images, with their stratifications."""
     rng = random.Random(61)
     fibs = acceptance_fibrations(20) + [mono_fibration()]
-    fibs += [gen_image_fibration(_c9_ppm(n))[0] for n in (3, 4)]
+    fibs += [gen_image_fibration(c9_ppm(n))[0] for n in (3, 4)]
     fibs += [random_fibration(rng, mesh_name=name) for name in sorted(MESHES)]
     fibs += [random_rational_fibration(rng, mesh_name=name)
              for name in sorted(MESHES) for _ in range(2)]

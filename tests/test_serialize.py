@@ -81,15 +81,18 @@ def test_cells_share_one_list_per_pair_set(mono_fib):
     vertices = sheaf_to_json(build_sheaf(strat, degree=1))["vertices"]
     assert len({id(v["stalk"]) for v in vertices}) == len(
         {p.elements_of_degree(strat.fib.complex, 1) for p in pair_sets})
-    # one list per distinct element, and per corner point of a triangle
+    # one list per distinct element, and per corner point, across the eight
+    # triangles too
     for lists in ([e for c in cells for e in c["pairs"]],
                   [e for v in vertices for e in v["stalk"]]):
         assert len({id(e) for e in lists}) == len({tuple(e) for e in lists})
-    shared = {}
+    assert len(mono_fib.mesh.triangles) == 8
+    shared, across = {}, set()
     for c in cells:
-        if len(c["triangles"]) == 1:
-            for piece in c["geometry"]:
-                for point in piece:
-                    key = (c["triangles"][0], tuple(point))
-                    assert shared.setdefault(key, point) is point
-    assert len(shared) < sum(len(piece) for c in cells for piece in c["geometry"])
+        for piece in c["geometry"]:
+            for point in piece:
+                assert shared.setdefault(tuple(point), point) is point
+                if len(c["triangles"]) == 1:
+                    across.add((tuple(point), c["triangles"][0]))
+    assert len(shared) < len(across) < sum(
+        len(piece) for c in cells for piece in c["geometry"])

@@ -34,8 +34,8 @@ from pdbundle.stratify import (
     merge_cells,
 )
 
-from conftest import (MESHES, A, B, C, D, mono_fibration, quadrant_of,
-                      random_fibration)
+from conftest import (MESHES, A, B, C, D, mirrored_monodromy_fibration,
+                      mono_fibration, quadrant_of, random_fibration)
 
 F = Fraction
 
@@ -460,35 +460,12 @@ def _check_against_propagation(sheaf, doc):
     return comps, sections, obstructed
 
 
-def _mirrored_monodromy_fibration():
-    """The monodromy fan over [-1, 1]^2 and its mirror image in the line
-    x = 1, which the two squares share. The triangles of the two copies
-    alternate, so the ids of their cells interleave."""
-    fib = mono_fibration()
-    verts = list(fib.mesh.vertices)
-    index = {p: i for i, p in enumerate(verts)}
-    mirror = {}
-    for i, (x, y) in enumerate(fib.mesh.vertices):
-        p = (2 - x, y)
-        if p not in index:
-            index[p] = len(verts)
-            verts.append(p)
-        mirror[i] = index[p]
-    tris = [t for a, b, c in fib.mesh.triangles
-            for t in ((a, b, c), (mirror[a], mirror[b], mirror[c]))]
-    values = [row + [None] * (len(verts) - len(row)) for row in fib.values]
-    for row in values:
-        for i, j in mirror.items():
-            row[j] = row[i]
-    return PLFibration(fib.complex, BaseMesh(verts, tris), values)
-
-
 @pytest.mark.parametrize("degree", [1, None])
 def test_restriction_into_interleaved_components(degree):
     # removing the cells on the shared side x = 1 splits the mirrored
     # monodromy example into its two squares, each with its loop around its
     # own centre, so both components carry obstructed seeds
-    sheaf = build_sheaf(build_stratification(_mirrored_monodromy_fibration()),
+    sheaf = build_sheaf(build_stratification(mirrored_monodromy_fibration()),
                         degree=degree)
     assert len(_components_by_union(sheaf)) == 1
     sub = sheaf.restrict(c.id for c in sheaf.strat.cells
