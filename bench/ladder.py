@@ -22,10 +22,11 @@ side cut into that many steps; it runs before `build_stratification`, so that
 it runs on every rung, and keeps nothing alive after it),
 `build_stratification`, the pair-set walk (the first `cell_pairs` call),
 `build_sheaf(degree=1)`, `monodromy_scan` and the sections (`bundle_section`,
-at its defaults, on each section of the degree-1 sheaf; the sections are
-enumerated once, by `enumerate_global_sections`, and that enumeration is
-timed apart, as the record's `enumerate_s`). The stages after the load run on
-the generated fibration, as they did before the load stage was added.
+at its defaults, certifies each section of the degree-1 sheaf, and the record
+sums the check counts it returns as `boundary_points_checked`; the sections
+are enumerated once, by `enumerate_global_sections`, and that enumeration is
+timed apart, as the record's `enumerate_s`). The stages after the load run
+on the generated fibration, as they did before the load stage was added.
 A stage whose first run takes under REPEAT_UNDER_S seconds runs REPEATS
 times in all: its record holds every run's time as `runs_s` and the least as
 `s`. Each walk after the first runs on a fresh `Stratification` of the same
@@ -174,8 +175,7 @@ def run_rung(src: str, n: int) -> None:
             found["sections"] = enumerate_global_sections(sh)
             found["enumerate_s"] = round(time.perf_counter() - t0, 6)
         t0 = time.perf_counter()
-        checked = sum(bundle_section(sh, section).boundary_points_checked
-                      for section in found["sections"])
+        checked = sum(bundle_section(sh, section) for section in found["sections"])
         return {"s": time.perf_counter() - t0,
                 "enumerate_s": found["enumerate_s"],
                 "sections": len(found["sections"]),

@@ -103,8 +103,7 @@ def cmd_sections(args: argparse.Namespace) -> None:
     out = sections_to_json(sheaf, by_component)
     # certify each section against the fibration (exact boundary evaluation)
     out["continuity_checks_per_section"] = [
-        bundle_section(sheaf, section, samples_per_cell=args.samples,
-                       seed=args.seed).boundary_points_checked
+        bundle_section(sheaf, section, seed=args.seed)
         for _, sections in by_component for section in sections]
     _write_text(args.output, canonical_dumps(out))
 
@@ -198,9 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--merge-cells", action="store_true",
                            help="merge equal-order cells across walls")
         if name == "sections":
-            p.add_argument("--samples", type=int, default=3,
-                           help="bundle sample points per cell")
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed of the certificate's random boundary points")
         if name == "vineyard":
             p.add_argument("--path", required=True,
                            help="JSON file with a list of [x, y] base points")
@@ -223,8 +221,6 @@ def _check_args(args: argparse.Namespace) -> None:
                                       f"got {args.degree!r}")
             if args.degree < 0:
                 raise ValidationError("--degree must be >= 0")
-    if hasattr(args, "samples") and args.samples < 1:
-        raise ValidationError("--samples must be >= 1")
     if hasattr(args, "epsilon"):
         if as_fraction(args.epsilon) <= 0:
             raise ValidationError("--epsilon must be > 0")

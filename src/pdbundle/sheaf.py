@@ -1,7 +1,7 @@
 """Cellular sheaf over the stratification graph: pair-set stalks,
 update-rule morphisms, section propagation, global sections and obstructed
-seeds, loop monodromy, and synthesis of bundle sections with an exact
-continuity check.
+seeds, loop monodromy, and the certificate that a sheaf section is a
+continuous bundle section, by exact evaluation.
 
 The sheaf lives on the graph with one vertex per stratification cell and one
 edge per face relation. The stalk at a cell is its pair set (optionally
@@ -17,9 +17,9 @@ between equal stalks. Every morphism is a bijection, so the étalé space
 covers the cell graph: components, global sections and obstructed seeds
 are read off one breadth-first walk per cell component (`_gauges`), which
 carries the root cell's stalk to every cell along a spanning tree and
-joins the root elements that each other edge's holonomy exchanges. A
-bundle section and the edge certificate draw a random point of a cell only
-where they evaluate it.
+joins the root elements that each other edge's holonomy exchanges. The
+section and edge certificates draw a random point of a cell only where
+they evaluate it.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .complexes import InvariantError, ValidationError
@@ -36,7 +35,6 @@ from .stratify import (
     PLFibration,
     Stratification,
     UnionFind,
-    filtration_at,
     point_numerators,
     sample_in_cell,
 )
@@ -153,8 +151,9 @@ def build_sheaf(strat: Stratification,
 
 @dataclass
 class SheafSection:
-    """A consistent choice of one stalk element per vertex on a scope (one
-    connected component for sections found by propagation)."""
+    """A consistent choice of one stalk element per vertex on a scope: one
+    connected component for the sections that the gauge pass (`_gauges`)
+    finds and for those that `propagate` extends from a seed."""
 
     assignment: Dict[int, Element]
 
@@ -403,44 +402,6 @@ def monodromy_scan(sheaf: CellularSheaf) -> MonodromyReport:
 # From sheaf sections to bundle sections.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BundleSectionSample:
-    cell: int
-    point: Tuple
-    birth: object
-    death: Optional[object] = None
-
-
-@dataclass
-class BundleSection:
-    """A sheaf section evaluated into the persistence plane, and the number
-    of continuity checks that certified it. `samples` draws and evaluates
-    its points on first read, each at its pair's birth and death simplices
-    only."""
-
-    boundary_points_checked: int
-    sheaf: CellularSheaf = field(repr=False)
-    assignment: Dict[int, Element] = field(repr=False)
-    samples_per_cell: int = field(repr=False)
-    seed: int = field(repr=False)
-
-    @cached_property
-    def samples(self) -> List[BundleSectionSample]:
-        """The representative of every cell and `samples_per_cell - 1` of its
-        points drawn from one `random.Random(seed)`, in cell id order, each
-        with its element's exact (birth, death) values."""
-        rng = random.Random(self.seed)
-        samples: List[BundleSectionSample] = []
-        for cid, e in sorted(self.assignment.items()):
-            cell = self.sheaf.strat.cell(cid)
-            simplices = e if e[1] is not None else e[:1]
-            for p in [cell.rep] + [sample_in_cell(cell, rng)
-                                   for _ in range(self.samples_per_cell - 1)]:
-                samples.append(BundleSectionSample(cid, p, *filtration_at(
-                    self.sheaf.fib, p, cell.triangles[0], simplices)))
-        return samples
-
-
 def _pair_values(values: Sequence, e: Element):
     b, d = e
     return (values[b], None if d is None else values[d])
@@ -476,16 +437,13 @@ def _certify_edge(sheaf: CellularSheaf, face: int, coface: int,
 
 
 def bundle_section(sheaf: CellularSheaf, section: SheafSection,
-                   samples_per_cell: int = 3, boundary_samples: int = 5,
-                   seed: int = 0) -> BundleSection:
+                   boundary_samples: int = 5, seed: int = 0) -> int:
     """Certify a sheaf section as a continuous bundle section: check
     continuity across every in-scope face relation by exact evaluation at
     boundary points of the face cell, drawn from `random.Random(seed)`;
-    a relation where the section's element does not move is counted, as
-    `max(1, boundary_samples)` checks, but not evaluated. The section's
-    `samples` (`samples_per_cell` points per cell, drawn from a second
-    `random.Random(seed)`) are evaluated into the persistence plane when
-    first read.
+    a relation where the section's element does not move is counted but not
+    evaluated. Returns the checks made, `max(1, boundary_samples)` per
+    in-scope relation.
 
     A certificate failure means the sheaf (or the section) is inconsistent
     with the fibration and raises InvariantError naming the edge, the point
@@ -498,8 +456,7 @@ def bundle_section(sheaf: CellularSheaf, section: SheafSection,
         if chosen[face] != chosen[coface]:
             _certify_edge(sheaf, face, coface, [(chosen[face], chosen[coface])],
                           boundary_samples, rng)
-    return BundleSection(max(1, boundary_samples) * len(in_scope), sheaf,
-                         chosen, samples_per_cell, seed)
+    return max(1, boundary_samples) * len(in_scope)
 
 
 def edge_value_certificate(sheaf: CellularSheaf, samples_per_edge: int = 5,

@@ -514,17 +514,11 @@ def point_numerators(fib: PLFibration, pt: Point,
 
 
 def filtration_at(fib: PLFibration, p: Sequence,
-                  triangle_hint: Optional[int] = None,
-                  simplices: Optional[Sequence[int]] = None) -> List[Fraction]:
-    """The values at base point p of the given simplices, every simplex by
-    default, as exact `Fraction`s."""
+                  triangle_hint: Optional[int] = None) -> List[Fraction]:
+    """The values at base point p of every simplex, as exact `Fraction`s."""
     pt: Point = (as_fraction(p[0]), as_fraction(p[1]))
     table, (X, Y, Z) = _table_at(fib, pt, triangle_hint)
     dz = table.den * Z
-    if simplices is not None:
-        rows = table.rows
-        return [Fraction(a * X + b * Y + c * Z, dz)
-                for a, b, c in map(rows.__getitem__, simplices)]
     values = [Fraction(a * X + b * Y + c * Z, dz) for a, b, c in table.distinct_rows]
     return list(map(values.__getitem__, table.row_index))
 

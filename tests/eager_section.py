@@ -1,18 +1,17 @@
-"""Sheaf sections evaluated and certified eagerly, the oracle of the
-differential tests in test_bundle_section.py.
+"""Sheaf sections certified eagerly, the oracle of the differential tests
+in test_bundle_section.py.
 
-`bundle_section` draws, builds and evaluates every sample point of every
-cell when it is called, in cell id order from its samples' random source,
-and then certifies the section from a second random source. `certify_edge`
-draws the boundary points of a face cell only when some match is not an
-identity, the policy pdbundle follows, builds them all, and compares the
-`Fraction` values of each moved match there. Points are drawn by
-`barycentric.sample_in_cell` (Fraction sums), never by pdbundle's sampler,
-and evaluated at every simplex by `filtration_at`. Both take their random
-sources as arguments, so that a test can compare their states afterwards.
+`bundle_section` certifies every in-scope face relation of a section by
+`certify_edge`, from one random source. `certify_edge` draws the boundary
+points of a face cell only when some match is not an identity, the policy
+pdbundle follows, builds them all, and compares the `Fraction` values of
+each moved match there. Points are drawn by `barycentric.sample_in_cell`
+(Fraction sums), never by pdbundle's sampler, and evaluated at every
+simplex by `filtration_at`. Both take their random source as an argument,
+so that a test can compare its state afterwards.
 """
 import random
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from pdbundle.persistence import Element
 from pdbundle.sheaf import CellularSheaf, InvariantError, SheafSection
@@ -47,24 +46,10 @@ def certify_edge(sheaf: CellularSheaf, face: int, coface: int,
 
 
 def bundle_section(sheaf: CellularSheaf, section: SheafSection,
-                   samples_per_cell: int, boundary_samples: int,
-                   samples_rng: random.Random, certificate_rng: random.Random
-                   ) -> Tuple[List[tuple], int]:
-    """The samples as (cell, point, birth, death) tuples in order, and the
-    number of boundary checks."""
-    samples = []
-    for cid in sorted(section.assignment):
-        cell = sheaf.strat.cell(cid)
-        e = section.assignment[cid]
-        pts = [cell.rep]
-        pts += [sample_in_cell(cell, samples_rng)
-                for _ in range(max(0, samples_per_cell - 1))]
-        for p in pts:
-            values = filtration_at(sheaf.fib, p, triangle_hint=cell.triangles[0])
-            samples.append((cid, p, *_pair_values(values, e)))
+                   boundary_samples: int, rng: random.Random) -> int:
+    """The number of boundary checks."""
     chosen = section.assignment
-    checked = sum(
+    return sum(
         certify_edge(sheaf, face, coface, [(chosen[face], chosen[coface])],
-                     boundary_samples, certificate_rng)
+                     boundary_samples, rng)
         for face, coface in sheaf.edges() if face in chosen and coface in chosen)
-    return samples, checked

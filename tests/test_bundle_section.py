@@ -1,13 +1,14 @@
 """Differential tests of `bundle_section` and the edge certificate against
-the eager oracle in eager_section.py: the same samples, check counts,
-states of both random sources and `InvariantError`s, on the monodromy
-example and the acceptance corpus, at degree 1 and at all degrees."""
+the eager oracle in eager_section.py: the same check counts, states of the
+random source and `InvariantError`s, on the monodromy example and the
+acceptance corpus, at degree 1 and at all degrees."""
 import random
 from types import SimpleNamespace
 
 import pytest
 
 import pdbundle.sheaf
+import pdbundle.stratify
 from pdbundle.sheaf import (
     InvariantError,
     SheafSection,
@@ -18,8 +19,8 @@ from pdbundle.sheaf import (
 
 import eager_section
 
-# (samples_per_cell, boundary_samples, seed)
-SETTINGS = [(3, 5, 0), (1, 1, 4), (2, 4, 11), (4, 2, 29)]
+# (boundary_samples, seed)
+SETTINGS = [(5, 0), (1, 4), (4, 11), (2, 29), (0, 3)]
 
 
 @pytest.fixture(scope="module")
@@ -51,28 +52,23 @@ def made_rngs(monkeypatch):
     return made
 
 
-def _fast(sheaf, section, spc, bsmp, seed, made):
-    """The outcome, and the states of the random sources made for it: the
-    certificate's, then, once the samples are read, the samples'."""
+def _fast(sheaf, section, bsmp, seed, made):
+    """The outcome, and the states of the random sources made for it."""
     made.clear()
     try:
-        bs = bundle_section(sheaf, section, samples_per_cell=spc,
-                            boundary_samples=bsmp, seed=seed)
-        result = ([(s.cell, s.point, s.birth, s.death) for s in bs.samples],
-                  bs.boundary_points_checked)
+        result = bundle_section(sheaf, section, boundary_samples=bsmp, seed=seed)
     except InvariantError as exc:
         result = str(exc)
     return result, [rng.getstate() for rng in made]
 
 
-def _eager(sheaf, section, spc, bsmp, seed):
-    samples_rng, certificate_rng = random.Random(seed), random.Random(seed)
+def _eager(sheaf, section, bsmp, seed):
+    rng = random.Random(seed)
     try:
-        result = eager_section.bundle_section(sheaf, section, spc, bsmp,
-                                              samples_rng, certificate_rng)
+        result = eager_section.bundle_section(sheaf, section, bsmp, rng)
     except InvariantError as exc:
-        return str(exc), [certificate_rng.getstate()]
-    return result, [certificate_rng.getstate(), samples_rng.getstate()]
+        result = str(exc)
+    return result, [rng.getstate()]
 
 
 def _corrupted(sheaf, section, rng):
@@ -93,10 +89,10 @@ def test_bundle_section_matches_eager_oracle(sheaves, made_rngs):
         for section in enumerate_global_sections(sheaf):
             sections += 1
             bad = _corrupted(sheaf, section, rng)
-            for spc, bsmp, seed in SETTINGS:
+            for bsmp, seed in SETTINGS:
                 for s in [section] if bad is None else [section, bad]:
-                    want = _eager(sheaf, s, spc, bsmp, seed)
-                    assert _fast(sheaf, s, spc, bsmp, seed, made_rngs) == want
+                    want = _eager(sheaf, s, bsmp, seed)
+                    assert _fast(sheaf, s, bsmp, seed, made_rngs) == want
                     caught += isinstance(want[0], str)
     assert sections >= 40 and caught >= 100
 
@@ -106,10 +102,10 @@ def test_invariant_error_matches_eager_oracle(mono_sheaf1, made_rngs):
     element of every stalk."""
     section = SheafSection({cid: sorted(mono_sheaf1.stalks[cid])[0]
                             for cid in mono_sheaf1.vertices})
-    for spc, bsmp, seed in SETTINGS:
-        want = _eager(mono_sheaf1, section, spc, bsmp, seed)
+    for bsmp, seed in SETTINGS:
+        want = _eager(mono_sheaf1, section, bsmp, seed)
         assert "discontinuous" in want[0]
-        assert _fast(mono_sheaf1, section, spc, bsmp, seed, made_rngs) == want
+        assert _fast(mono_sheaf1, section, bsmp, seed, made_rngs) == want
 
 
 def test_certify_edge_matches_eager_oracle(sheaves):
@@ -138,40 +134,35 @@ def test_certify_edge_matches_eager_oracle(sheaves):
     assert caught >= 100
 
 
-def test_samples_are_evaluated_only_when_read(sheaves, monkeypatch):
-    """bundle_section draws only the boundary points of edges whose match
-    moves, and draws and evaluates no sample; reading `samples` draws each
-    sample once and evaluates it once, at its birth and death only."""
-    calls = {"filtration_at": [], "sample_in_cell": 0}
-    filtration_at = pdbundle.sheaf.filtration_at
+def test_bundle_section_draws_only_where_the_element_moves(sheaves, monkeypatch):
+    """bundle_section draws the 4 random boundary points of each in-scope
+    relation whose match moves, none elsewhere, and never evaluates every
+    simplex through `filtration_at`."""
+    calls = {"filtration_at": 0, "sample_in_cell": 0}
+    filtration_at = pdbundle.stratify.filtration_at
     sample_in_cell = pdbundle.sheaf.sample_in_cell
 
-    def counted_filtration_at(fib, p, hint, simplices):
-        calls["filtration_at"].append(tuple(simplices))
-        return filtration_at(fib, p, hint, simplices)
+    def counted_filtration_at(*args, **kwargs):
+        calls["filtration_at"] += 1
+        return filtration_at(*args, **kwargs)
 
     def counted_sample_in_cell(cell, rng):
         calls["sample_in_cell"] += 1
         return sample_in_cell(cell, rng)
 
-    monkeypatch.setattr(pdbundle.sheaf, "filtration_at", counted_filtration_at)
+    monkeypatch.setattr(pdbundle.stratify, "filtration_at", counted_filtration_at)
     monkeypatch.setattr(pdbundle.sheaf, "sample_in_cell", counted_sample_in_cell)
+    assert not hasattr(pdbundle.sheaf, "filtration_at")
     moved_edges = 0
     for sheaf in sheaves:
         for section in enumerate_global_sections(sheaf):
             calls["sample_in_cell"] = 0
-            bs = bundle_section(sheaf, section, samples_per_cell=3,
-                                boundary_samples=5)
+            checked = bundle_section(sheaf, section, boundary_samples=5)
             chosen = section.assignment
-            moved = sum(chosen[f] != chosen[c] for f, c in sheaf.edges()
-                        if f in chosen and c in chosen)
+            in_scope = [(f, c) for f, c in sheaf.edges()
+                        if f in chosen and c in chosen]
+            moved = sum(chosen[f] != chosen[c] for f, c in in_scope)
             moved_edges += moved
-            assert calls == {"filtration_at": [], "sample_in_cell": 4 * moved}
-            samples = bs.samples
-            assert len(samples) == 3 * len(chosen)
-            assert calls["sample_in_cell"] == 4 * moved + 2 * len(chosen)
-            assert calls["filtration_at"] == [
-                tuple(x for x in chosen[s.cell] if x is not None) for s in samples]
-            assert bs.samples is samples
-            calls["filtration_at"].clear()
+            assert checked == 5 * len(in_scope)
+            assert calls == {"filtration_at": 0, "sample_in_cell": 4 * moved}
     assert moved_edges

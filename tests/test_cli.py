@@ -309,9 +309,14 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     assert code == 1
     code, _, err = run(["sheaf", "--input", mono, "--degree", "nope"], capsys)
     assert code == 1
+    # sections has no --samples option: argparse's usage error, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sections", "--input", mono, "--samples", "1"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "unrecognized arguments: --samples 1" in out.err
     # out-of-range and malformed numeric options
-    for argv in (["sections", "--input", mono, "--samples", "0"],
-                 ["gen-instability", "--epsilon", "0"],
+    for argv in (["gen-instability", "--epsilon", "0"],
                  ["gen-instability", "--epsilon", "abc"],
                  ["gen-instability", "--gap", "-1"]):
         code, out, err = run(argv, capsys)

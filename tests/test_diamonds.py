@@ -1,21 +1,27 @@
 """What the sheaf asserts at its 0-cells, on the monodromy example and the
 first 200 fibrations of the acceptance generator (the acceptance corpus is
-the first 20), at all degrees.
+the first 20), and on random small fibrations drawn by hypothesis, at all
+degrees.
 
 For a 0-cell v, a 2-cell c above it and a 1-cell e between them, the chain
 condition reads F(e≤c)∘F(v≤e) = F(v≤c). It fails where v carries monodromy:
 the composites through the two 1-cells of the diamond v < e1, e2 < c then
-differ, and the canonical F(v≤c) can equal only one of them.
+differ, and the canonical F(v≤c) can equal at most one of them. On the
+fixed corpus it always equals one; on a few random fibrations it equals
+neither.
 """
+import random
 from typing import Dict, Iterator, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdbundle.persistence import Element
 from pdbundle.sheaf import CellularSheaf, build_sheaf, monodromy_scan
 from pdbundle.stratify import build_stratification
 
-from conftest import acceptance_fibrations
+import rereduction
+from conftest import MESHES, acceptance_fibrations, random_fibration
 
 Mapping = Dict[Element, Element]
 
@@ -78,3 +84,41 @@ def test_chain_condition_holds_where_no_diamond_fails(sheaves):
                 held += 1
                 assert all(m == direct for m in composites.values()), (v, c)
     assert held > 5000 and broken >= 50
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), mesh=st.sampled_from(sorted(MESHES)))
+def test_diamond_properties_on_random_fibrations(seed, mesh):
+    """The chain condition where no diamond fails, and a non-commuting
+    diamond at every nontrivial loop's 0-cell, on one random fibration,
+    unmerged. (That the canonical F(v≤c) is one of the composites does not
+    hold on every fibration: see the next test.)"""
+    sheaf = build_sheaf(build_stratification(random_fibration(random.Random(seed), mesh)))
+    noncommuting = set()
+    for v, c, direct, composites in diamonds(sheaf):
+        if failing(composites):
+            noncommuting.add(v)
+        else:
+            assert all(m == direct for m in composites.values()), (v, c)
+    for loop in monodromy_scan(sheaf).loops:
+        if loop.nontrivial:
+            assert loop.zero_cell in noncommuting, loop.zero_cell
+
+
+def test_canonical_morphism_can_be_neither_composite():
+    """A random fibration on the strip mesh where the canonical F(v≤c) at a
+    non-commuting diamond is neither composite: it comes from the canonical
+    transposition schedule from v's order to c's, which is neither the
+    schedule through e1 nor that through e2, and it is what an independent
+    re-reduction along that schedule gives."""
+    strat = build_stratification(random_fibration(random.Random(997), "strip"))
+    sheaf = build_sheaf(strat)
+    odd = [(v, c) for v, c, direct, composites in diamonds(sheaf)
+           if direct not in composites.values()]
+    assert odd == [(69, 92)]
+    assert all(failing(composites) for v, c, _, composites in diamonds(sheaf)
+               if (v, c) in odd)
+    oracle = rereduction.composed_bijection(
+        rereduction.ReducedPairs(strat.fib.complex),
+        strat.indexings[69], strat.indexings[92])
+    assert sheaf.morphisms[(69, 92)] == oracle.mapping

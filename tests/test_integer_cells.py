@@ -82,7 +82,7 @@ def test_per_row_numerators_match_per_simplex_dot_products(corpus):
     """`TriangleTable.numerators` takes one dot product per distinct row;
     at every cell representative and at random points, on and off the
     triangle, it gives the per-simplex dot products, and `filtration_at`
-    their `Fraction`s, of every simplex or of a subset."""
+    their `Fraction`s."""
     rng = random.Random(71)
     shared = 0
     for fib, strat in corpus:
@@ -103,8 +103,6 @@ def test_per_row_numerators_match_per_simplex_dot_products(corpus):
                 p = (F(X, Z), F(Y, Z))
                 values = [F(v, table.den * Z) for v in want]
                 assert filtration_at(fib, p, t) == values
-                subset = rng.sample(range(n), rng.randint(0, n))
-                assert filtration_at(fib, p, t, subset) == [values[i] for i in subset]
     assert shared > 100
 
 
