@@ -22,10 +22,14 @@ side cut into that many steps; it runs before `build_stratification`, so that
 it runs on every rung, and keeps nothing alive after it),
 `build_stratification`, the pair-set walk (the first `cell_pairs` call),
 `build_sheaf(degree=1)`, `monodromy_scan` and the sections (`bundle_section`,
-at its defaults, certifies each section of the degree-1 sheaf, and the record
-sums the check counts it returns as `boundary_points_checked`; the sections
-are enumerated once, by `enumerate_global_sections`, and that enumeration is
-timed apart, as the record's `enumerate_s`). The stages after the load run
+at its defaults, certifies all sections of each component of the degree-1
+sheaf that has any at once, and the record sums its per-section check count
+times the component's sections as `boundary_points_checked`; the components,
+each with its gauges and root elements, are found once, by
+`sections_by_component`, and that pass is timed apart, as the record's
+`enumerate_s`). It reads the component form of `sections_by_component` and
+`bundle_section`, so on a checkout older than that it fails and is recorded
+as "exit 1". The stages after the load run
 on the generated fibration, as they did before the load stage was added.
 A stage whose first run takes under REPEAT_UNDER_S seconds runs REPEATS
 times in all: its record holds every run's time as `runs_s` and the least as
@@ -105,8 +109,8 @@ def run_rung(src: str, n: int) -> None:
     from pdbundle.generators import gen_image_fibration
     from pdbundle.serialize import (canonical_dumps, fibration_from_json,
                                     fibration_to_json, vines_to_csv)
-    from pdbundle.sheaf import (build_sheaf, bundle_section,
-                                enumerate_global_sections, monodromy_scan)
+    from pdbundle.sheaf import (build_sheaf, bundle_section, monodromy_scan,
+                                sections_by_component)
     from pdbundle.stratify import (Stratification, build_stratification,
                                    point_numerators)
     from pdbundle.vineyard import path_vineyard
@@ -170,15 +174,16 @@ def run_rung(src: str, n: int) -> None:
 
     def sections():
         sh = found["sheaf"]
-        if "sections" not in found:   # once for every run, timed apart
+        if "components" not in found:   # once for every run, timed apart
             t0 = time.perf_counter()
-            found["sections"] = enumerate_global_sections(sh)
+            found["components"] = [c for c in sections_by_component(sh) if c[2]]
             found["enumerate_s"] = round(time.perf_counter() - t0, 6)
         t0 = time.perf_counter()
-        checked = sum(bundle_section(sh, section) for section in found["sections"])
+        checked = sum(bundle_section(sh, component) * len(component[2])
+                      for component in found["components"])
         return {"s": time.perf_counter() - t0,
                 "enumerate_s": found["enumerate_s"],
-                "sections": len(found["sections"]),
+                "sections": sum(len(c[2]) for c in found["components"]),
                 "boundary_points_checked": checked}
 
     vineyards = [functools.partial(vineyard, steps) for steps in VINE_STEPS]
@@ -258,9 +263,10 @@ def main() -> int:
                       "path_vineyard and vines_to_csv along a closed pentagon "
                       "with N steps a side, for N in %s), stratify, pair-set "
                       "walk, build_sheaf(degree=1), monodromy_scan, sections "
-                      "(bundle_section at its defaults on each section of the "
-                      "degree-1 sheaf, enumerated once, that enumeration "
-                      "timed apart as enumerate_s); a stage "
+                      "(bundle_section at its defaults once per component of "
+                      "the degree-1 sheaf with sections, its count times their "
+                      "number; the components found once by "
+                      "sections_by_component, timed apart as enumerate_s); a stage "
                       "runs when the stages it reads have finished (%s); a "
                       "stage whose first run takes under %g s runs %d times, with "
                       "every run in runs_s and the least in s; peak_rss_mb is "

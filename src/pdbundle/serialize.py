@@ -38,7 +38,7 @@ from .complexes import (
 )
 from .geometry import Point
 from .persistence import Element, PairSet, diagrams_by_degree
-from .sheaf import CellularSheaf, MonodromyReport, SheafSection
+from .sheaf import CellularSheaf, Component, MonodromyReport
 from .stratify import BaseMesh, PLFibration, Stratification
 
 
@@ -371,20 +371,17 @@ def sheaf_to_json(sheaf: CellularSheaf) -> Dict:
     }
 
 
-def sections_to_json(sheaf: CellularSheaf,
-                     by_component: List[Tuple[List[int], List[SheafSection]]]
-                     ) -> Dict:
+def sections_to_json(sheaf: CellularSheaf, by_component: List[Component]) -> Dict:
     """The components and their sections, as `sections_by_component` gives
-    them; each section as its (cell, element) assignment, by cell. Each
-    element is formatted once."""
+    them; each section, the root x, as its [cell, gauges[cell][x]]
+    assignment, by cell. Each element is formatted once."""
     element = _shared_elements(sheaf.fib.complex)
-    per_component = [len(sections) for _, sections in by_component]
+    per_component = [len(roots) for _, _, roots in by_component]
     return {
         "degree": sheaf.degree,
-        "components": [cells for cells, _ in by_component],
-        "sections": [{"assignment": sorted(
-            [cid, element(e)] for cid, e in s.assignment.items())}
-            for _, sections in by_component for s in sections],
+        "components": [cells for cells, _, _ in by_component],
+        "sections": [{"assignment": [[c, element(gauges[c][x])] for c in cells]}
+                     for cells, gauges, roots in by_component for x in roots],
         "sections_per_component": per_component,
         "global_section_count": math.prod(per_component),
     }

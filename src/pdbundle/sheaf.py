@@ -1,7 +1,7 @@
 """Cellular sheaf over the stratification graph: pair-set stalks,
 update-rule morphisms, section propagation, global sections and obstructed
-seeds, loop monodromy, and the certificate that a sheaf section is a
-continuous bundle section, by exact evaluation.
+seeds, loop monodromy, and the certificate that a component's sheaf
+sections are continuous bundle sections, by exact evaluation.
 
 The sheaf lives on the graph with one vertex per stratification cell and one
 edge per face relation. The stalk at a cell is its pair set (optionally
@@ -17,9 +17,10 @@ between equal stalks. Every morphism is a bijection, so the étalé space
 covers the cell graph: components, global sections and obstructed seeds
 are read off one breadth-first walk per cell component (`_gauges`), which
 carries the root cell's stalk to every cell along a spanning tree and
-joins the root elements that each other edge's holonomy exchanges. The
-section and edge certificates draw a random point of a cell only where
-they evaluate it.
+joins the root elements that each other edge's holonomy exchanges. A
+section is its component's root element x, the map c ↦ g_c(x). All of a
+component's sections are certified in one pass over its face relations,
+and a certificate draws a random point of a cell only to evaluate it.
 """
 from __future__ import annotations
 
@@ -39,6 +40,10 @@ from .stratify import (
     sample_in_cell,
 )
 from .vineyard import update_image
+
+
+Gauges = Dict[int, Dict[Element, Element]]
+Component = Tuple[List[int], Gauges, List[Element]]   # see sections_by_component
 
 
 def _element_sort_key(e: Element):
@@ -221,8 +226,8 @@ def propagate(sheaf: CellularSheaf, v0: int, x0: Element,
     return SheafSection(assignment)
 
 
-def _gauges(sheaf: CellularSheaf) -> Iterator[
-        Tuple[List[int], Dict[int, Dict[Element, Element]], List[List[Element]]]]:
+def _gauges(sheaf: CellularSheaf
+            ) -> Iterator[Tuple[List[int], Gauges, List[List[Element]]]]:
     """One breadth-first walk per cell component, from its smallest cell r.
     A cell c's gauge g_c composes the tree's maps from r's stalk to c's; an
     identity tree edge passes its gauge object on. Each other edge u→w with
@@ -268,12 +273,11 @@ def connected_components(sheaf: CellularSheaf) -> List[List[int]]:
     return [cells for cells, _, _ in _gauges(sheaf)]
 
 
-def sections_by_component(sheaf: CellularSheaf
-                          ) -> List[Tuple[List[int], List[SheafSection]]]:
-    """Each connected component of cells, ordered by its smallest cell, with
-    all of its sections, ordered by their element at that cell."""
-    return [(cells, [SheafSection({c: gauges[c][x] for c in cells})
-                     for cls in classes if len(cls) == 1 for x in cls])
+def sections_by_component(sheaf: CellularSheaf) -> List[Component]:
+    """Each connected component of cells, ordered by its smallest cell, as
+    (cells, gauges, roots): a root x, whose étalé class is {x}, is the
+    section c ↦ gauges[c][x], and roots are in element order."""
+    return [(cells, gauges, [x for cls in classes if len(cls) == 1 for x in cls])
             for cells, gauges, classes in _gauges(sheaf)]
 
 
@@ -282,7 +286,8 @@ def enumerate_global_sections(sheaf: CellularSheaf) -> List[SheafSection]:
     then by their element at the component's smallest-id cell. Sections of
     different components combine independently (cartesian product); they are
     emitted per component, not multiplied out."""
-    return [s for _, sections in sections_by_component(sheaf) for s in sections]
+    return [SheafSection({c: gauges[c][x] for c in cells})
+            for cells, gauges, roots in sections_by_component(sheaf) for x in roots]
 
 
 def walk_permutation(sheaf: CellularSheaf, walk: Sequence[int]
@@ -398,10 +403,6 @@ def monodromy_scan(sheaf: CellularSheaf) -> MonodromyReport:
     return MonodromyReport(loops, obstructed)
 
 
-# ---------------------------------------------------------------------------
-# From sheaf sections to bundle sections.
-# ---------------------------------------------------------------------------
-
 def _pair_values(values: Sequence, e: Element):
     b, d = e
     return (values[b], None if d is None else values[d])
@@ -411,13 +412,11 @@ def _certify_edge(sheaf: CellularSheaf, face: int, coface: int,
                   matches: Sequence[Tuple[Element, Element]], points: int,
                   rng: random.Random) -> int:
     """Check that each (face element, coface element) match evaluates to the
-    same exact values at `max(1, points)` points of the face cell: its
-    representative first, then `points - 1` random interior samples. An
-    identity match compares a value with itself and cannot fail, so it is
-    counted but not evaluated, and the samples are drawn from rng only when
-    some match is not an identity. The two sides of a match are compared as
-    integer numerators over one positive denominator. Raises InvariantError
-    at the first mismatch; returns the checks made."""
+    same exact values, as integer numerators over one positive denominator,
+    at `max(1, points)` points of the face cell: its representative, then
+    `points - 1` random interior samples, drawn from rng only when some match
+    is not an identity; an identity match is counted but not evaluated.
+    Raises InvariantError at the first mismatch; returns the checks made."""
     moved = [(e, img) for e, img in matches if e != img]
     if moved:
         fcell = sheaf.strat.cell(face)
@@ -436,27 +435,26 @@ def _certify_edge(sheaf: CellularSheaf, face: int, coface: int,
     return max(1, points) * len(matches)
 
 
-def bundle_section(sheaf: CellularSheaf, section: SheafSection,
+def bundle_section(sheaf: CellularSheaf, component: Component,
                    boundary_samples: int = 5, seed: int = 0) -> int:
-    """Certify a sheaf section as a continuous bundle section: check
-    continuity across every in-scope face relation by exact evaluation at
-    boundary points of the face cell, drawn from `random.Random(seed)`;
-    a relation where the section's element does not move is counted but not
-    evaluated. Returns the checks made, `max(1, boundary_samples)` per
-    in-scope relation.
-
-    A certificate failure means the sheaf (or the section) is inconsistent
-    with the fibration and raises InvariantError naming the edge, the point
-    and both value pairs."""
+    """Certify every section of a component as a continuous bundle section,
+    in one pass over its face relations in edge order: `_certify_edge` checks
+    every root's match at boundary points drawn once for all sections from
+    `random.Random(seed)`. A relation whose cells share one gauge object
+    moves no section's element; it is counted but not evaluated. Returns the
+    checks made per section, `max(1, boundary_samples)` per relation. A
+    failure means the sheaf (or the gauges) is inconsistent with the
+    fibration and raises InvariantError naming the edge, the point and both
+    value pairs."""
+    _, gauges, roots = component
     rng = random.Random(seed)
-    chosen = section.assignment
-    in_scope = [(face, coface) for face, coface in sheaf.edges()
-                if face in chosen and coface in chosen]
-    for face, coface in in_scope:
-        if chosen[face] != chosen[coface]:
-            _certify_edge(sheaf, face, coface, [(chosen[face], chosen[coface])],
+    relations = [(face, coface) for face, coface in sheaf.edges() if face in gauges]
+    for face, coface in relations:
+        g_face, g_coface = gauges[face], gauges[coface]
+        if g_face is not g_coface:
+            _certify_edge(sheaf, face, coface, [(g_face[x], g_coface[x]) for x in roots],
                           boundary_samples, rng)
-    return max(1, boundary_samples) * len(in_scope)
+    return max(1, boundary_samples) * len(relations)
 
 
 def edge_value_certificate(sheaf: CellularSheaf, samples_per_edge: int = 5,

@@ -627,18 +627,21 @@ def build_stratification(fib: PLFibration) -> Stratification:
     return Stratification(fib, cells, {cid: frozenset(f) for cid, f in faces.items()})
 
 
-def sample_in_cell(cell: Cell, rng: random.Random, denom: int = 997) -> Point:
+SAMPLE_DENOM = 997
+
+
+def sample_in_cell(cell: Cell, rng: random.Random) -> Point:
     """A deterministic pseudo-random point in the cell's relative interior:
-    the mean of a random piece's corners under random integer weights,
-    summed in integers over the piece's common coordinate denominator."""
+    the mean of a random piece's corners under random integer weights (up to
+    SAMPLE_DENOM), in integers over the piece's common coordinate scale."""
     piece = cell.pieces[rng.randrange(len(cell.pieces))]
     if len(piece) == 1:
         return piece[0]
     if len(piece) == 2:
-        t = rng.randint(1, denom - 1)
-        weights = [denom - t, t]
+        t = rng.randint(1, SAMPLE_DENOM - 1)
+        weights = [SAMPLE_DENOM - t, t]
     else:
-        weights = [rng.randint(1, denom) for _ in piece]
+        weights = [rng.randint(1, SAMPLE_DENOM) for _ in piece]
     scale, grid = _to_grid(piece)
     total = sum(weights) * scale
     return (Fraction(sum(w * x for w, (x, _) in zip(weights, grid)), total),

@@ -2,7 +2,10 @@
 in test_bundle_section.py.
 
 `bundle_section` certifies every in-scope face relation of a section by
-`certify_edge`, from one random source. `certify_edge` draws the boundary
+`certify_edge`, from one random source. `bundle_component` certifies every
+face relation of a component, as `sections_by_component` gives it, by one
+`certify_edge` over all its roots' matches, from one random source too, and
+evaluates even the relations whose cells share one gauge object. `certify_edge` draws the boundary
 points of a face cell only when some match is not an identity, the policy
 pdbundle follows, builds them all, and compares the `Fraction` values of
 each moved match there. Points are drawn by `barycentric.sample_in_cell`
@@ -53,3 +56,17 @@ def bundle_section(sheaf: CellularSheaf, section: SheafSection,
         certify_edge(sheaf, face, coface, [(chosen[face], chosen[coface])],
                      boundary_samples, rng)
         for face, coface in sheaf.edges() if face in chosen and coface in chosen)
+
+
+def bundle_component(sheaf: CellularSheaf, component, boundary_samples: int,
+                     rng: random.Random) -> int:
+    """The number of boundary checks per section."""
+    cells, gauges, roots = component
+    scope, checks = set(cells), 0
+    for face, coface in sheaf.edges():
+        if face in scope and coface in scope:
+            certify_edge(sheaf, face, coface,
+                         [(gauges[face][x], gauges[coface][x]) for x in roots],
+                         boundary_samples, rng)
+            checks += max(1, boundary_samples)
+    return checks

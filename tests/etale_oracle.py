@@ -4,9 +4,12 @@ search over the cells; over each, the étalé graph, one node per (cell,
 element), is walked one component at a time from the component's smallest
 cell, by element, skipping the elements an earlier walk reached. An étalé
 component with one node per cell is a section, and every node of any other
-is an obstructed seed."""
+is an obstructed seed. `sections_to_json` is the sections document as it was
+built from one `SheafSection` per section, each assignment sorted."""
+import math
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
+from pdbundle.serialize import element_to_json
 from pdbundle.sheaf import SheafSection
 
 
@@ -55,6 +58,21 @@ def sections_by_component(sheaf) -> List[Tuple[List[int], List[SheafSection]]]:
                      for nodes in etale_components(sheaf, cells)
                      if len(nodes) == len(cells)])
             for cells in connected_components(sheaf)]
+
+
+def sections_to_json(sheaf, by_component: List[Tuple[List[int], List[SheafSection]]]
+                     ) -> Dict:
+    K = sheaf.fib.complex
+    per_component = [len(sections) for _, sections in by_component]
+    return {
+        "degree": sheaf.degree,
+        "components": [cells for cells, _ in by_component],
+        "sections": [{"assignment": sorted(
+            [cid, element_to_json(K, e)] for cid, e in s.assignment.items())}
+            for _, sections in by_component for s in sections],
+        "sections_per_component": per_component,
+        "global_section_count": math.prod(per_component),
+    }
 
 
 def obstructed_seeds(sheaf) -> List[Tuple[int, object]]:

@@ -13,6 +13,7 @@ from pdbundle.generators import gen_image_fibration
 from pdbundle.sheaf import (
     CellularSheaf,
     Obstruction,
+    SheafSection,
     _gauges,
     build_sheaf,
     connected_components,
@@ -32,9 +33,11 @@ def check_against_oracle(sheaf):
     counts of sections and obstructed seeds."""
     assert connected_components(sheaf) == etale_oracle.connected_components(sheaf)
     by_component = sections_by_component(sheaf)
-    assert by_component == etale_oracle.sections_by_component(sheaf)
+    expanded = [(cells, [SheafSection({c: gauges[c][x] for c in cells}) for x in roots])
+                for cells, gauges, roots in by_component]
+    assert expanded == etale_oracle.sections_by_component(sheaf)
     sections = enumerate_global_sections(sheaf)
-    assert sections == [s for _, found in by_component for s in found]
+    assert sections == [s for _, found in expanded for s in found]
     report = monodromy_scan(sheaf)
     assert report.obstructed_seeds == etale_oracle.obstructed_seeds(sheaf)
     for loop in report.loops:

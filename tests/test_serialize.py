@@ -1,15 +1,21 @@
 """`canonical_dumps` against its oracle, the standard library encoder with
-the same options, and the builders that hand it shared lists."""
+the same options; the builders that hand it shared lists; and the sections
+document against the per-section builder it replaced."""
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pdbundle.serialize import canonical_dumps, sheaf_to_json, stratification_to_json
-from pdbundle.sheaf import build_sheaf
-from pdbundle.stratify import build_stratification
+import etale_oracle
+from pdbundle.serialize import (canonical_dumps, sections_to_json, sheaf_to_json,
+                                stratification_to_json)
+from pdbundle.sheaf import build_sheaf, sections_by_component
+from pdbundle.stratify import build_stratification, merge_cells
+
+from conftest import MESHES, random_fibration
 
 
 def oracle_dumps(obj) -> str:
@@ -96,3 +102,19 @@ def test_cells_share_one_list_per_pair_set(mono_fib):
                     across.add((tuple(point), c["triangles"][0]))
     assert len(shared) < len(across) < sum(
         len(piece) for c in cells for piece in c["geometry"])
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), mesh=st.sampled_from(sorted(MESHES)),
+       degree=st.sampled_from([None, 0, 1]), merged=st.booleans())
+def test_sections_to_json_matches_per_section_builder(seed, mesh, degree, merged):
+    """Each section written off its component's gauges and root, against the
+    sorted assignment of one `SheafSection` per section of the étalé walk,
+    byte for byte, on random fibrations, merged or not."""
+    strat = build_stratification(random_fibration(random.Random(seed), mesh))
+    if merged:
+        strat = merge_cells(strat)
+    sheaf = build_sheaf(strat, degree)
+    want = etale_oracle.sections_to_json(sheaf, etale_oracle.sections_by_component(sheaf))
+    assert canonical_dumps(sections_to_json(sheaf, sections_by_component(sheaf))) == (
+        canonical_dumps(want))

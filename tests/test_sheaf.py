@@ -139,7 +139,11 @@ def test_propagate_on_cut_subgraph(mono_sheaf1):
             res.check(sub)
             found.append(res)
     assert len(found) == 2  # both seeds extend on the cut
-    assert bundle_section(sub, found[0], boundary_samples=5) > 0
+    [component] = sections_by_component(sub)
+    cells, gauges, roots = component
+    assert [{c: gauges[c][x] for c in cells} for x in roots] == [
+        s.assignment for s in found]
+    assert bundle_section(sub, component, boundary_samples=5) > 0
 
 
 def test_propagate_order_independent(mono_sheaf1):
@@ -283,25 +287,19 @@ def test_section_pushes_agree_on_edges():
 
 def test_bundle_section_constant_and_corrupted():
     sheaf = constant_sheaf()
-    section = enumerate_global_sections(sheaf)[0]
-    in_scope = [(f, c) for f, c in sheaf.edges()
-                if f in section.assignment and c in section.assignment]
-    assert in_scope
-    assert bundle_section(sheaf, section, boundary_samples=4) == 4 * len(in_scope)
-    # corrupt one morphism on a degree-1 sheaf of the monodromy fibration:
-    # a section that disagrees across an edge must be caught
+    [component] = sections_by_component(sheaf)
+    assert len(component[2]) > 1 and sheaf.edges()
+    assert bundle_section(sheaf, component, boundary_samples=4) == 4 * len(sheaf.edges())
+    # a one-root component of the degree-1 sheaf of the monodromy fibration
+    # made by hand, the first element of every stalk, each cell with a gauge
+    # of its own: a section that disagrees across an edge must be caught
     from pdbundle.generators import gen_monodromy
-    from pdbundle.stratify import build_stratification as bs_
-    sheaf1 = build_sheaf(bs_(gen_monodromy()), degree=1)
-    keep = [cid for cid in sheaf1.vertices]
-    sub = sheaf1.restrict(keep)
-    # build a valid-looking section by hand, then corrupt one vertex
-    target = next(c.id for c in sheaf1.strat.cells
-                  if c.dim == 2 and quadrant_of(c.rep) == "Q3")
-    fake = {cid: sorted(sub.stalks[cid])[0] for cid in keep}
-    section = SheafSection(fake)
+    sheaf1 = build_sheaf(build_stratification(gen_monodromy()), degree=1)
+    first = {cid: sorted(sheaf1.stalks[cid])[0] for cid in sheaf1.vertices}
+    x = first[sheaf1.vertices[0]]
+    fake = (sheaf1.vertices, {cid: {x: e} for cid, e in first.items()}, [x])
     with pytest.raises(InvariantError, match="discontinuous"):
-        bundle_section(sub, section, boundary_samples=2)
+        bundle_section(sheaf1, fake, boundary_samples=2)
 
 
 def test_edge_value_certificate_catches_corruption(mono_sheaf1):
