@@ -8,7 +8,6 @@ from .complexes import (
     SimplicialComplex,
     ValidationError,
     induced_indexing,
-    validate,
 )
 from .persistence import (
     PairSet,
@@ -57,5 +56,5 @@ __all__ = [
     "filtration_at", "gen_image_fibration", "gen_instability",
     "gen_monodromy", "induced_indexing", "intersection_trace",
     "loop_monodromy", "merge_cells", "monodromy_scan", "path_vineyard",
-    "propagate", "reduce_pairs", "transposition_update", "validate",
+    "propagate", "reduce_pairs", "transposition_update",
 ]

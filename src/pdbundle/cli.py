@@ -66,11 +66,10 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _load_stratification(args: argparse.Namespace):
-    fib = fibration_from_json(_read_json(args.input))
-    strat = build_stratification(fib)
+    strat = build_stratification(fibration_from_json(_read_json(args.input)))
     if args.merge_cells:
         strat = merge_cells(strat)
-    return fib, strat
+    return strat
 
 
 def cmd_ph(args: argparse.Namespace) -> None:
@@ -78,7 +77,7 @@ def cmd_ph(args: argparse.Namespace) -> None:
     if not isinstance(obj, dict) or obj.get("simplices") is None:
         raise ValidationError("input: missing key 'simplices'")
     K, values = filtered_complex_from_json(obj)
-    problems = list(monotonicity_violations(K.simplices, K.index_of, values))
+    problems = list(monotonicity_violations(K, values))
     if problems:
         raise ValidationError("; ".join(problems))
     pairs = reduce_pairs(K, induced_indexing(values, K))
@@ -86,18 +85,18 @@ def cmd_ph(args: argparse.Namespace) -> None:
 
 
 def cmd_stratify(args: argparse.Namespace) -> None:
-    _, strat = _load_stratification(args)
+    strat = _load_stratification(args)
     _write_text(args.output, canonical_dumps(stratification_to_json(strat)))
 
 
 def cmd_sheaf(args: argparse.Namespace) -> None:
-    _, strat = _load_stratification(args)
+    strat = _load_stratification(args)
     sheaf = build_sheaf(strat, degree=args.degree)
     _write_text(args.output, canonical_dumps(sheaf_to_json(sheaf)))
 
 
 def cmd_sections(args: argparse.Namespace) -> None:
-    _, strat = _load_stratification(args)
+    strat = _load_stratification(args)
     sheaf = build_sheaf(strat, degree=args.degree)
     by_component = sections_by_component(sheaf)
     out = sections_to_json(sheaf, by_component)
@@ -111,7 +110,7 @@ def cmd_sections(args: argparse.Namespace) -> None:
 
 
 def cmd_monodromy(args: argparse.Namespace) -> None:
-    _, strat = _load_stratification(args)
+    strat = _load_stratification(args)
     sheaf = build_sheaf(strat, degree=args.degree)
     report = monodromy_scan(sheaf)
     _write_text(args.output, canonical_dumps(monodromy_to_json(sheaf, report)))

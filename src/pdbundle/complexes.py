@@ -3,7 +3,8 @@
 A complex is an ordered list of simplices whose listing order is authoritative:
 it fixes the intrinsic indexing used to break filtration-value ties. Listings
 where a coface precedes one of its faces are rejected rather than re-sorted,
-so tie-breaking is reproducible across runs.
+so tie-breaking is reproducible across runs. `value_order` is the one
+tie-break rule: every simplex order in the package is a stable sort by value.
 """
 from __future__ import annotations
 
@@ -113,28 +114,6 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.simplices)} simplices)"
 
 
-def validate(simplices: Sequence[Sequence[int]],
-             values: Optional[Sequence] = None) -> List[str]:
-    """Report every face-closure / ordering / monotonicity violation.
-
-    Returns a list of human-readable violation strings; empty means ok.
-    Unlike the SimplicialComplex constructor this never raises on structural
-    problems, so it can be used to produce full diagnostics for input files.
-    """
-    try:
-        listed = [canonical_simplex(s) for s in simplices]
-    except ValidationError as exc:
-        return [str(exc)]
-    problems, index_of, _ = _structure_problems(listed)
-    if values is not None and not problems:
-        if len(values) != len(listed):
-            problems.append(f"{len(values)} filtration values for "
-                            f"{len(listed)} simplices")
-        else:
-            problems.extend(monotonicity_violations(listed, index_of, values))
-    return problems
-
-
 def _structure_problems(listed: Sequence[Simplex]
                         ) -> Tuple[List[str], Dict[Simplex, int],
                                    Optional[Tuple[Tuple[int, ...], ...]]]:
@@ -164,24 +143,22 @@ def _structure_problems(listed: Sequence[Simplex]
     return problems, index_of, None if problems else tuple(table)
 
 
-def monotonicity_violations(simplices: Sequence[Simplex],
-                            index_of: Dict[Simplex, int], values: Sequence,
+def monotonicity_violations(K: SimplicialComplex, values: Sequence,
                             where: str = "") -> Iterator[str]:
-    """One message per face whose value exceeds its coface's, in listing
-    order; `where` follows 'non-monotone' in each message."""
-    for i, s in enumerate(simplices):
-        for f in facets(s):
-            j = index_of[f]
-            if values[j] > values[i]:
-                yield (f"non-monotone{where}: f({simplex_id(f)}) = {values[j]} > "
-                       f"{values[i]} = f({simplex_id(s)})")
+    """One message per face whose value exceeds its coface's, in the order of
+    `K.facet_pairs`; `where` follows 'non-monotone' in each message."""
+    ids = K.ids
+    for j, i in K.facet_pairs:
+        if values[j] > values[i]:
+            yield (f"non-monotone{where}: f({ids[j]}) = {values[j]} > "
+                   f"{values[i]} = f({ids[i]})")
 
 
 def check_monotone(K: SimplicialComplex, values: Sequence, where: str = "") -> None:
     """Raise ValidationError if values are not a filtration on K."""
     if len(values) != K.n:
         raise ValidationError(f"{len(values)} filtration values for {K.n} simplices")
-    for problem in monotonicity_violations(K.simplices, K.index_of, values, where):
+    for problem in monotonicity_violations(K, values, where):
         raise ValidationError(problem)
 
 
@@ -197,10 +174,10 @@ class SimplexIndexing:
     def __init__(self, order: Sequence[int]):
         self.order: Tuple[int, ...] = tuple(order)
         n = len(self.order)
-        if sorted(self.order) != list(range(n)):
-            raise ValidationError("indexing is not a permutation of 0..N-1")
-        pos = [0] * n
+        pos = [-1] * n
         for k, i in enumerate(self.order):
+            if not 0 <= i < n or pos[i] >= 0:
+                raise ValidationError("indexing is not a permutation of 0..N-1")
             pos[i] = k
         self.position: Tuple[int, ...] = tuple(pos)
 
@@ -227,26 +204,30 @@ class SimplexIndexing:
         return f"SimplexIndexing({list(self.order)})"
 
 
+def value_order(values: Sequence) -> List[int]:
+    """The intrinsic indices sorted by value, ties broken by the intrinsic
+    listing order: a stable sort, the one tie-break rule of the package."""
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
 def induced_indexing(values: Sequence, K: SimplicialComplex) -> SimplexIndexing:
     """The unique indexing ordered by filtration value, ties broken by the
     intrinsic listing order. Raises on non-monotone input."""
     check_monotone(K, values)
-    order = sorted(range(K.n), key=lambda i: (values[i], i))
-    return SimplexIndexing(order)
+    return SimplexIndexing(value_order(values))
 
 
 def order_signature(values: Sequence) -> Tuple[Tuple[int, ...], ...]:
     """Canonical encoding of the simplex order induced by the values: the
     ordered partition of intrinsic indices into equal-value groups. Two
     filtrations induce the same simplex order iff signatures are equal."""
-    order = sorted(range(len(values)), key=lambda i: (values[i], i))
     groups: List[List[int]] = []
-    for i in order:
+    for i in value_order(values):
         if groups and values[groups[-1][-1]] == values[i]:
             groups[-1].append(i)
         else:
             groups.append([i])
-    return tuple(tuple(sorted(g)) for g in groups)
+    return tuple(map(tuple, groups))
 
 
 def as_fraction(x) -> Fraction:

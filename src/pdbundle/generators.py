@@ -96,14 +96,6 @@ def _gamma_plus(t: Fraction, delta: Fraction) -> Tuple[Fraction, Fraction]:
     return (-delta + 2 * t, delta)
 
 
-def _gamma_minus(t: Fraction, delta: Fraction) -> Tuple[Fraction, Fraction]:
-    if abs(t) >= delta:
-        return (t, t)
-    if t < 0:
-        return (delta + 2 * t, -delta)
-    return (delta, -delta + 2 * t)
-
-
 def _instability_params(delta: Fraction) -> List[Fraction]:
     outer = [Fraction(x, 4) for x in range(-8, 9) if Fraction(x, 4) != 0]
     inner = [k * delta / 4 for k in range(-4, 5)]
@@ -137,7 +129,8 @@ def gen_instability(epsilon, gap) -> Dict:
     ts = _instability_params(delta)
 
     plus_points = [_gamma_plus(t, delta) for t in ts]
-    minus_points = [_gamma_minus(t, delta) for t in ts]
+    # gamma-(t) is gamma+(t) with x and y swapped
+    minus_points = [(y, x) for x, y in plus_points]
     plus_filts = [instability_values_at(x, y, m) for x, y in plus_points]
     minus_filts = [instability_values_at(x, y, m) for x, y in minus_points]
 
@@ -193,12 +186,10 @@ def gen_instability(epsilon, gap) -> Dict:
 
 
 def _vine_json(v: Vine, K: SimplicialComplex) -> Dict:
-    from .complexes import simplex_id
     return {
         "samples": [[str(t), str(b), "inf" if d is None else str(d)]
                     for t, b, d in v.samples],
-        "labels": [[simplex_id(K.simplices[b]),
-                    "inf" if d is None else simplex_id(K.simplices[d])]
+        "labels": [[K.ids[b], "inf" if d is None else K.ids[d]]
                    for b, d in v.labels],
     }
 

@@ -414,7 +414,8 @@ def vines_to_csv(K: SimplicialComplex, vines) -> str:
     share their params and their values, so each param, and each distinct
     value of a sample, is formatted once. A param or a value too large for a
     float raises ValidationError: a param naming the first vine that has it,
-    a value naming the vine of the first row that holds one."""
+    a value naming the first row, and in it the birth before the death, that
+    holds one."""
     lines = ["vine_id,t,birth,death"]
     params = values = None
     for vid, vine in enumerate(vines):
@@ -423,12 +424,15 @@ def vines_to_csv(K: SimplicialComplex, vines) -> str:
         if vine.values is not values:
             values = vine.values
             texts = [_value_texts(nums, den) for nums, den in values]
-            fits = all(None not in text.values() for text in texts)
-        if not fits:
-            _check_fits(vid, ts, texts, vine)
-        for t, text, (nums, _), (b, d) in zip(ts, texts, values, vine.labels):
+        for t, text, (nums, den), (b, d) in zip(ts, texts, values, vine.labels):
+            birth = text[nums[b]]
             death = "inf" if d is None else text[nums[d]]
-            lines.append(f"{vid},{t},{text[nums[b]]},{death}")
+            if birth is None or death is None:
+                v = nums[b if birth is None else d]
+                raise ValidationError(
+                    f"vine {vid} at t={t}: value {Decimal(v) / den:.17g} "
+                    f"is too large for a float")
+            lines.append(f"{vid},{t},{birth},{death}")
     return "\n".join(lines) + "\n"
 
 
@@ -453,15 +457,3 @@ def _value_texts(nums: Sequence[int], den: int) -> Dict[int, Optional[str]]:
         except OverflowError:
             texts[v] = None
     return texts
-
-
-def _check_fits(vid: int, ts: Sequence[str],
-                texts: Sequence[Dict[int, Optional[str]]], vine) -> None:
-    """Raise ValidationError at the first birth or death of the vine, in row
-    order, that is too large for a float (that has no text)."""
-    for t, text, (nums, den), (b, d) in zip(ts, texts, vine.values, vine.labels):
-        for x in (b,) if d is None else (b, d):
-            if text[nums[x]] is None:
-                raise ValidationError(
-                    f"vine {vid} at t={t}: value {Decimal(nums[x]) / den:.17g} "
-                    f"is too large for a float")

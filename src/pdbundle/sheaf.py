@@ -394,7 +394,8 @@ def monodromy_scan(sheaf: CellularSheaf) -> MonodromyReport:
         cycle = _link_cycle(sheaf, cell.id)
         if cycle is None:
             continue
-        perm = loop_monodromy(sheaf, cycle)
+        # _link_cycle alternates 2-cells and 1-cells: loop_monodromy's checks hold
+        perm = walk_permutation(sheaf, cycle)
         loops.append(LoopClass(cell.id, cycle, perm,
                                any(k != v for k, v in perm.items())))
     obstructed = [(c, gauges[c][x]) for cells, gauges, classes in _gauges(sheaf)

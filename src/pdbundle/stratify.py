@@ -56,6 +56,7 @@ from .complexes import (
     as_fraction,
     check_monotone,
     order_signature,
+    value_order,
 )
 from .geometry import (
     HPoint,
@@ -314,23 +315,17 @@ class Cell:
     segments (2 points) or open convex polygons (counterclockwise loops);
     unmerged cells always have a single piece. `hrep` is the representative
     point `rep` in canonical homogeneous integer form, and `rep_triangle` a
-    base triangle whose closure holds it, by default the first of
-    `triangles` (where an unmerged cell's rep lies); the cell's order is
-    read off that triangle's table at `hrep`."""
+    base triangle whose closure holds it (for an unmerged cell, its one
+    triangle); the cell's order is read off that triangle's table at
+    `hrep`."""
 
     id: int
     dim: int
     pieces: Tuple[Piece, ...]
     rep: Point
     triangles: Tuple[int, ...]
-    hrep: Optional[HPoint] = None
-    rep_triangle: Optional[int] = None
-
-    def __post_init__(self):
-        if self.hrep is None:
-            self.hrep = homogeneous(self.rep)
-        if self.rep_triangle is None:
-            self.rep_triangle = self.triangles[0]
+    hrep: HPoint
+    rep_triangle: int
 
 
 def _mean_point(points: Sequence[HPoint]) -> HPoint:
@@ -377,10 +372,8 @@ class Stratification:
                 cofaces[f].add(cid)
         self.cofaces: Dict[int, FrozenSet[int]] = {
             cid: frozenset(cs) for cid, cs in cofaces.items()}
-        simplices = range(fib.complex.n)
         self.indexings: Dict[int, SimplexIndexing] = {
-            c.id: SimplexIndexing(sorted(simplices,
-                                         key=_cell_numerators(fib, c).__getitem__))
+            c.id: SimplexIndexing(value_order(_cell_numerators(fib, c)))
             for c in cells}
 
     def cell(self, cid: int) -> Cell:
@@ -489,19 +482,6 @@ def _containing_triangle(fib: PLFibration, X: int, Y: int, Z: int) -> Optional[i
     return None
 
 
-def _table_at(fib: PLFibration, pt: Point, triangle_hint: Optional[int]
-              ) -> Tuple[TriangleTable, HPoint]:
-    """The integer affine table of a closed triangle containing pt (the
-    hinted one if it does), and pt in homogeneous integer form."""
-    X, Y, Z = homogeneous(pt)
-    t = triangle_hint
-    if t is None or not fib.table(t).contains(X, Y, Z):
-        t = _containing_triangle(fib, X, Y, Z)
-        if t is None:
-            raise ValidationError(f"point {pt} outside the mesh")
-    return fib.table(t), (X, Y, Z)
-
-
 def point_numerators(fib: PLFibration, pt: Point,
                      triangle_hint: Optional[int] = None
                      ) -> Tuple[List[int], int]:
@@ -509,18 +489,23 @@ def point_numerators(fib: PLFibration, pt: Point,
     D, and D = den·Z, read off the integer affine table of a closed triangle
     containing pt (the hinted one if it does). The fibration is continuous,
     so every triangle containing pt gives the same values."""
-    table, (X, Y, Z) = _table_at(fib, pt, triangle_hint)
+    X, Y, Z = homogeneous(pt)
+    t = triangle_hint
+    if t is None or not fib.table(t).contains(X, Y, Z):
+        t = _containing_triangle(fib, X, Y, Z)
+        if t is None:
+            raise ValidationError(f"point {pt} outside the mesh")
+    table = fib.table(t)
     return table.numerators(X, Y, Z), table.den * Z
 
 
 def filtration_at(fib: PLFibration, p: Sequence,
                   triangle_hint: Optional[int] = None) -> List[Fraction]:
-    """The values at base point p of every simplex, as exact `Fraction`s."""
-    pt: Point = (as_fraction(p[0]), as_fraction(p[1]))
-    table, (X, Y, Z) = _table_at(fib, pt, triangle_hint)
-    dz = table.den * Z
-    values = [Fraction(a * X + b * Y + c * Z, dz) for a, b, c in table.distinct_rows]
-    return list(map(values.__getitem__, table.row_index))
+    """The values at base point p of every simplex, as exact `Fraction`s: the
+    `point_numerators` over their denominator."""
+    nums, den = point_numerators(fib, (as_fraction(p[0]), as_fraction(p[1])),
+                                 triangle_hint)
+    return [Fraction(v, den) for v in nums]
 
 
 def _cell_numerators(fib: PLFibration, cell: Cell) -> List[int]:
@@ -671,14 +656,14 @@ class UnionFind:
 
 
 def merge_cells(strat: Stratification) -> Stratification:
-    """Merge cells across walls where the simplex order does not change: a
-    1-cell whose two distinct 2-cell cofaces share its indexing is absorbed
-    into their union, and a 0-cell joining exactly two distinct equal-order
-    1-cells is absorbed likewise. The sheaf over the merged stratification is
-    equivalent (the removed morphisms were identities)."""
+    """Merge cells across walls where the simplex order does not change. One
+    absorb loop visits the 1-cells and then the 0-cells: a cell whose
+    cofaces one dimension up, less those already absorbed, are exactly two,
+    in two different merged cells, and of its own order is absorbed into
+    their union. The sheaf over the merged stratification is equivalent (the
+    removed morphisms were identities)."""
     fib = strat.fib
-    n = len(strat.cells)
-    uf = UnionFind(n)
+    uf = UnionFind(len(strat.cells))
     absorbed: Set[int] = set()
     # merge on equality of the simplex ORDER (tie structure included), not of
     # the tie-broken indexing: a wall where two values tie can share its
@@ -686,36 +671,22 @@ def merge_cells(strat: Stratification) -> Stratification:
     signature = {c.id: order_signature(_cell_numerators(fib, c))
                  for c in strat.cells}
 
-    by_dim: Dict[int, List[Cell]] = {0: [], 1: [], 2: []}
-    for c in strat.cells:
-        by_dim[c.dim].append(c)
-
-    for e in by_dim[1]:
-        cofs = sorted(c for c in strat.cofaces[e.id] if strat.cell(c).dim == 2)
-        if len(cofs) != 2:
-            continue
-        a, b = cofs
-        if not (signature[e.id] == signature[a] == signature[b]):
-            continue
-        if uf.find(a) == uf.find(b):
-            continue  # would cut a slit into a single merged cell
-        uf.union(a, b)
-        uf.union(a, e.id)
-        absorbed.add(e.id)
-
-    for v in by_dim[0]:
-        cofs = sorted(c for c in strat.cofaces[v.id]
-                      if strat.cell(c).dim == 1 and c not in absorbed)
-        if len(cofs) != 2:
-            continue
-        a, b = cofs
-        if not (signature[v.id] == signature[a] == signature[b]):
-            continue
-        if uf.find(a) == uf.find(b):
-            continue
-        uf.union(a, b)
-        uf.union(uf.find(a), v.id)
-        absorbed.add(v.id)
+    for dim in (1, 0):
+        for x in strat.cells:
+            if x.dim != dim:
+                continue
+            cofs = sorted(c for c in strat.cofaces[x.id]
+                          if strat.cell(c).dim == dim + 1 and c not in absorbed)
+            if len(cofs) != 2:
+                continue
+            a, b = cofs
+            if not (signature[x.id] == signature[a] == signature[b]):
+                continue
+            if uf.find(a) == uf.find(b):
+                continue  # would cut a slit into a single merged cell
+            uf.union(a, b)
+            uf.union(a, x.id)
+            absorbed.add(x.id)
 
     groups: Dict[int, List[int]] = {}
     for c in strat.cells:

@@ -50,11 +50,12 @@ from .complexes import (
     SimplicialComplex,
     ValidationError,
     check_monotone,
+    value_order,
 )
 from .persistence import Element, Reduction
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PairBijection:
     """A bijection between the elements of two pair sets (essential births are
     carried as (birth, None) elements)."""
@@ -67,12 +68,6 @@ class PairBijection:
         if set(self.mapping.keys()) != set(self.source):
             raise ValidationError("bijection not total on the source pair set")
         _check_onto(self.mapping, self.target)
-
-    def __eq__(self, other):
-        return (isinstance(other, PairBijection)
-                and self.source == other.source
-                and self.target == other.target
-                and self.mapping == other.mapping)
 
     def is_identity(self) -> bool:
         return all(k == v for k, v in self.mapping.items())
@@ -216,7 +211,7 @@ def path_vineyard(K: SimplicialComplex, samples: Sequence[Sample],
             raise ValidationError(f"sample denominator {den} is not positive")
         if len(nums) != K.n:
             check_monotone(K, nums)   # raises on the length
-        return sorted(range(K.n), key=nums.__getitem__)
+        return value_order(nums)
 
     def checked(order: List[int], nums: Sequence[int], den: int
                 ) -> SimplexIndexing:

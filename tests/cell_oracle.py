@@ -12,11 +12,13 @@ in `Fraction`s, where the stratification computes it in homogeneous
 integers. `per_simplex_numerators` evaluates a triangle table with one dot
 product per simplex, where the table takes one per distinct row.
 `order_constancy_check` compares the order at sampled points of a cell with
-the order there.
+the order there. `merge_cells` absorbs the 1-cells and then the 0-cells in
+two separate loops, the way pdbundle merged cells before it ran one loop
+over both dimensions, and reads each cell's order off `Fraction` values.
 """
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from pdbundle.complexes import ValidationError, order_signature
 from pdbundle.geometry import (
@@ -33,6 +35,7 @@ from pdbundle.stratify import (
     PLFibration,
     Stratification,
     TriangleTable,
+    UnionFind,
     filtration_at,
     sample_in_cell,
 )
@@ -134,3 +137,68 @@ def order_constancy_check(fib: PLFibration, strat: Stratification, cell_id: int,
         if got != want:
             return p
     return None
+
+
+def merge_cells(strat: Stratification) -> Stratification:
+    """Absorb each 1-cell between two distinct 2-cells of its order, then each
+    0-cell between two distinct 1-cells of its order that are left, and
+    build the stratification of the merged cells."""
+    uf = UnionFind(len(strat.cells))
+    absorbed: Set[int] = set()
+    signature = {c.id: order_signature(rep_values(strat, c.id))
+                 for c in strat.cells}
+
+    by_dim: Dict[int, List[Cell]] = {0: [], 1: [], 2: []}
+    for c in strat.cells:
+        by_dim[c.dim].append(c)
+
+    for e in by_dim[1]:
+        cofs = sorted(c for c in strat.cofaces[e.id] if strat.cell(c).dim == 2)
+        if len(cofs) != 2:
+            continue
+        a, b = cofs
+        if not (signature[e.id] == signature[a] == signature[b]):
+            continue
+        if uf.find(a) == uf.find(b):
+            continue
+        uf.union(a, b)
+        uf.union(a, e.id)
+        absorbed.add(e.id)
+
+    for v in by_dim[0]:
+        cofs = sorted(c for c in strat.cofaces[v.id]
+                      if strat.cell(c).dim == 1 and c not in absorbed)
+        if len(cofs) != 2:
+            continue
+        a, b = cofs
+        if not (signature[v.id] == signature[a] == signature[b]):
+            continue
+        if uf.find(a) == uf.find(b):
+            continue
+        uf.union(a, b)
+        uf.union(uf.find(a), v.id)
+        absorbed.add(v.id)
+
+    groups: Dict[int, List[int]] = {}
+    for c in strat.cells:
+        groups.setdefault(uf.find(c.id), []).append(c.id)
+    new_cells: List[Cell] = []
+    new_id_of: Dict[int, int] = {}
+    for root in sorted(groups):
+        members = sorted(groups[root])
+        dim = max(strat.cell(m).dim for m in members)
+        rep = strat.cell(next(m for m in members if strat.cell(m).dim == dim))
+        pieces = tuple(p for m in members for p in strat.cell(m).pieces)
+        tris = tuple(sorted({t for m in members for t in strat.cell(m).triangles}))
+        nid = len(new_cells)
+        new_cells.append(Cell(nid, dim, pieces, rep.rep, tris, rep.hrep,
+                              rep.rep_triangle))
+        for m in members:
+            new_id_of[m] = nid
+    new_faces: Dict[int, Set[int]] = {c.id: set() for c in new_cells}
+    for cid, fs in strat.faces.items():
+        for f in fs:
+            if new_id_of[cid] != new_id_of[f]:
+                new_faces[new_id_of[cid]].add(new_id_of[f])
+    return Stratification(strat.fib, new_cells,
+                          {cid: frozenset(f) for cid, f in new_faces.items()})

@@ -7,9 +7,13 @@ from pdbundle.complexes import (
     SimplexIndexing,
     SimplicialComplex,
     ValidationError,
+    check_monotone,
+    facets,
     induced_indexing,
+    monotonicity_violations,
     order_signature,
-    validate,
+    simplex_id,
+    value_order,
 )
 
 from conftest import A, B, C, D, mono_values, random_complex, random_monotone_values
@@ -33,17 +37,6 @@ def test_rejects_coface_before_face():
         SimplicialComplex([[0], [1], [0, 1], [2], [0, 1, 2], [1, 2], [0, 2]])
     # same complex, faces first, is fine
     SimplicialComplex([[0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2]])
-
-
-def test_validate_names_missing_edge():
-    problems = validate([[0], [1], [2], [0, 1], [1, 2], [0, 1, 2]])
-    assert any("0-2" in p and "0-1-2" in p for p in problems)
-
-
-def test_validate_reports_monotonicity_violation():
-    problems = validate([[0], [1], [0, 1]], values=[2, 0, 1])
-    assert any("non-monotone" in p for p in problems)
-    assert validate([[0], [1], [0, 1]], values=[0, 0, 1]) == []
 
 
 def test_induced_indexing_trivial_cases():
@@ -108,3 +101,53 @@ def test_simplex_indexing_validates_permutation():
     idx = SimplexIndexing([2, 0, 1])
     assert idx.position == (1, 2, 0)
     assert transposed(idx, 0).order == (0, 2, 1)
+
+
+@pytest.mark.parametrize("order", [[0, 0, 1], [0, -1, 2], [0, 1, 3]],
+                         ids=["duplicate", "negative", "out-of-range"])
+def test_simplex_indexing_rejects_non_permutations(order):
+    with pytest.raises(ValidationError) as caught:
+        SimplexIndexing(order)
+    assert str(caught.value) == "indexing is not a permutation of 0..N-1"
+
+
+def _per_simplex_violations(K, values, where=""):
+    """Every face whose value exceeds its coface's, scanning each simplex's
+    facets in listing order."""
+    for i, s in enumerate(K.simplices):
+        for f in facets(s):
+            j = K.index_of[f]
+            if values[j] > values[i]:
+                yield (f"non-monotone{where}: f({simplex_id(f)}) = {values[j]} > "
+                       f"{values[i]} = f({simplex_id(s)})")
+
+
+def test_monotonicity_violations_match_per_simplex_scan():
+    """Walking `K.facet_pairs` gives the messages, and their order, of a scan
+    of each simplex's facets; `check_monotone` raises the first."""
+    rng = random.Random(12)
+    seen = 0
+    for _ in range(200):
+        K = random_complex(rng)
+        values = [Fraction(rng.randint(0, 6), rng.randint(1, 2)) for _ in range(K.n)]
+        for where in (" at p", ""):
+            got = list(monotonicity_violations(K, values, where))
+            assert got == list(_per_simplex_violations(K, values, where))
+        seen += len(got)
+        if got:
+            with pytest.raises(ValidationError) as caught:
+                check_monotone(K, values)
+            assert str(caught.value) == got[0]
+        else:
+            check_monotone(K, values)
+    assert seen > 100
+
+
+def test_value_order_breaks_ties_by_listing_order():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        ints = [rng.randint(-2, 3) for _ in range(n)]
+        fracs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        for values in (ints, fracs):
+            assert value_order(values) == sorted(range(n), key=lambda i: (values[i], i))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pdbundle import generators
 from pdbundle.complexes import SimplicialComplex, ValidationError, simplex_id
 from pdbundle.generators import (
     gen_image_fibration,
@@ -107,6 +108,37 @@ def test_instability_zero_gap_degenerate():
     assert report["assertion"] == "skipped"
     assert "warning" in report
     assert F(report["sup_filtration_distance"]) == 0
+
+
+def _seed_gamma_minus(t, delta):
+    """The minus path as the generator once wrote it beside the plus path."""
+    if abs(t) >= delta:
+        return (t, t)
+    if t < 0:
+        return (delta + 2 * t, -delta)
+    return (delta, -delta + 2 * t)
+
+
+@pytest.mark.parametrize("epsilon,gap,delta", [
+    (F(2), F(1), F(1, 2)), (F(1, 2), F(1), F(1, 8)), (F(1, 10), F(10), F(1, 400)),
+    (F(1, 10), F(0), F(1, 4)),
+])
+def test_instability_minus_path_is_the_plus_path_mirrored(monkeypatch, epsilon,
+                                                          gap, delta):
+    """gen_instability evaluates the plus path and then the minus path at
+    every param; the minus points are those of the written-out formula."""
+    points = []
+    values_at = generators.instability_values_at
+
+    def recording(x, y, m):
+        points.append((x, y))
+        return values_at(x, y, m)
+
+    monkeypatch.setattr(generators, "instability_values_at", recording)
+    report = gen_instability(epsilon, gap)
+    ts = generators._instability_params(delta)
+    assert F(report["delta"]) == delta and report["params"] == [str(t) for t in ts]
+    assert points[len(ts):] == [_seed_gamma_minus(t, delta) for t in ts]
 
 
 def test_instability_rejects_bad_params():

@@ -25,6 +25,7 @@ from pdbundle.stratify import (
     sample_in_cell,
 )
 
+import cell_oracle
 from cell_oracle import (
     order_constancy_check,
     rep_values,
@@ -242,7 +243,7 @@ def test_order_constancy_catches_merged_cells(mono_fib, mono_strat):
     from pdbundle.stratify import Cell, Stratification
     fake = Cell(0, 2, (((F(1, 10), F(-1)), (F(1), F(-1)), (F(1), F(1)),
                         (F(1, 10), F(1))),),
-                (F(1, 2), F(0)), (0,))
+                (F(1, 2), F(0)), (0,), (1, 0, 2), 0)
     strat2 = Stratification(mono_fib, [fake], {0: frozenset()})
     assert order_constancy_check(mono_fib, strat2, 0, 40, seed=6) is not None
 
@@ -369,6 +370,22 @@ def test_merge_cells_property(seed, mesh, rational):
         for c in members[m.id]:
             assert merged.indexings[m.id] == strat.indexings[c.id]
             assert merged.locate(c.rep).id == m.id
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mesh=st.sampled_from(sorted(MESHES)),
+       rational=st.booleans())
+def test_merge_cells_matches_two_loop_oracle(seed, mesh, rational):
+    """One absorb loop over the 1-cells and then the 0-cells merges the cells
+    the two separate loops of the oracle merge: every merged cell is equal
+    in id, dim, pieces, rep, hrep, triangles and rep_triangle, and so are
+    the face relations."""
+    rng = random.Random(seed)
+    fib = (random_rational_fibration if rational else random_fibration)(rng, mesh)
+    strat = build_stratification(fib)
+    merged, want = merge_cells(strat), cell_oracle.merge_cells(strat)
+    assert merged.cells == want.cells
+    assert merged.faces == want.faces
 
 
 def test_random_stratifications_partition_oracle():

@@ -388,6 +388,25 @@ def test_csv_param_too_large_for_a_float(param, text):
         assert str(caught.value) == want
 
 
+@pytest.mark.parametrize("listing,samples,text", [
+    # vine 0 is (vertex 0, edge): its birth fits, its death at t=1 does not
+    ([[0], [1], [0, 1]], [([1, 0, 2], 1), ([1, 0, HUGE], 1)], "vine 0 at t=1.0"),
+    # three essential vertices: vine 0 fits, and vine 1 overflows at t=1
+    # before vine 2 does
+    ([[0], [1], [2]], [([0, 1, 2], 1), ([0, HUGE, HUGE], 1)], "vine 1 at t=1.0"),
+], ids=["death-after-birth", "later-vine"])
+def test_csv_value_too_large_for_a_float(listing, samples, text):
+    """The first value too large for a float, in row order and in a row the
+    birth before the death, is the ValidationError of the per-row oracle."""
+    K = SimplicialComplex(listing)
+    vines, _ = path_vineyard(K, samples)
+    want = f"{text}: value 1.0000000000000000e+400 is too large for a float"
+    for to_csv in (vines_to_csv, vine_oracle.vines_to_csv):
+        with pytest.raises(ValidationError) as caught:
+            to_csv(K, vines)
+        assert str(caught.value) == want
+
+
 @settings(max_examples=300)
 @given(vine_paths())
 def test_path_vineyard_and_csv_match_per_sample_oracle(case):
