@@ -14,10 +14,11 @@ from typing import Dict, List, Optional
 
 from .complexes import (
     InvariantError,
+    SimplexIndexing,
     ValidationError,
     as_fraction,
-    induced_indexing,
     monotonicity_violations,
+    value_order,
 )
 from .generators import gen_image_fibration, gen_instability, gen_monodromy
 from .persistence import reduce_pairs
@@ -80,7 +81,8 @@ def cmd_ph(args: argparse.Namespace) -> None:
     problems = list(monotonicity_violations(K, values))
     if problems:
         raise ValidationError("; ".join(problems))
-    pairs = reduce_pairs(K, induced_indexing(values, K))
+    # monotone, so the value order is the induced indexing
+    pairs = reduce_pairs(K, SimplexIndexing(value_order(values)))
     _write_text(args.output, canonical_dumps(diagrams_to_json(K, pairs, values)))
 
 

@@ -185,15 +185,6 @@ class SimplexIndexing:
     def n(self) -> int:
         return len(self.order)
 
-    def is_compatible(self, K: SimplicialComplex) -> bool:
-        """True iff every face precedes its cofaces in this indexing."""
-        for i in range(K.n):
-            pi = self.position[i]
-            for j in K.facet_indices(i):
-                if self.position[j] > pi:
-                    return False
-        return True
-
     def __eq__(self, other):
         return isinstance(other, SimplexIndexing) and self.order == other.order
 

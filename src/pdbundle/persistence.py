@@ -43,25 +43,6 @@ class PairSet(frozenset):
     def elements_of_degree(self, K: SimplicialComplex, q: int) -> FrozenSet[Element]:
         return frozenset(e for e in self if K.dim(e[0]) == q)
 
-    def check(self, K: SimplicialComplex, idx: Optional[SimplexIndexing] = None) -> None:
-        """Assert the structural invariants; raises ValidationError."""
-        seen: Dict[int, str] = {}
-        for b, d in self.pairs:
-            for s, role in ((b, "birth"), (d, "death")):
-                if s in seen:
-                    raise ValidationError(f"simplex {s} used twice ({seen[s]}, {role})")
-                seen[s] = role
-            if K.dim(d) != K.dim(b) + 1:
-                raise ValidationError(f"pair ({b}, {d}) dims {K.dim(b)}, {K.dim(d)}")
-            if idx is not None and not idx.position[b] < idx.position[d]:
-                raise ValidationError(f"pair ({b}, {d}) not ordered by indexing")
-        for b in self.essential:
-            if b in seen:
-                raise ValidationError(f"essential simplex {b} also in a pair")
-            seen[b] = "essential"
-        if 2 * len(self.pairs) + len(self.essential) != K.n:
-            raise ValidationError("2*|pairs| + |essential| != N")
-
 
 def _relabel(bits: int, order: Sequence[int]) -> int:
     """The bitset over positions `bits` as a bitset over intrinsic ids."""
@@ -84,15 +65,15 @@ class Reduction:
     of R and V is an int bitset over those ids, so transposing two positions
     moves no entry. `low[c]` is the intrinsic id of the lowest one of column c
     under the current order (-1 for a zero column) and `owner[r]` the column
-    whose lowest one is r (-1 if none)."""
+    whose lowest one is r (-1 if none). The indexing must put every face
+    before its cofaces; the pass that builds the columns checks it, and
+    raises ValidationError otherwise."""
 
     __slots__ = ("K", "dims", "order", "position", "R", "V", "low", "owner")
 
     def __init__(self, K: SimplicialComplex, idx: SimplexIndexing):
         if idx.n != K.n:
             raise ValidationError("indexing size does not match complex")
-        if not idx.is_compatible(K):
-            raise ValidationError("indexing not compatible with the face order")
         n = K.n
         self.K = K
         self.dims = [K.dim(i) for i in range(n)]
@@ -106,6 +87,9 @@ class Reduction:
             col = 0
             for f in K.facet_indices(order[j]):
                 col |= 1 << position[f]
+            if col >> j:
+                # a facet of the simplex at position j lies after it
+                raise ValidationError("indexing not compatible with the face order")
             chain = 1 << j
             while col:
                 p = col.bit_length() - 1

@@ -170,22 +170,15 @@ def _values_by_index(obj: Dict, K: SimplicialComplex
         yield i, sid, raw
 
 
-def values_map_from_json(obj: Dict, K: SimplicialComplex) -> List[Fraction]:
-    if not isinstance(obj, dict):
-        raise ValidationError("values must be a map from simplex id to rational")
+def filtered_complex_from_json(obj: Dict) -> Tuple[SimplicialComplex, List[Fraction]]:
+    K = complex_from_json(obj)
     values: List[Optional[Fraction]] = [None] * K.n
-    for i, _, raw in _values_by_index(obj, K):
+    for i, _, raw in _values_by_index(_require(obj, "values", dict, "input"), K):
         values[i] = as_fraction(raw)
     missing = [simplex_id(K.simplices[i]) for i, v in enumerate(values) if v is None]
     if missing:
         raise ValidationError(f"values missing for simplices: {', '.join(missing)}")
-    return values  # type: ignore[return-value]
-
-
-def filtered_complex_from_json(obj: Dict) -> Tuple[SimplicialComplex, List[Fraction]]:
-    K = complex_from_json(obj)
-    values = values_map_from_json(_require(obj, "values", dict, "input"), K)
-    return K, values
+    return K, values  # type: ignore[return-value]
 
 
 # -- fibrations --------------------------------------------------------------

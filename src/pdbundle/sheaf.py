@@ -115,14 +115,13 @@ def build_sheaf(strat: Stratification,
     restriction is again a sheaf of bijections.
 
     Everything is read off the stratification's one walk over the face
-    poset (`Stratification.walk`, stepping from every cell to each of its
-    cofaces): a cell's stalk off the pair set the walk yields for it, and
-    the morphism of a face relation off the swaps of the step from the
-    face. A morphism that is the identity on the stalk is the one identity
-    dict of that stalk, and each morphism is checked onto the coface's
-    stalk as it is made."""
+    poset (`Stratification.walk`, which grows a codimension-1 tree and
+    steps from every cell to each of its cofaces): a cell's stalk off the
+    pair set the walk yields for it, and the morphism of a face relation
+    off the swaps of the step from the face. A morphism that is the
+    identity on the stalk is the one identity dict of that stalk, and each
+    morphism is checked onto the coface's stalk as it is made."""
     K = strat.fib.complex
-    dims = [K.dim(i) for i in range(K.n)]
     restricted: Dict[FrozenSet[Element], FrozenSet[Element]] = {}
     identities: Dict[FrozenSet[Element], Dict[Element, Element]] = {}
     pair_sets: Dict[int, FrozenSet[Element]] = {}
@@ -133,8 +132,8 @@ def build_sheaf(strat: Stratification,
             pair_sets[cid] = pairs
             stalk = restricted.get(pairs)
             if stalk is None:
-                stalk = restricted[pairs] = pairs if degree is None else frozenset(
-                    e for e in pairs if dims[e[0]] == degree)
+                stalk = restricted[pairs] = pairs if degree is None else (
+                    pairs.elements_of_degree(K, degree))
                 identities.setdefault(stalk, {e: e for e in stalk})
             stalks[cid] = stalk
         if face is None or cid not in strat.cofaces[face]:
@@ -165,13 +164,6 @@ class SheafSection:
     @property
     def scope(self) -> FrozenSet[int]:
         return frozenset(self.assignment)
-
-    def check(self, sheaf: CellularSheaf) -> None:
-        for (face, coface), phi in sheaf.morphisms.items():
-            if face in self.assignment and coface in self.assignment:
-                if phi[self.assignment[face]] != self.assignment[coface]:
-                    raise InvariantError(
-                        f"section violates edge ({face}, {coface})")
 
 
 @dataclass

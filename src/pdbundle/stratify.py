@@ -46,7 +46,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .complexes import (
@@ -394,24 +394,24 @@ class Stratification:
 
     def walk(self, cofaces: bool = False
              ) -> Iterator[Tuple[Optional[int], int, PairSet, List[Tuple[int, int]]]]:
-        """One breadth-first walk over the face relations: those of
-        codimension 1 only (0-cell to 1-cell, 1-cell to 0- or 2-cell), which
-        take fewer transpositions a step than a 0-cell to a 2-cell, or, with
-        `cofaces`, all of them. It yields each step from a cell u to a cell
-        w as (u, w, pairs, swaps): w's pair set, and the simplex pairs that
-        the transpositions changing the pair set swapped on the way from u's
-        order to w's (`Reduction.transpose_to`). A step carries a copy of
-        u's reduction to w's order along the canonical schedule in one pass
-        (u's own, when the two orders are equal); that pass visits only the
-        steps between two simplices of one dimension, the only ones that can
-        change R, V or the pair set. The first cell of each component that
-        the walked relations connect is yielded as (None, w, pairs, []),
-        reduced in full; the first step to any other cell is its tree edge,
-        which gives the cell its reduction. With `cofaces`, each cell also
-        steps to every coface reached before, so that every face relation is
-        walked from its face exactly once. Every cell's pair set is read
-        off its own reduction: the lowest ones of R fix the pair set, so
-        they key one pair set object per distinct pair set, read once
+        """One breadth-first walk over the face relations. Its tree steps
+        along the relations of codimension 1 (0-cell to 1-cell, 1-cell to
+        0- or 2-cell), which take fewer transpositions a step than a 0-cell
+        to a 2-cell; with `cofaces`, each cell also steps to all of its
+        cofaces, so that every face relation is walked from its face exactly
+        once. It yields each step from a cell u to a cell w as (u, w, pairs,
+        swaps): w's pair set, and the simplex pairs that the transpositions
+        changing the pair set swapped on the way from u's order to w's
+        (`Reduction.transpose_to`). A step carries a copy of u's reduction
+        to w's order along the canonical schedule in one pass (u's own, when
+        the two orders are equal); that pass visits only the steps between
+        two simplices of one dimension, the only ones that can change R, V
+        or the pair set. The first cell of each component that the relations
+        of codimension 1 connect is yielded as (None, w, pairs, []), reduced
+        in full; the first codimension-1 step to any other cell is its tree
+        edge, which gives the cell its reduction. Every cell's pair set is
+        read off its own reduction: the lowest ones of R fix the pair set,
+        so they key one pair set object per distinct pair set, read once
         (`Reduction.elements`). Only the reductions of the walk's frontier
         stay alive."""
         K = self.fib.complex
@@ -434,22 +434,17 @@ class Stratification:
             queue = deque([(root.id, red)])
             while queue:
                 u, red = queue.popleft()
-                revisit = self.cofaces[u] if cofaces else ()
-                neighbours = self.faces[u] | self.cofaces[u]
-                if not cofaces:
-                    dim = self.cells[u].dim
-                    neighbours = [w for w in neighbours
-                                  if self.cells[w].dim - dim in (1, -1)]
-                for w in neighbours:
-                    new = w not in seen
-                    if not new and w not in revisit:
+                dim = self.cells[u].dim
+                for w in self.faces[u] | self.cofaces[u]:
+                    tree = w not in seen and self.cells[w].dim - dim in (1, -1)
+                    if not tree and not (cofaces and w in self.cofaces[u]):
                         continue
                     child, swaps = red, []
                     if self.indexings[u] != self.indexings[w]:
                         child = red.copy()
                         swaps = child.transpose_to(self.indexings[w])
                     yield u, w, pairs_of(child), swaps
-                    if new:
+                    if tree:
                         seen.add(w)
                         queue.append((w, child))
 
@@ -667,9 +662,12 @@ def merge_cells(strat: Stratification) -> Stratification:
     absorbed: Set[int] = set()
     # merge on equality of the simplex ORDER (tie structure included), not of
     # the tie-broken indexing: a wall where two values tie can share its
-    # indexing with a strict neighbor yet still be a genuine stratum boundary
-    signature = {c.id: order_signature(_cell_numerators(fib, c))
-                 for c in strat.cells}
+    # indexing with a strict neighbor yet still be a genuine stratum boundary.
+    # Equal signatures give equal indexings, so a cell's signature is
+    # evaluated only where the indexings agree, and then once.
+    indexings = strat.indexings
+    signature = cache(
+        lambda cid: order_signature(_cell_numerators(fib, strat.cell(cid))))
 
     for dim in (1, 0):
         for x in strat.cells:
@@ -680,10 +678,12 @@ def merge_cells(strat: Stratification) -> Stratification:
             if len(cofs) != 2:
                 continue
             a, b = cofs
-            if not (signature[x.id] == signature[a] == signature[b]):
+            if not indexings[x.id] == indexings[a] == indexings[b]:
                 continue
             if uf.find(a) == uf.find(b):
                 continue  # would cut a slit into a single merged cell
+            if not signature(x.id) == signature(a) == signature(b):
+                continue
             uf.union(a, b)
             uf.union(a, x.id)
             absorbed.add(x.id)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import pdbundle
 from pdbundle.cli import build_parser, main
+from pdbundle.complexes import SimplicialComplex
 from pdbundle.serialize import (
     canonical_dumps,
     complex_from_json,
@@ -69,6 +70,25 @@ def test_ph_empty_and_invalid(tmp_path, capsys):
     code, _, err = run(["ph", "--input", bad], capsys)
     assert code == 1
     assert "non-monotone" in err and "0-1" in err
+
+
+def test_ph_scans_the_facet_pairs_once(tmp_path, capsys, monkeypatch):
+    """On valid input `ph` reads the complex's facet pairs once, to check
+    monotonicity; the reduction checks the face order in its own pass."""
+    scans = []
+    facet_pairs = SimplicialComplex.facet_pairs
+
+    def counted(K):
+        scans.append(K)
+        return facet_pairs.func(K)
+
+    monkeypatch.setattr(SimplicialComplex, "facet_pairs", property(counted))
+    code, out, err = run(["ph", "--input", write(tmp_path, "in.json", Q1_COMPLEX)],
+                         capsys)
+    assert code == 0, err
+    assert json.loads(out)["degrees"]["1"]["points"] == [["3/2", "19/2"],
+                                                         ["5/2", "21/2"]]
+    assert len(scans) == 1
 
 
 def test_ph_missing_face_named(tmp_path, capsys):

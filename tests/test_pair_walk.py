@@ -4,6 +4,7 @@ the sheaf read off the same walk: its stalks against fresh reductions, the
 one pass against `stepwise.transpose` at every step of the plain bubble
 sort, and its shared identity morphisms."""
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -178,6 +179,30 @@ def test_walked_pair_sets_match_fresh_reductions(monkeypatch):
         assert len({id(p) for p in walked}) == len(set(walked))
         merged += any(len(cell.pieces) > 1 for cell in strat.cells)
     assert merged
+
+
+def test_coface_walk_steps_once_from_each_face_and_grows_the_same_tree():
+    """With `cofaces`, on the same cases, the walk steps along every face
+    relation exactly once from its face, every step from a cell to one of
+    its faces has codimension 1, and its roots and tree steps are those of
+    the walk along relations of codimension 1, in the same order."""
+    for strat in _walk_cases():
+        steps = [(u, w) for u, w, _, _ in strat.walk(cofaces=True)]
+        from_face = Counter()
+        for u, w in steps:
+            if u is None:
+                continue
+            if w in strat.cofaces[u]:
+                from_face[u, w] += 1
+            else:
+                assert strat.cell(u).dim - strat.cell(w).dim == 1
+                assert u in strat.cofaces[w]
+        assert from_face == Counter(
+            {(face, cid): 1 for cid, faces in strat.faces.items() for face in faces})
+        tree = [(u, w) for u, w, _, _ in strat.walk()]
+        assert [s for s in steps if s[0] is None] == [s for s in tree if s[0] is None]
+        rest = iter(steps)
+        assert all(step in rest for step in tree)    # a subsequence, in order
 
 
 def _sheaf_case(case):

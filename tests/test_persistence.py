@@ -1,10 +1,17 @@
+import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from pdbundle.complexes import SimplicialComplex, ValidationError, induced_indexing
-from pdbundle.persistence import PairSet, diagram, reduce_pairs
+from pdbundle.complexes import (
+    SimplexIndexing,
+    SimplicialComplex,
+    ValidationError,
+    induced_indexing,
+)
+from pdbundle.persistence import PairSet, Reduction, diagram, reduce_pairs
 
 from conftest import (
     A,
@@ -20,6 +27,24 @@ from conftest import (
 from rank_oracle import pairs_betti_count, persistent_betti, vietoris_rips
 
 
+def check_pair_set(ps: PairSet, K: SimplicialComplex, idx=None) -> None:
+    """The structural invariants of a pair set: every simplex is a birth, a
+    death or essential, exactly once; a pair's death is one dimension above
+    its birth and, under idx, after it."""
+    seen = {}
+    for b, d in ps.pairs:
+        for s, role in ((b, "birth"), (d, "death")):
+            assert s not in seen, f"simplex {s} used twice ({seen[s]}, {role})"
+            seen[s] = role
+        assert K.dim(d) == K.dim(b) + 1, f"pair ({b}, {d}) dims"
+        assert idx is None or idx.position[b] < idx.position[d], (
+            f"pair ({b}, {d}) not ordered by indexing")
+    for b in ps.essential:
+        assert b not in seen, f"essential simplex {b} also in a pair"
+        seen[b] = "essential"
+    assert 2 * len(ps.pairs) + len(ps.essential) == K.n
+
+
 def test_single_vertex():
     K = SimplicialComplex([[0]])
     ps = reduce_pairs(K, induced_indexing([0], K))
@@ -33,15 +58,34 @@ def test_monodromy_quadrant_pairs(mono_complex):
     # Q3 representative (-1/2, -1/2): degree-1 pairs {(a, d), (b, c)}
     ps3 = pairs_for_filtration(mono_complex, mono_values(Fraction(-1, 2), Fraction(-1, 2)))
     assert deg1_pairs(mono_complex, ps3) == {(A, D), (B, C)}
-    ps.check(mono_complex)
-    ps3.check(mono_complex)
+    check_pair_set(ps, mono_complex)
+    check_pair_set(ps3, mono_complex)
 
 
 def test_reduce_rejects_incompatible_indexing():
-    from pdbundle.complexes import SimplexIndexing
+    """On every order of a filled triangle, `Reduction` raises exactly when
+    some face comes after one of its cofaces, with one message, whichever
+    column the violation is in; an indexing of the wrong size is refused
+    before any column is built."""
     K = SimplicialComplex([[0], [1], [0, 1]])
     with pytest.raises(ValidationError):
         reduce_pairs(K, SimplexIndexing([2, 0, 1]))
+    K = SimplicialComplex([[0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2]])
+    rejected = 0
+    for order in permutations(range(K.n)):
+        idx = SimplexIndexing(order)
+        if all(idx.position[j] < idx.position[i] for j, i in K.facet_pairs):
+            check_pair_set(Reduction(K, idx).elements(), K, idx)
+            continue
+        rejected += 1
+        with pytest.raises(ValidationError) as err:
+            Reduction(K, idx)
+        assert str(err.value) == "indexing not compatible with the face order"
+    assert 0 < rejected < math.factorial(K.n)
+    for order in ([0, 1], list(range(K.n + 1))):
+        with pytest.raises(ValidationError) as err:
+            Reduction(K, SimplexIndexing(order))
+        assert str(err.value) == "indexing size does not match complex"
 
 
 def test_diagram_examples(mono_complex):
@@ -66,7 +110,7 @@ def test_pairset_structural_invariants_random():
         K = random_complex(rng)
         vals = random_monotone_values(rng, K)
         idx = induced_indexing(vals, K)
-        reduce_pairs(K, idx).check(K, idx)
+        check_pair_set(reduce_pairs(K, idx), K, idx)
 
 
 def test_pairs_depend_only_on_simplex_order():

@@ -40,6 +40,16 @@ from conftest import (MESHES, A, B, C, D, mirrored_monodromy_fibration,
 F = Fraction
 
 
+def check_section(section: SheafSection, sheaf: CellularSheaf) -> None:
+    """Every morphism between two cells of the section's scope carries the
+    section's element at the face to its element at the coface."""
+    chosen = section.assignment
+    for (face, coface), phi in sheaf.morphisms.items():
+        if face in chosen and coface in chosen:
+            assert phi[chosen[face]] == chosen[coface], (
+                f"section violates edge ({face}, {coface})")
+
+
 def constant_sheaf(degree=None):
     # two filtration levels, no geometry: all morphisms are identities
     K = SimplicialComplex([[0], [1], [0, 1], [2], [0, 2], [1, 2]])
@@ -60,7 +70,7 @@ def test_constant_fibration_all_identity():
     assert len(sections) == stalk_size
     for s in sections:
         assert len(set(s.assignment.values())) == 1
-        s.check(sheaf)
+        check_section(s, sheaf)
 
 
 def test_monodromy_sheaf_three_distinct_nonidentity_morphisms(mono_strat, mono_sheaf1):
@@ -136,7 +146,7 @@ def test_propagate_on_cut_subgraph(mono_sheaf1):
     for x in sorted(sub.stalks[root]):
         res = propagate(sub, root, x)
         if isinstance(res, SheafSection):
-            res.check(sub)
+            check_section(res, sub)
             found.append(res)
     assert len(found) == 2  # both seeds extend on the cut
     [component] = sections_by_component(sub)

@@ -15,6 +15,7 @@ from pdbundle.geometry import (
     segment_line_chord,
     segment_midpoint,
 )
+from pdbundle import stratify
 from pdbundle.stratify import (
     BaseMesh,
     PLFibration,
@@ -41,12 +42,14 @@ from conftest import (
     C,
     D,
     deg1_pairs,
+    mono_fibration,
     pairs_for_filtration,
     quadrant_of,
     random_fibration,
     random_ppm,
     random_rational_fibration,
 )
+from test_cli import C9_3X3
 
 F = Fraction
 
@@ -370,6 +373,38 @@ def test_merge_cells_property(seed, mesh, rational):
         for c in members[m.id]:
             assert merged.indexings[m.id] == strat.indexings[c.id]
             assert merged.locate(c.rep).id == m.id
+
+
+@pytest.mark.parametrize("case, evaluated", [("monodromy", 24), ("c9-3x3", 6)])
+def test_merge_cells_evaluates_signatures_only_at_equal_indexings(
+        monkeypatch, case, evaluated):
+    """`merge_cells` evaluates the values at a cell of the stratification it
+    merges only for a wall whose indexing equals both its cofaces', and then
+    once per cell: 24 of the monodromy example's 33 cells and 6 of the 3×3
+    c9-formula image's 31. (The merged stratification evaluates its own new
+    cells to index them.)"""
+    fib = mono_fibration() if case == "monodromy" else gen_image_fibration(C9_3X3)[0]
+    strat = build_stratification(fib)
+    idx = strat.indexings
+    # the cells whose indexing a neighbour one dimension apart shares
+    agreeing = {c.id for c in strat.cells
+                if any(idx[w] == idx[c.id] and abs(strat.cell(w).dim - c.dim) == 1
+                       for w in strat.faces[c.id] | strat.cofaces[c.id])}
+    calls = []
+    numerators = stratify._cell_numerators
+
+    def counted(fib, cell):
+        calls.append(cell)
+        return numerators(fib, cell)
+
+    monkeypatch.setattr(stratify, "_cell_numerators", counted)
+    merge_cells(strat)
+    monkeypatch.undo()
+    old = {id(c): c.id for c in strat.cells}
+    evaluated_ids = [old[id(c)] for c in calls if id(c) in old]
+    assert len(evaluated_ids) == len(set(evaluated_ids)) == evaluated
+    assert set(evaluated_ids) <= agreeing
+    assert len(strat.cells) == (33 if case == "monodromy" else 31)
 
 
 @settings(max_examples=40, deadline=None)

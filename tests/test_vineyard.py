@@ -10,7 +10,12 @@ from pdbundle.generators import gen_image_fibration
 from pdbundle.persistence import Reduction, reduce_pairs
 from pdbundle.serialize import vines_to_csv
 from pdbundle.sheaf import build_sheaf
-from pdbundle.stratify import build_stratification, filtration_at, point_numerators
+from pdbundle.stratify import (
+    build_stratification,
+    filtration_at,
+    merge_cells,
+    point_numerators,
+)
 from pdbundle.vineyard import (
     composed_bijection,
     path_vineyard,
@@ -234,27 +239,30 @@ def test_path_vineyard_empty_rejected(mono_complex):
 @pytest.fixture(scope="module")
 def differential_strats():
     """Stratifications of random fibrations over every conftest mesh, random
-    2x2 images, a random binary 3x3 image and the monodromy example, each
-    with the oracle's pair sets (shared by the tests below)."""
+    2x2 images, a random binary 3x3 image and the monodromy example, and
+    then each of them with its cells merged, each with the oracle's pair
+    sets (shared by the tests below)."""
     rng = random.Random(41)
     fibs = [random_fibration(rng, mesh_name=name)
             for _ in range(6) for name in sorted(MESHES)]
     fibs += [gen_image_fibration(random_ppm(rng, 2, 2, 15))[0] for _ in range(3)]
     fibs.append(gen_image_fibration(random_ppm(rng, 3, 3, 1))[0])
     fibs.append(mono_fibration())
-    return [(build_stratification(fib), rereduction.ReducedPairs(fib.complex))
-            for fib in fibs]
+    strats = [(build_stratification(fib), rereduction.ReducedPairs(fib.complex))
+              for fib in fibs]
+    return strats + [(merge_cells(strat), oracle) for strat, oracle in strats]
 
 
 def test_build_sheaf_matches_rereduction(differential_strats):
-    swapping = 0
+    swapping = merged = 0
     for strat, oracle in differential_strats:
         expected = rereduction.sheaf_morphisms(strat, oracle, (None, 1))
         for degree in (None, 1):
             assert build_sheaf(strat, degree).morphisms == expected[degree]
         swapping += any(x != y for phi in expected[None].values()
                         for x, y in phi.items())
-    assert swapping > 5
+        merged += any(len(cell.pieces) > 1 for cell in strat.cells)
+    assert swapping > 5 and merged > 5
 
 
 def test_composed_bijection_matches_rereduction(differential_strats):
