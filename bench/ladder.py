@@ -31,6 +31,13 @@ each with its gauges and root elements, are found once, by
 `bundle_section`, so on a checkout older than that it fails and is recorded
 as "exit 1". The stages after the load run
 on the generated fibration, as they did before the load stage was added.
+After the last stage, the child counts on the order tuples of the cell
+indexings, untimed, and adds to the stratify record `distinct_orders` and to
+the sheaf record `moved_relations` (face relations whose two cells' orders
+differ) and `distinct_transitions` (distinct (face order, coface order)
+pairs among them), with `sheaf_sha256`, a digest of the degree-1 sheaf's
+stalks and morphisms (`sheaf_digest`); no stage's time or peak RSS
+includes this counting.
 A stage whose first run takes under REPEAT_UNDER_S seconds runs REPEATS
 times in all: its record holds every run's time as `runs_s` and the least as
 `s`. Each walk after the first runs on a fresh `Stratification` of the same
@@ -54,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import os
@@ -94,6 +102,45 @@ def pentagon_path(steps: int) -> list:
               for p, q in zip(corners, corners[1:] + corners[:1])
               for k in range(steps)]
     return points + points[:1]
+
+
+def order_changes(strat) -> dict:
+    """The face relations whose two cells' orders differ, and the distinct
+    (face order, coface order) pairs among them, counted on the order
+    tuples."""
+    number: dict = {}
+    order_of = {cid: number.setdefault(idx.order, len(number))
+                for cid, idx in strat.indexings.items()}
+    moved, transitions = 0, set()
+    for cid, faces in strat.faces.items():
+        b = order_of[cid]
+        for face in faces:
+            a = order_of[face]
+            if a != b:
+                moved += 1
+                transitions.add(a * len(number) + b)
+    return {"moved_relations": moved, "distinct_transitions": len(transitions)}
+
+
+def sheaf_digest(sh) -> str:
+    """SHA-256 of the sheaf: each cell's sorted stalk, in cell order, then
+    each face relation and its sorted morphism, in edge order. A stalk or a
+    morphism shared by several cells or relations is encoded once."""
+    digest = hashlib.sha256()
+    encoded: dict = {}
+
+    def text(obj, items) -> bytes:
+        # the sheaf keeps obj alive, so its id names it throughout
+        if id(obj) not in encoded:
+            encoded[id(obj)] = repr(sorted(items, key=repr)).encode()
+        return encoded[id(obj)]
+
+    for cid in sorted(sh.stalks):
+        digest.update(b"%d:" % cid + text(sh.stalks[cid], sh.stalks[cid]) + b"\n")
+    for face, coface in sh.edges():
+        phi = sh.morphisms[face, coface]
+        digest.update(b"%d<%d:" % (face, coface) + text(phi, phi.items()) + b"\n")
+    return digest.hexdigest()
 
 
 def peak_rss_mb() -> float:
@@ -208,6 +255,17 @@ def run_rung(src: str, n: int) -> None:
                           "runs_s": [round(s, 6) for s in runs],
                           "peak_rss_mb": round(peak_rss_mb(), 1), **counts}),
               flush=True)
+    # counted after the last stage, so that no stage's time or peak RSS
+    # includes them; measure adds them to the stage's record
+    if "strat" in found:
+        strat = found["strat"]
+        print(json.dumps({"stage": "stratify", "counts": {
+            "distinct_orders": len({idx.order for idx in strat.indexings.values()})}}),
+              flush=True)
+    if "sheaf" in found:
+        print(json.dumps({"stage": "sheaf", "counts": {
+            **order_changes(found["strat"]), "sheaf_sha256": sheaf_digest(found["sheaf"])}}),
+              flush=True)
 
 
 def measure(src: str, n: int) -> dict:
@@ -225,7 +283,10 @@ def measure(src: str, n: int) -> dict:
     for line in out.splitlines():
         record = json.loads(line)
         name = record.pop("stage")
-        stages[name] = record.get("outcome", record)
+        if "counts" in record:
+            stages[name].update(record["counts"])
+        else:
+            stages[name] = record.get("outcome", record)
     for name in STAGES:
         if name not in stages:
             stages[name] = failure or "not run"
@@ -270,7 +331,9 @@ def main() -> int:
                       "runs when the stages it reads have finished (%s); a "
                       "stage whose first run takes under %g s runs %d times, with "
                       "every run in runs_s and the least in s; peak_rss_mb is "
-                      "the process peak after each stage"
+                      "the process peak after each stage; distinct_orders, "
+                      "moved_relations, distinct_transitions and sheaf_sha256 "
+                      "are counted after the last stage"
                       % (LOAD_REPEATS, list(VINE_STEPS),
                          ", ".join(f"{k} reads {' and '.join(v)}"
                                    for k, v in READS.items()),

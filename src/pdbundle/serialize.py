@@ -333,8 +333,9 @@ def stratification_to_json(strat: Stratification) -> Dict:
 
 def sheaf_to_json(sheaf: CellularSheaf) -> Dict:
     """The stalks and morphisms. Cells with equal stalks share one JSON list,
-    and so do edges with one morphism object (the shared identities), which
-    `canonical_dumps` writes once; each element is formatted once."""
+    and so do edges with one morphism object (the shared identities, and
+    the relations between one pair of orders), which `canonical_dumps`
+    writes once; each element is formatted once."""
     element = _shared_elements(sheaf.fib.complex)
     shared: Dict[FrozenSet[Element], List[List[str]]] = {}
     vertices = []

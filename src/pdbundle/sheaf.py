@@ -11,9 +11,10 @@ indexings, restricted accordingly. The sheaf is not always compatible at a
 0-cell v: for v < e < c the chain condition F(e≤c)∘F(v≤e) = F(v≤c) can
 fail at a non-commuting diamond, where the composites through the
 diamond's two 1-cells differ (`tests/test_diamonds.py`). Stalks and
-morphisms are read off the stratification's one walk over the face poset,
-and a morphism that is the identity is one dict shared by every edge
-between equal stalks. Every morphism is a bijection, so the étalé space
+morphisms are read off the stratification's one walk over the face poset;
+the face relations between one pair of cell orders share one morphism
+object, and a morphism that is the identity is one dict shared by every
+edge between equal stalks. Every morphism is a bijection, so the étalé space
 covers the cell graph: components, global sections and obstructed seeds
 are read off one breadth-first walk per cell component (`_gauges`), which
 carries the root cell's stalk to every cell along a spanning tree and
@@ -118,15 +119,21 @@ def build_sheaf(strat: Stratification,
     poset (`Stratification.walk`, which grows a codimension-1 tree and
     steps from every cell to each of its cofaces): a cell's stalk off the
     pair set the walk yields for it, and the morphism of a face relation
-    off the swaps of the step from the face. A morphism that is the
-    identity on the stalk is the one identity dict of that stalk, and each
-    morphism is checked onto the coface's stalk as it is made."""
+    off the swaps of the step from the face. A morphism depends only on the
+    orders of its two cells, so the face relations between one pair of
+    orders share one morphism object, made and checked onto the coface's
+    stalk once; and a morphism that is the identity on the stalk is the one
+    identity dict of that stalk."""
     K = strat.fib.complex
+    indexings = strat.indexings
     restricted: Dict[FrozenSet[Element], FrozenSet[Element]] = {}
     identities: Dict[FrozenSet[Element], Dict[Element, Element]] = {}
     pair_sets: Dict[int, FrozenSet[Element]] = {}
     stalks: Dict[int, FrozenSet[Element]] = {}
     morphisms: Dict[Tuple[int, int], Dict[Element, Element]] = {}
+    # the morphism of each pair of orders that a step swaps pairs between,
+    # by the ids of their indexings
+    moved: Dict[Tuple[int, int], Dict[Element, Element]] = {}
     for face, cid, pairs, swaps in strat.walk(cofaces=True):
         if cid not in pair_sets:
             pair_sets[cid] = pairs
@@ -141,9 +148,15 @@ def build_sheaf(strat: Stratification,
         stalk = stalks[face]
         mapping = identities[stalk]
         if swaps:
+            orders = (id(indexings[face]), id(indexings[cid]))
+            known = moved.get(orders)
+            if known is not None:
+                morphisms[(face, cid)] = known
+                continue
             image = update_image(pair_sets[face], swaps)
             if any(image[e] != e for e in stalk):
                 mapping = {e: image[e] for e in stalk}
+            moved[orders] = mapping
         target = stalks[cid]
         if mapping is not identities[target] and set(mapping.values()) != target:
             raise InvariantError(

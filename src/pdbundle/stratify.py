@@ -38,12 +38,20 @@ reduction per connected component, then, along each tree edge, the parent's
 reduction transposed into the child's order, off which the child's pair
 set is read. The pair sets of all cells (`Stratification.cell_pairs`) and
 the sheaf (`sheaf.build_sheaf`) are the walk's.
+
+Cells with one order share one `SimplexIndexing` object, so the walk tests
+equal orders by identity. The pair set of an order is unique, so the swaps
+of a step depend only on its two orders (the vine update of
+Cohen-Steiner, Edelsbrunner and Morozov, 2006): a change between two
+orders, one of which two or more cells share, is transposed once, and a
+step that repeats it reads the swaps and the pair set that the first one
+found.
 """
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -359,10 +367,15 @@ class Stratification:
 
     `cell_pairs` reads from the table of the pair sets that one walk
     yields, built on the first call, so a cell order is never reduced from
-    scratch, except one per connected component."""
+    scratch, except one per connected component.
+
+    `indexings` maps each cell id to its indexing, one object per distinct
+    order. Without it, each cell's order is sorted here and interned;
+    `merge_cells` passes the objects of the cells it merges."""
 
     def __init__(self, fib: PLFibration, cells: List[Cell],
-                 faces: Dict[int, FrozenSet[int]]):
+                 faces: Dict[int, FrozenSet[int]],
+                 indexings: Optional[Dict[int, SimplexIndexing]] = None):
         self.fib = fib
         self.cells = cells
         self.faces = faces
@@ -372,9 +385,13 @@ class Stratification:
                 cofaces[f].add(cid)
         self.cofaces: Dict[int, FrozenSet[int]] = {
             cid: frozenset(cs) for cid, cs in cofaces.items()}
-        self.indexings: Dict[int, SimplexIndexing] = {
-            c.id: SimplexIndexing(value_order(_cell_numerators(fib, c)))
-            for c in cells}
+        if indexings is None:
+            interned: Dict[Tuple[int, ...], SimplexIndexing] = {}
+            indexings = {}
+            for c in cells:
+                idx = SimplexIndexing(value_order(_cell_numerators(fib, c)))
+                indexings[c.id] = interned.setdefault(idx.order, idx)
+        self.indexings: Dict[int, SimplexIndexing] = indexings
 
     def cell(self, cid: int) -> Cell:
         return self.cells[cid]
@@ -412,9 +429,22 @@ class Stratification:
         edge, which gives the cell its reduction. Every cell's pair set is
         read off its own reduction: the lowest ones of R fix the pair set,
         so they key one pair set object per distinct pair set, read once
-        (`Reduction.elements`). Only the reductions of the walk's frontier
-        stay alive."""
+        (`Reduction.elements`).
+
+        Each distinct order change is transposed once. The pair set of
+        every order is unique, so the swaps of a step depend only on the
+        two orders, and a step that repeats a transition between two
+        orders, one of which two or more cells share, reads the swaps and
+        the pair set that its first step found, with no copy and no
+        transposition: the same objects each time. A tree step of that kind
+        takes a reduction already reached at the child's order, one kept
+        per shared order until the last cell of that order is reached (and,
+        for a step to a cell not reached yet, the one that step made, until
+        that cell is reached). Steps between orders that no other cell has
+        are walked as they would be without these tables. So the live
+        reductions are the walk's frontier and one per kept order."""
         K = self.fib.complex
+        indexings = self.indexings
         distinct: Dict[Tuple[int, ...], PairSet] = {}
 
         def pairs_of(red: Reduction) -> PairSet:
@@ -424,29 +454,74 @@ class Stratification:
                 pairs = distinct[low] = red.elements()
             return pairs
 
+        # the cells not yet reached of each order that two or more cells
+        # share, by the id of its one SimplexIndexing
+        left = {key: n for key, n in Counter(map(id, indexings.values())).items()
+                if n > 1}
+        shared = set(left)
+        kept: Dict[int, Reduction] = {}
+        # the swaps of each change from or to a shared order, and the pair
+        # set of each order such a change reached. A change is keyed by its
+        # two orders' ids in one int, and every change without swaps shares
+        # one empty list: the tables then hold no new container objects, so
+        # they do not drive the cyclic garbage collector.
+        moves: Dict[int, List[Tuple[int, int]]] = {}
+        pairs_at: Dict[int, PairSet] = {}
+        no_swaps: List[Tuple[int, int]] = []
+
+        def reach(w: int, red: Reduction) -> None:
+            key = id(indexings[w])
+            n = left.get(key, 1)
+            if n > 1:
+                left[key] = n - 1
+                kept.setdefault(key, red)
+            else:
+                left.pop(key, None)
+                kept.pop(key, None)
+
         seen: Set[int] = set()
         for root in self.cells:
             if root.id in seen:
                 continue
             seen.add(root.id)
-            red = Reduction(K, self.indexings[root.id])
-            yield None, root.id, pairs_of(red), []
-            queue = deque([(root.id, red)])
+            red = Reduction(K, indexings[root.id])
+            pairs = pairs_of(red)
+            reach(root.id, red)
+            yield None, root.id, pairs, []
+            queue = deque([(root.id, red, pairs)])
             while queue:
-                u, red = queue.popleft()
+                u, red, pairs_u = queue.popleft()
                 dim = self.cells[u].dim
+                idx_u = indexings[u]
+                u_shared = id(idx_u) in shared
                 for w in self.faces[u] | self.cofaces[u]:
                     tree = w not in seen and self.cells[w].dim - dim in (1, -1)
                     if not tree and not (cofaces and w in self.cofaces[u]):
                         continue
-                    child, swaps = red, []
-                    if self.indexings[u] != self.indexings[w]:
+                    idx_w = indexings[w]
+                    move = known = None
+                    if idx_w is idx_u:
+                        child, pairs, swaps = red, pairs_u, []
+                    elif u_shared or id(idx_w) in shared:
+                        move = id(idx_u) << 64 | id(idx_w)
+                        known = moves.get(move)
+                    if known is not None:
+                        swaps, pairs = known, pairs_at[id(idx_w)]
+                        child = kept[id(idx_w)] if tree else None
+                    elif idx_w is not idx_u:
                         child = red.copy()
-                        swaps = child.transpose_to(self.indexings[w])
-                    yield u, w, pairs_of(child), swaps
+                        swaps = child.transpose_to(idx_w)
+                        pairs = pairs_of(child)
+                        if move is not None:
+                            moves[move] = swaps = swaps or no_swaps
+                            pairs_at[id(idx_w)] = pairs
+                            if not tree and w not in seen:
+                                kept.setdefault(id(idx_w), child)
+                    yield u, w, pairs, swaps
                     if tree:
                         seen.add(w)
-                        queue.append((w, child))
+                        reach(w, child)
+                        queue.append((w, child, pairs))
 
     @cached_property
     def _cells_by_triangle(self) -> Dict[int, List[Cell]]:
@@ -656,7 +731,9 @@ def merge_cells(strat: Stratification) -> Stratification:
     cofaces one dimension up, less those already absorbed, are exactly two,
     in two different merged cells, and of its own order is absorbed into
     their union. The sheaf over the merged stratification is equivalent (the
-    removed morphisms were identities)."""
+    removed morphisms were identities). A merged cell keeps the
+    representative point, and so the indexing object, of a member of the
+    highest dimension."""
     fib = strat.fib
     uf = UnionFind(len(strat.cells))
     absorbed: Set[int] = set()
@@ -693,6 +770,7 @@ def merge_cells(strat: Stratification) -> Stratification:
         groups.setdefault(uf.find(c.id), []).append(c.id)
 
     new_cells: List[Cell] = []
+    new_indexings: Dict[int, SimplexIndexing] = {}
     new_id_of: Dict[int, int] = {}
     for root in sorted(groups):
         members = sorted(groups[root])
@@ -704,6 +782,7 @@ def merge_cells(strat: Stratification) -> Stratification:
         rep = strat.cell(rep_member)
         new_cells.append(Cell(nid, dim, pieces, rep.rep, tris, rep.hrep,
                               rep.rep_triangle))
+        new_indexings[nid] = indexings[rep_member]
         for m in members:
             new_id_of[m] = nid
 
@@ -715,4 +794,5 @@ def merge_cells(strat: Stratification) -> Stratification:
                 new_faces[a].add(b)
 
     return Stratification(fib, new_cells,
-                          {cid: frozenset(f) for cid, f in new_faces.items()})
+                          {cid: frozenset(f) for cid, f in new_faces.items()},
+                          new_indexings)

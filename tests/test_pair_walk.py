@@ -2,7 +2,8 @@
 one-pass canonical schedule it walks along (`Reduction.transpose_to`), and
 the sheaf read off the same walk: its stalks against fresh reductions, the
 one pass against `stepwise.transpose` at every step of the plain bubble
-sort, and its shared identity morphisms."""
+sort, every walk step against a fresh transposition, one transposition per
+distinct order change, and the morphisms that one pair of orders shares."""
 import random
 from collections import Counter
 from itertools import combinations
@@ -22,11 +23,12 @@ from pdbundle.sheaf import build_sheaf
 from pdbundle.stratify import Stratification, build_stratification, merge_cells
 
 from conftest import (
+    MESHES,
     mono_fibration,
     random_fibration,
     random_rational_fibration,
 )
-from rereduction import bubble_schedule
+from rereduction import ReducedPairs, bubble_schedule, sheaf_morphisms
 from stepwise import swaps_along
 from test_cli import C9_3X3
 
@@ -231,22 +233,89 @@ def test_build_sheaf_reduces_one_order_per_component(monkeypatch, case):
 @pytest.mark.parametrize("case", ["monodromy", "c9-3x3"])
 def test_identity_morphisms_share_one_dict_per_stalk(case):
     """Every identity morphism is the one identity dict of its stalk, that
-    dict is the transport both ways along the edge, and each non-identity
-    morphism is its own object with its inverse in the other direction."""
+    dict is the transport both ways along the edge, and the face relations
+    between one pair of orders share one morphism object: a non-identity
+    one belongs to that pair of orders alone and has one inverse object,
+    the transport in the other direction."""
     strat = build_stratification(_sheaf_case(case))
     for degree in (None, 1):
         sheaf = build_sheaf(strat, degree)
-        identities = {}
-        moved = 0
+        identities, by_orders, inverses = {}, {}, {}
         for (face, coface), phi in sheaf.morphisms.items():
             assert sheaf.transport[face][coface] is phi
             back = sheaf.transport[coface][face]
+            orders = (strat.indexings[face].order, strat.indexings[coface].order)
+            assert by_orders.setdefault(orders, phi) is phi
             if all(x == y for x, y in phi.items()):
                 assert identities.setdefault(sheaf.stalks[face], phi) is phi
                 assert back is phi
             else:
-                moved += 1
                 assert back == {y: x for x, y in phi.items()}
+                assert inverses.setdefault(id(phi), back) is back
         assert identities
+        moved = [phi for phi in by_orders.values()
+                 if any(x != y for x, y in phi.items())]
+        assert len({id(phi) for phi in moved}) == len(moved) == len(inverses)
         assert len({id(phi) for phi in sheaf.morphisms.values()}) == (
-            len(identities) + moved)
+            len(identities) + len(moved))
+
+
+def _small_walk_cases():
+    """Seeded random fibrations of at most five simplices, five on each
+    conftest mesh: few orders, most of them shared by many cells."""
+    rng = random.Random(26)
+    strats = []
+    for name in sorted(MESHES):
+        for _ in range(5):
+            fib = random_fibration(rng, mesh_name=name, max_vertices=3)
+            while fib.complex.n > 5:
+                fib = random_fibration(rng, mesh_name=name, max_vertices=3)
+            strats.append(build_stratification(fib))
+    return strats
+
+
+def test_walk_steps_match_fresh_transpositions():
+    """Every step of the coface walk yields the pair set and the swaps that
+    a fresh reduction of its first cell's order, transposed to the second
+    cell's, gives, also where the step repeats an order change that an
+    earlier step made; on the walk cases and on small random fibrations,
+    whose cells share their orders."""
+    repeated = 0
+    for strat in _walk_cases() + _small_walk_cases():
+        K, idx = strat.fib.complex, strat.indexings
+        transitions = Counter()
+        for u, w, pairs, swaps in strat.walk(cofaces=True):
+            if u is None:
+                assert (pairs, swaps) == (reduce_pairs(K, idx[w]), [])
+                continue
+            red = Reduction(K, idx[u])
+            assert swaps == red.transpose_to(idx[w])
+            assert pairs == red.elements()
+            if idx[u] is not idx[w]:
+                transitions[idx[u].order, idx[w].order] += 1
+        repeated += sum(n - 1 for n in transitions.values())
+    assert repeated > 100
+
+
+def test_build_sheaf_transposes_each_order_change_once(monkeypatch):
+    """`build_sheaf` calls `transpose_to` at most once per distinct (face
+    order, coface order) change, and its morphisms are those that
+    re-reduction at every step of the bubble sort gives."""
+    transpose_to = Reduction.transpose_to
+    shared = 0
+    for strat in _walk_cases() + _small_walk_cases():
+        expected = sheaf_morphisms(strat, ReducedPairs(strat.fib.complex), (None, 1))
+        for degree in (None, 1):
+            calls = Counter()
+
+            def counted(self, idx1):
+                calls[tuple(self.order), idx1.order] += 1
+                return transpose_to(self, idx1)
+
+            monkeypatch.setattr(Reduction, "transpose_to", counted)
+            sheaf = build_sheaf(strat, degree)
+            monkeypatch.undo()
+            assert set(calls.values()) <= {1}
+            assert sheaf.morphisms == expected[degree]
+        shared += len(strat.faces) > len({id(idx) for idx in strat.indexings.values()})
+    assert shared

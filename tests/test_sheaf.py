@@ -312,31 +312,37 @@ def test_bundle_section_constant_and_corrupted():
         bundle_section(sheaf1, fake, boundary_samples=2)
 
 
+def _corrupted(sheaf, key):
+    """A copy of the sheaf whose morphism on the one edge `key` is a copy
+    with the images of its two smallest elements swapped; the edges that
+    share that morphism object keep it."""
+    import copy
+    phi = dict(sheaf.morphisms[key])
+    a, b = sorted(phi)[:2]
+    phi[a], phi[b] = phi[b], phi[a]
+    corrupted = copy.copy(sheaf)
+    corrupted.morphisms = {**sheaf.morphisms, key: phi}
+    return corrupted
+
+
 def test_edge_value_certificate_catches_corruption(mono_sheaf1):
     # corrupt a morphism anchored at a 1-cell: there the c/d values separate,
     # so swapping the images breaks exact value equality. (At the origin all
     # four values tie and both bijection choices pass, which is exactly why
     # that morphism is not canonical.)
-    import copy
-    sheaf = copy.deepcopy(mono_sheaf1)
-    key = next(k for k, phi in sorted(sheaf.morphisms.items())
-               if sheaf.strat.cell(k[0]).dim == 1
+    key = next(k for k, phi in sorted(mono_sheaf1.morphisms.items())
+               if mono_sheaf1.strat.cell(k[0]).dim == 1
                and any(a != b for a, b in phi.items()))
-    phi = sheaf.morphisms[key]
-    ks = sorted(phi)
-    phi[ks[0]], phi[ks[1]] = phi[ks[1]], phi[ks[0]]
     with pytest.raises(InvariantError):
-        edge_value_certificate(sheaf, samples_per_edge=3, seed=2)
+        edge_value_certificate(_corrupted(mono_sheaf1, key), samples_per_edge=3,
+                               seed=2)
     # and both choices do pass at the origin, where everything ties
-    sheaf2 = copy.deepcopy(mono_sheaf1)
-    origin = next(c.id for c in sheaf2.strat.cells
+    origin = next(c.id for c in mono_sheaf1.strat.cells
                   if c.pieces == (((F(0), F(0)),),))
-    okey = next(k for k, phi in sorted(sheaf2.morphisms.items())
+    okey = next(k for k, phi in sorted(mono_sheaf1.morphisms.items())
                 if k[0] == origin and any(a != b for a, b in phi.items()))
-    ophi = sheaf2.morphisms[okey]
-    ks = sorted(ophi)
-    ophi[ks[0]], ophi[ks[1]] = ophi[ks[1]], ophi[ks[0]]
-    assert edge_value_certificate(sheaf2, samples_per_edge=3, seed=2) > 0
+    assert edge_value_certificate(_corrupted(mono_sheaf1, okey),
+                                  samples_per_edge=3, seed=2) > 0
 
 
 def _pair_value(values, e):

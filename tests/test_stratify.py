@@ -381,8 +381,8 @@ def test_merge_cells_evaluates_signatures_only_at_equal_indexings(
     """`merge_cells` evaluates the values at a cell of the stratification it
     merges only for a wall whose indexing equals both its cofaces', and then
     once per cell: 24 of the monodromy example's 33 cells and 6 of the 3×3
-    c9-formula image's 31. (The merged stratification evaluates its own new
-    cells to index them.)"""
+    c9-formula image's 31. The merged stratification evaluates none of its
+    cells: each takes the indexing object of its representative member."""
     fib = mono_fibration() if case == "monodromy" else gen_image_fibration(C9_3X3)[0]
     strat = build_stratification(fib)
     idx = strat.indexings
@@ -398,10 +398,12 @@ def test_merge_cells_evaluates_signatures_only_at_equal_indexings(
         return numerators(fib, cell)
 
     monkeypatch.setattr(stratify, "_cell_numerators", counted)
-    merge_cells(strat)
+    merged = merge_cells(strat)
     monkeypatch.undo()
     old = {id(c): c.id for c in strat.cells}
-    evaluated_ids = [old[id(c)] for c in calls if id(c) in old]
+    assert all(id(c) in old for c in calls)   # none in the rebuild
+    assert {id(i) for i in merged.indexings.values()} <= {id(i) for i in idx.values()}
+    evaluated_ids = [old[id(c)] for c in calls]
     assert len(evaluated_ids) == len(set(evaluated_ids)) == evaluated
     assert set(evaluated_ids) <= agreeing
     assert len(strat.cells) == (33 if case == "monodromy" else 31)
