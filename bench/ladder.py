@@ -33,7 +33,8 @@ as "exit 1". The stages after the load run
 on the generated fibration, as they did before the load stage was added.
 After the last stage, the child counts on the order tuples of the cell
 indexings, untimed, and adds to the stratify record `distinct_orders` and to
-the sheaf record `moved_relations` (face relations whose two cells' orders
+the sheaf record `identities` (face relations whose morphism is the
+identity), `moved_relations` (face relations whose two cells' orders
 differ) and `distinct_transitions` (distinct (face order, coface order)
 pairs among them), with `sheaf_sha256`, a digest of the degree-1 sheaf's
 stalks and morphisms (`sheaf_digest`); no stage's time or peak RSS
@@ -209,9 +210,7 @@ def run_rung(src: str, n: int) -> None:
     def sheaf():
         found.pop("sheaf", None)
         found["sheaf"] = sh = build_sheaf(found["strat"], degree=1)
-        return {"morphisms": len(sh.morphisms),
-                "identities": sum(all(x == y for x, y in phi.items())
-                                  for phi in sh.morphisms.values())}
+        return {"morphisms": len(sh.morphisms)}
 
     def monodromy():
         report = monodromy_scan(found["sheaf"])
@@ -263,8 +262,11 @@ def run_rung(src: str, n: int) -> None:
             "distinct_orders": len({idx.order for idx in strat.indexings.values()})}}),
               flush=True)
     if "sheaf" in found:
+        sh = found["sheaf"]
         print(json.dumps({"stage": "sheaf", "counts": {
-            **order_changes(found["strat"]), "sheaf_sha256": sheaf_digest(found["sheaf"])}}),
+            "identities": sum(all(x == y for x, y in phi.items())
+                              for phi in sh.morphisms.values()),
+            **order_changes(found["strat"]), "sheaf_sha256": sheaf_digest(sh)}}),
               flush=True)
 
 
@@ -332,8 +334,8 @@ def main() -> int:
                       "stage whose first run takes under %g s runs %d times, with "
                       "every run in runs_s and the least in s; peak_rss_mb is "
                       "the process peak after each stage; distinct_orders, "
-                      "moved_relations, distinct_transitions and sheaf_sha256 "
-                      "are counted after the last stage"
+                      "identities, moved_relations, distinct_transitions and "
+                      "sheaf_sha256 are counted after the last stage"
                       % (LOAD_REPEATS, list(VINE_STEPS),
                          ", ".join(f"{k} reads {' and '.join(v)}"
                                    for k, v in READS.items()),

@@ -11,14 +11,15 @@ indexings, restricted accordingly. The sheaf is not always compatible at a
 0-cell v: for v < e < c the chain condition F(e≤c)∘F(v≤e) = F(v≤c) can
 fail at a non-commuting diamond, where the composites through the
 diamond's two 1-cells differ (`tests/test_diamonds.py`). Stalks and
-morphisms are read off the stratification's one walk over the face poset;
-the face relations between one pair of cell orders share one morphism
-object, and a morphism that is the identity is one dict shared by every
-edge between equal stalks. Every morphism is a bijection, so the étalé space
-covers the cell graph: components, global sections and obstructed seeds
-are read off one breadth-first walk per cell component (`_gauges`), which
-carries the root cell's stalk to every cell along a spanning tree and
-joins the root elements that each other edge's holonomy exchanges. A
+morphisms are read off the stratification's one walk over the distinct
+cell orders: one morphism object per step between two orders, shared by
+the face relations the step serves, and a morphism that is the identity is
+one dict shared by every edge between equal stalks. Every morphism is a
+bijection, so the étalé space covers the cell graph: components, global
+sections and obstructed seeds are read off one breadth-first walk per cell
+component (`_gauges`), which carries the root cell's stalk to every cell
+along a spanning tree and joins the root elements that each other edge's
+holonomy exchanges. A
 section is its component's root element x, the map c ↦ g_c(x). All of a
 component's sections are certified in one pass over its face relations,
 and a certificate draws a random point of a cell only to evaluate it.
@@ -115,55 +116,46 @@ def build_sheaf(strat: Stratification,
     (essential births included); update bijections preserve the degree, so the
     restriction is again a sheaf of bijections.
 
-    Everything is read off the stratification's one walk over the face
-    poset (`Stratification.walk`, which grows a codimension-1 tree and
-    steps from every cell to each of its cofaces): a cell's stalk off the
-    pair set the walk yields for it, and the morphism of a face relation
-    off the swaps of the step from the face. A morphism depends only on the
-    orders of its two cells, so the face relations between one pair of
-    orders share one morphism object, made and checked onto the coface's
-    stalk once; and a morphism that is the identity on the stalk is the one
-    identity dict of that stalk."""
+    Everything is read off the stratification's one walk over the distinct
+    cell orders (`Stratification.walk`, which grows a codimension-1 tree
+    and steps from every order to the order of each coface of its cells): a
+    cell's stalk off the pair set of its order, and one morphism per step,
+    off its swaps, checked onto the coface stalk once and given to every
+    face relation the step serves. A morphism that is the identity on the
+    stalk, as on every relation inside one order, is the one identity dict
+    of that stalk."""
     K = strat.fib.complex
-    indexings = strat.indexings
     restricted: Dict[FrozenSet[Element], FrozenSet[Element]] = {}
     identities: Dict[FrozenSet[Element], Dict[Element, Element]] = {}
+    # the pair set of each order, by the id of its indexing
     pair_sets: Dict[int, FrozenSet[Element]] = {}
-    stalks: Dict[int, FrozenSet[Element]] = {}
     morphisms: Dict[Tuple[int, int], Dict[Element, Element]] = {}
-    # the morphism of each pair of orders that a step swaps pairs between,
-    # by the ids of their indexings
-    moved: Dict[Tuple[int, int], Dict[Element, Element]] = {}
-    for face, cid, pairs, swaps in strat.walk(cofaces=True):
-        if cid not in pair_sets:
-            pair_sets[cid] = pairs
-            stalk = restricted.get(pairs)
-            if stalk is None:
+    for a, b, pairs, swaps, relations in strat.walk(cofaces=True):
+        if id(b) not in pair_sets:
+            pair_sets[id(b)] = pairs
+            if pairs not in restricted:
                 stalk = restricted[pairs] = pairs if degree is None else (
                     pairs.elements_of_degree(K, degree))
                 identities.setdefault(stalk, {e: e for e in stalk})
-            stalks[cid] = stalk
-        if face is None or cid not in strat.cofaces[face]:
+        if not relations:
             continue
-        stalk = stalks[face]
+        source = pair_sets[id(a)]
+        stalk = restricted[source]
         mapping = identities[stalk]
         if swaps:
-            orders = (id(indexings[face]), id(indexings[cid]))
-            known = moved.get(orders)
-            if known is not None:
-                morphisms[(face, cid)] = known
-                continue
-            image = update_image(pair_sets[face], swaps)
+            image = update_image(source, swaps)
             if any(image[e] != e for e in stalk):
                 mapping = {e: image[e] for e in stalk}
-            moved[orders] = mapping
-        target = stalks[cid]
+        target = restricted[pairs]
         if mapping is not identities[target] and set(mapping.values()) != target:
+            face, coface = relations[0]
             raise InvariantError(
-                f"morphism {face} -> {cid} is not onto the coface stalk")
-        morphisms[(face, cid)] = mapping
-    return CellularSheaf(strat, degree, [c.id for c in strat.cells],
-                         {c.id: stalks[c.id] for c in strat.cells}, morphisms)
+                f"morphism {face} -> {coface} is not onto the coface stalk")
+        for relation in relations:
+            morphisms[relation] = mapping
+    stalks = {c.id: restricted[pair_sets[id(strat.indexings[c.id])]]
+              for c in strat.cells}
+    return CellularSheaf(strat, degree, list(stalks), stalks, morphisms)
 
 
 @dataclass

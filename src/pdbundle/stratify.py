@@ -32,26 +32,22 @@ its simplex order a sort of the integer value numerators there, read off
 the table of the triangle it lies in with one dot product per distinct row.
 
 Neighbouring cells differ in their orders by a few transpositions, and very
-many orders share one pair set. So every cell's pair set comes from one
-breadth-first walk over the face poset (`Stratification.walk`): one full
-reduction per connected component, then, along each tree edge, the parent's
-reduction transposed into the child's order, off which the child's pair
-set is read. The pair sets of all cells (`Stratification.cell_pairs`) and
-the sheaf (`sheaf.build_sheaf`) are the walk's.
-
-Cells with one order share one `SimplexIndexing` object, so the walk tests
-equal orders by identity. The pair set of an order is unique, so the swaps
-of a step depend only on its two orders (the vine update of
-Cohen-Steiner, Edelsbrunner and Morozov, 2006): a change between two
-orders, one of which two or more cells share, is transposed once, and a
-step that repeats it reads the swaps and the pair set that the first one
-found.
+many orders share one pair set. Cells with one order share one
+`SimplexIndexing` object, and the pair set of an order, and the swaps
+between two orders, depend only on those orders (the vine update of
+Cohen-Steiner, Edelsbrunner and Morozov, 2006). So every pair set comes
+from one breadth-first walk over the distinct cell orders
+(`Stratification.walk`): one full reduction per component, then, along
+each tree step, the parent order's reduction transposed into the child
+order, off which the child's pair set is read. The pair sets of all cells
+(`Stratification.cell_pairs`) and the sheaf (`sheaf.build_sheaf`) are the
+walk's.
 """
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -82,6 +78,10 @@ from .persistence import PairSet, Reduction
 # A geometry piece: 1 point = vertex, 2 points = open segment,
 # >= 3 points = open convex polygon (counterclockwise loop).
 Piece = Tuple[Point, ...]
+# A step of `Stratification.walk`: (order a or None, order b, b's pair set,
+# swaps from a to b, face relations served).
+Step = Tuple[Optional[SimplexIndexing], SimplexIndexing, PairSet,
+             List[Tuple[int, int]], List[Tuple[int, int]]]
 
 
 def _to_grid(points: Sequence[Point]) -> Tuple[int, List[Tuple[int, int]]]:
@@ -358,16 +358,16 @@ def _point_in_piece(piece: Piece, p: Point) -> bool:
 class Stratification:
     """Cells partitioning the base mesh, their face poset, the induced simplex
     indexing at each cell's representative point, and the pair sets of those
-    indexings, read off one walk over the face poset (`walk`).
+    indexings, read off one walk over the distinct indexings (`walk`).
 
     A cell's indexing is a stable sort of the simplices by the integer
     numerators of their values at the representative point, which share one
     positive denominator: the order `induced_indexing` gives those values.
     The fibration is monotone there, since it is at every mesh vertex.
 
-    `cell_pairs` reads from the table of the pair sets that one walk
-    yields, built on the first call, so a cell order is never reduced from
-    scratch, except one per connected component.
+    `cell_pairs` reads the pair set of the cell's order from the table that
+    one walk yields, built on the first call, so an order is never reduced
+    from scratch, except one per component of the walk.
 
     `indexings` maps each cell id to its indexing, one object per distinct
     order. Without it, each cell's order is sorted here and interned;
@@ -403,48 +403,41 @@ class Stratification:
         return self.cofaces[cid]
 
     def cell_pairs(self, cid: int) -> PairSet:
-        return self._pair_table[cid]
+        return self._pair_table[id(self.indexings[cid])]
 
     @cached_property
     def _pair_table(self) -> Dict[int, PairSet]:
-        return {w: pairs for _, w, pairs, _ in self.walk()}
+        return {id(b): pairs for _, b, pairs, _, _ in self.walk()}
 
-    def walk(self, cofaces: bool = False
-             ) -> Iterator[Tuple[Optional[int], int, PairSet, List[Tuple[int, int]]]]:
-        """One breadth-first walk over the face relations. Its tree steps
-        along the relations of codimension 1 (0-cell to 1-cell, 1-cell to
-        0- or 2-cell), which take fewer transpositions a step than a 0-cell
-        to a 2-cell; with `cofaces`, each cell also steps to all of its
-        cofaces, so that every face relation is walked from its face exactly
-        once. It yields each step from a cell u to a cell w as (u, w, pairs,
-        swaps): w's pair set, and the simplex pairs that the transpositions
-        changing the pair set swapped on the way from u's order to w's
-        (`Reduction.transpose_to`). A step carries a copy of u's reduction
-        to w's order along the canonical schedule in one pass (u's own, when
-        the two orders are equal); that pass visits only the steps between
-        two simplices of one dimension, the only ones that can change R, V
-        or the pair set. The first cell of each component that the relations
-        of codimension 1 connect is yielded as (None, w, pairs, []), reduced
-        in full; the first codimension-1 step to any other cell is its tree
-        edge, which gives the cell its reduction. Every cell's pair set is
-        read off its own reduction: the lowest ones of R fix the pair set,
-        so they key one pair set object per distinct pair set, read once
-        (`Reduction.elements`).
+    def walk(self, cofaces: bool = False) -> Iterator[Step]:
+        """One breadth-first walk over the distinct cell orders. Two orders
+        are adjacent when a face relation joins cells of them; the tree
+        steps go along the relations of codimension 1 (0-cell to 1-cell,
+        1-cell to 0- or 2-cell), which take fewer transpositions a step
+        than a 0-cell to a 2-cell. With `cofaces`, the walk also steps from
+        each order to the order of every coface of one of its cells, so
+        that every face relation is served by exactly one step, the one
+        from its face's order.
 
-        Each distinct order change is transposed once. The pair set of
-        every order is unique, so the swaps of a step depend only on the
-        two orders, and a step that repeats a transition between two
-        orders, one of which two or more cells share, reads the swaps and
-        the pair set that its first step found, with no copy and no
-        transposition: the same objects each time. A tree step of that kind
-        takes a reduction already reached at the child's order, one kept
-        per shared order until the last cell of that order is reached (and,
-        for a step to a cell not reached yet, the one that step made, until
-        that cell is reached). Steps between orders that no other cell has
-        are walked as they would be without these tables. So the live
-        reductions are the walk's frontier and one per kept order."""
-        K = self.fib.complex
-        indexings = self.indexings
+        It yields each step from an order a to an order b as (a, b, pairs,
+        swaps, relations): b's pair set, the simplex pairs that the
+        transpositions changing the pair set swapped on the way from a to b
+        (`Reduction.transpose_to`), and the face relations (face, coface)
+        from a cell of a to a cell of b that the step serves (none without
+        `cofaces`). Each distinct directed change a → b is one step, which
+        transposes one copy of a's reduction to b along the canonical
+        schedule in one pass; a step inside one order (a is b) only serves
+        its relations. The first order of each component of the
+        codimension-1 order graph is yielded as (None, b, pairs, [], []),
+        reduced in full; the first tree step to any other order gives it
+        its reduction. A pair set is read off its order's reduction: the
+        lowest ones of R fix it, so they key one pair set object per
+        distinct pair set, read once (`Reduction.elements`). The pair set
+        of an order is unique, so the swaps of a step depend only on its
+        two orders (the vine update of Cohen-Steiner, Edelsbrunner and
+        Morozov, 2006). Only the frontier's reductions stay alive."""
+        K, cells, indexings = self.fib.complex, self.cells, self.indexings
+        faces, up = self.faces, self.cofaces
         distinct: Dict[Tuple[int, ...], PairSet] = {}
 
         def pairs_of(red: Reduction) -> PairSet:
@@ -454,74 +447,60 @@ class Stratification:
                 pairs = distinct[low] = red.elements()
             return pairs
 
-        # the cells not yet reached of each order that two or more cells
-        # share, by the id of its one SimplexIndexing
-        left = {key: n for key, n in Counter(map(id, indexings.values())).items()
-                if n > 1}
-        shared = set(left)
-        kept: Dict[int, Reduction] = {}
-        # the swaps of each change from or to a shared order, and the pair
-        # set of each order such a change reached. A change is keyed by its
-        # two orders' ids in one int, and every change without swaps shares
-        # one empty list: the tables then hold no new container objects, so
-        # they do not drive the cyclic garbage collector.
-        moves: Dict[int, List[Tuple[int, int]]] = {}
-        pairs_at: Dict[int, PairSet] = {}
-        no_swaps: List[Tuple[int, int]] = []
+        def transposed(red: Reduction, b: SimplexIndexing
+                       ) -> Tuple[Reduction, PairSet, List[Tuple[int, int]]]:
+            child = red.copy()
+            swaps = child.transpose_to(b)
+            return child, pairs_of(child), swaps
 
-        def reach(w: int, red: Reduction) -> None:
-            key = id(indexings[w])
-            n = left.get(key, 1)
-            if n > 1:
-                left[key] = n - 1
-                kept.setdefault(key, red)
-            else:
-                left.pop(key, None)
-                kept.pop(key, None)
-
-        seen: Set[int] = set()
-        for root in self.cells:
-            if root.id in seen:
+        # the distinct orders, numbered in the order of their first cells,
+        # and the cells of each order not yet reached (None once reached)
+        number: Dict[int, int] = {}
+        order_of = [number.setdefault(id(indexings[c.id]), len(number))
+                    for c in cells]
+        unreached: List[Optional[List[int]]] = [[] for _ in number]
+        for c in cells:
+            unreached[order_of[c.id]].append(c.id)
+        for root, members in enumerate(unreached):
+            if members is None:
                 continue
-            seen.add(root.id)
-            red = Reduction(K, indexings[root.id])
+            unreached[root] = None
+            a = indexings[members[0]]
+            red = Reduction(K, a)
             pairs = pairs_of(red)
-            reach(root.id, red)
-            yield None, root.id, pairs, []
-            queue = deque([(root.id, red, pairs)])
+            yield None, a, pairs, [], []
+            queue = deque([(a, members, red, pairs)])
             while queue:
-                u, red, pairs_u = queue.popleft()
-                dim = self.cells[u].dim
-                idx_u = indexings[u]
-                u_shared = id(idx_u) in shared
-                for w in self.faces[u] | self.cofaces[u]:
-                    tree = w not in seen and self.cells[w].dim - dim in (1, -1)
-                    if not tree and not (cofaces and w in self.cofaces[u]):
-                        continue
-                    idx_w = indexings[w]
-                    move = known = None
-                    if idx_w is idx_u:
-                        child, pairs, swaps = red, pairs_u, []
-                    elif u_shared or id(idx_w) in shared:
-                        move = id(idx_u) << 64 | id(idx_w)
-                        known = moves.get(move)
-                    if known is not None:
-                        swaps, pairs = known, pairs_at[id(idx_w)]
-                        child = kept[id(idx_w)] if tree else None
-                    elif idx_w is not idx_u:
-                        child = red.copy()
-                        swaps = child.transpose_to(idx_w)
-                        pairs = pairs_of(child)
-                        if move is not None:
-                            moves[move] = swaps = swaps or no_swaps
-                            pairs_at[id(idx_w)] = pairs
-                            if not tree and w not in seen:
-                                kept.setdefault(id(idx_w), child)
-                    yield u, w, pairs, swaps
-                    if tree:
-                        seen.add(w)
-                        reach(w, child)
-                        queue.append((w, child, pairs))
+                a, members, red, pairs_a = queue.popleft()
+                # the cells of each order that a tree step from a reaches,
+                # and the relations that each step from a serves, by the
+                # number of the step's order
+                reached: Dict[int, List[int]] = {}
+                served: Dict[int, List[Tuple[int, int]]] = {}
+                for u in members:
+                    dim = cells[u].dim
+                    for w in faces[u] | up[u]:
+                        codim = cells[w].dim - dim   # negative for a face
+                        k = order_of[w]
+                        if codim in (1, -1) and unreached[k] is not None:
+                            reached[k] = unreached[k]
+                            unreached[k] = None
+                        if cofaces and codim > 0:
+                            served.setdefault(k, []).append((u, w))
+                # the tree steps first, in the order found, so that the tree
+                # does not depend on `cofaces`
+                for k, ws in reached.items():
+                    b = indexings[ws[0]]
+                    child, pairs, swaps = transposed(red, b)
+                    yield a, b, pairs, swaps, served.pop(k, [])
+                    queue.append((b, ws, child, pairs))
+                for relations in served.values():
+                    b = indexings[relations[0][1]]
+                    if b is a:
+                        yield a, a, pairs_a, [], relations
+                    else:
+                        _, pairs, swaps = transposed(red, b)
+                        yield a, b, pairs, swaps, relations
 
     @cached_property
     def _cells_by_triangle(self) -> Dict[int, List[Cell]]:

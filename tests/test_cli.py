@@ -425,10 +425,18 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys):
 # path samples were ordered in integers: both changes keep every output
 # byte-identical. The digests of `sections` and `monodromy --degree all`,
 # `ph` on the q1 complex, the `gen-image` file and `gen-instability` were
-# recorded before `canonical_dumps` stopped calling `json.dumps`.
-C9_3X3 = "P3\n3 3 31\n" + "\n".join(
-    " ".join(f"{(3 * r + 2 * c) % 11} {(r * c + 7) % 13} {(r + 5 * c) % 17}"
-             for c in range(3)) for r in range(3)) + "\n"
+# recorded before `canonical_dumps` stopped calling `json.dumps`. The digests
+# of `sheaf --degree 1` (plain and --merge-cells) and `monodromy --degree
+# all` on the c9 image at 4×4, where 878 cell orders are shared by two or
+# more cells, were recorded before the walk went over distinct orders.
+def c9_ppm(n: int) -> str:
+    """The acceptance c9 pixel formula as an n×n plain PPM."""
+    return f"P3\n{n} {n} 31\n" + "\n".join(
+        " ".join(f"{(3 * r + 2 * c) % 11} {(r * c + 7) % 13} {(r + 5 * c) % 17}"
+                 for c in range(n)) for r in range(n)) + "\n"
+
+
+C9_3X3 = c9_ppm(3)
 GOLDEN = {
     "monodromy stratify":
         "928c5ef82639615d5a369f8483a891fb3f65a4daac3e568d89a717ef4f8eca2c",
@@ -464,6 +472,12 @@ GOLDEN = {
         "01a4ec8e9e26681dad754d47ad4e91cd5119569b8c7462c494abef339d0541a6",
     "- gen-instability":
         "fbea3fb733e29331d36e0376a61af6be53df398f5d5424fbd985b8cc8f0bedde",
+    "c9-4x4 sheaf --degree 1":
+        "5559fc3376a43f3025e1be6738775e73a6a02bc582ce86d43c9cd980f2870912",
+    "c9-4x4 sheaf --degree 1 --merge-cells":
+        "5559fc3376a43f3025e1be6738775e73a6a02bc582ce86d43c9cd980f2870912",
+    "c9-4x4 monodromy --degree all":
+        "d6dc4673f8a1624a1a285c6a2c0bd01e0009317b1e7b3fab37e0ead1a5bf2492",
 }
 
 
@@ -494,11 +508,13 @@ GOLDEN_PATHS = {
 def test_golden_output_digests(tmp_path, capsys):
     inputs = {"monodromy": str(tmp_path / "mono.json"),
               "c9-3x3": str(tmp_path / "c9.json"),
+              "c9-4x4": str(tmp_path / "c9-4.json"),
               "q1": write(tmp_path, "q1.json", Q1_COMPLEX)}
     assert run(["gen-monodromy", "--output", inputs["monodromy"]], capsys)[0] == 0
-    ppm = write(tmp_path, "c9.ppm", C9_3X3)
-    assert run(["gen-image", "--input", ppm, "--output", inputs["c9-3x3"]],
-               capsys)[0] == 0
+    for name, n in (("c9-3x3", 3), ("c9-4x4", 4)):
+        ppm = write(tmp_path, f"{name}.ppm", c9_ppm(n))
+        assert run(["gen-image", "--input", ppm, "--output", inputs[name]],
+                   capsys)[0] == 0
     got = {}
     for key in GOLDEN:
         name, *args = key.split()

@@ -2,8 +2,9 @@
 one-pass canonical schedule it walks along (`Reduction.transpose_to`), and
 the sheaf read off the same walk: its stalks against fresh reductions, the
 one pass against `stepwise.transpose` at every step of the plain bubble
-sort, every walk step against a fresh transposition, one transposition per
-distinct order change, and the morphisms that one pair of orders shares."""
+sort, every walk step against a fresh transposition, the walk over the
+distinct cell orders with one step per order change, and the morphisms
+that one pair of orders shares."""
 import random
 from collections import Counter
 from itertools import combinations
@@ -128,6 +129,35 @@ def _components(strat: Stratification) -> int:
     return count
 
 
+def _order_components(strat: Stratification) -> int:
+    """The components of the graph whose vertices are the distinct cell
+    orders, two of them joined when a face relation of codimension 1 joins
+    cells of them; counted on the order tuples."""
+    parent = {idx.order: idx.order for idx in strat.indexings.values()}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for cid, faces in strat.faces.items():
+        for face in faces:
+            if strat.cell(cid).dim - strat.cell(face).dim == 1:
+                parent[find(strat.indexings[face].order)] = find(
+                    strat.indexings[cid].order)
+    return sum(x == y for x, y in parent.items())
+
+
+def _codim1_joined(strat: Stratification, a, b) -> bool:
+    """Whether a face relation of codimension 1 joins a cell of order a and
+    a cell of order b."""
+    return any(
+        strat.cell(cid).dim - strat.cell(face).dim == 1
+        and {strat.indexings[face].order, strat.indexings[cid].order}
+        == {a.order, b.order}
+        for cid, faces in strat.faces.items() for face in faces)
+
+
 def _count_reductions(monkeypatch) -> list:
     """Count `Reduction` constructions from here on."""
     made = []
@@ -162,19 +192,21 @@ def test_walked_pair_sets_match_fresh_reductions(monkeypatch):
     """On the acceptance suite's 20 random fibrations, the monodromy example
     (eight triangles) and its merged cells, a rational fibration on the fan
     mesh and the 3×3 c9-formula image, every cell's walked pair set is the
-    one a fresh reduction of its order gives, and the walk, along relations
-    of codimension 1 only, reduces one order per connected component of the
-    face poset."""
+    one a fresh reduction of its order gives, equal pair sets are one
+    object, and the walk, along relations of codimension 1 only, reduces
+    one order per component of the order graph and serves no face
+    relation."""
     merged = 0
     for strat in _walk_cases():
         K = strat.fib.complex
         made = _count_reductions(monkeypatch)
         walked = [strat.cell_pairs(cell.id) for cell in strat.cells]
-        assert len(made) == _components(strat)
+        assert len(made) == _order_components(strat)
         monkeypatch.undo()
-        # the walk steps along relations of codimension 1 only
-        assert all(abs(strat.cell(u).dim - strat.cell(w).dim) == 1
-                   for u, w, _, _ in strat.walk() if u is not None)
+        for a, b, _, _, relations in strat.walk():
+            assert relations == []
+            if a is not None:
+                assert a is not b and _codim1_joined(strat, a, b)
         fresh = [reduce_pairs(K, strat.indexings[cell.id]) for cell in strat.cells]
         assert walked == fresh
         # equal pair sets are one object
@@ -184,27 +216,35 @@ def test_walked_pair_sets_match_fresh_reductions(monkeypatch):
 
 
 def test_coface_walk_steps_once_from_each_face_and_grows_the_same_tree():
-    """With `cofaces`, on the same cases, the walk steps along every face
-    relation exactly once from its face, every step from a cell to one of
-    its faces has codimension 1, and its roots and tree steps are those of
-    the walk along relations of codimension 1, in the same order."""
+    """With `cofaces`, on the same cases, every face relation is served by
+    exactly one step, the one from its face's order to its coface's, and
+    each directed order change is stepped at most once; a step that serves
+    no relation is a tree step. The walk's roots and tree steps are those of
+    the walk along relations of codimension 1, in the same order, which
+    reaches every order exactly once: each non-root order by one tree step
+    along a relation of codimension 1 from an order reached before it."""
     for strat in _walk_cases():
-        steps = [(u, w) for u, w, _, _ in strat.walk(cofaces=True)]
-        from_face = Counter()
-        for u, w in steps:
-            if u is None:
-                continue
-            if w in strat.cofaces[u]:
-                from_face[u, w] += 1
-            else:
-                assert strat.cell(u).dim - strat.cell(w).dim == 1
-                assert u in strat.cofaces[w]
-        assert from_face == Counter(
+        idx = strat.indexings
+        steps = [(a, b, relations)
+                 for a, b, _, _, relations in strat.walk(cofaces=True)]
+        served = Counter(r for _, _, relations in steps for r in relations)
+        assert served == Counter(
             {(face, cid): 1 for cid, faces in strat.faces.items() for face in faces})
-        tree = [(u, w) for u, w, _, _ in strat.walk()]
-        assert [s for s in steps if s[0] is None] == [s for s in tree if s[0] is None]
-        rest = iter(steps)
+        for a, b, relations in steps:
+            assert all(idx[face] is a and idx[cid] is b for face, cid in relations)
+        changes = Counter((a.order, b.order) for a, b, _ in steps if a is not None)
+        assert set(changes.values()) == {1}
+        tree = [(a, b) for a, b, _, _, _ in strat.walk()]
+        assert all(relations or (a, b) in tree for a, b, relations in steps)
+        assert [s for s in steps if s[0] is None] == [
+            (a, b, []) for a, b in tree if a is None]
+        rest = iter((a, b) for a, b, _ in steps)
         assert all(step in rest for step in tree)    # a subsequence, in order
+        reached = [b.order for _, b in tree]
+        assert sorted(reached) == sorted({i.order for i in idx.values()})
+        for k, (a, b) in enumerate(tree):
+            if a is not None:
+                assert a.order in reached[:k] and _codim1_joined(strat, a, b)
 
 
 def _sheaf_case(case):
@@ -276,25 +316,41 @@ def _small_walk_cases():
 
 def test_walk_steps_match_fresh_transpositions():
     """Every step of the coface walk yields the pair set and the swaps that
-    a fresh reduction of its first cell's order, transposed to the second
-    cell's, gives, also where the step repeats an order change that an
-    earlier step made; on the walk cases and on small random fibrations,
-    whose cells share their orders."""
+    a fresh reduction of its first order, transposed to its second, gives;
+    a step inside one order swaps nothing. On the walk cases and on small
+    random fibrations, whose cells share their orders, so that many steps
+    serve several face relations."""
     repeated = 0
     for strat in _walk_cases() + _small_walk_cases():
-        K, idx = strat.fib.complex, strat.indexings
-        transitions = Counter()
-        for u, w, pairs, swaps in strat.walk(cofaces=True):
-            if u is None:
-                assert (pairs, swaps) == (reduce_pairs(K, idx[w]), [])
+        K = strat.fib.complex
+        for a, b, pairs, swaps, relations in strat.walk(cofaces=True):
+            if a is None:
+                assert (pairs, swaps) == (reduce_pairs(K, b), [])
                 continue
-            red = Reduction(K, idx[u])
-            assert swaps == red.transpose_to(idx[w])
+            red = Reduction(K, a)
+            assert swaps == red.transpose_to(b)
             assert pairs == red.elements()
-            if idx[u] is not idx[w]:
-                transitions[idx[u].order, idx[w].order] += 1
-        repeated += sum(n - 1 for n in transitions.values())
+            if a is not b:
+                repeated += len(relations) - 1
     assert repeated > 100
+
+
+def test_walk_transposes_once_per_order_but_its_roots(monkeypatch):
+    """The walk along relations of codimension 1 calls `transpose_to` once
+    per distinct cell order, less one per component of the order graph."""
+    transpose_to = Reduction.transpose_to
+    for strat in _walk_cases() + _small_walk_cases():
+        calls = []
+
+        def counted(self, idx1):
+            calls.append(idx1)
+            return transpose_to(self, idx1)
+
+        monkeypatch.setattr(Reduction, "transpose_to", counted)
+        strat.cell_pairs(strat.cells[0].id)
+        monkeypatch.undo()
+        orders = {idx.order for idx in strat.indexings.values()}
+        assert len(calls) == len(orders) - _order_components(strat)
 
 
 def test_build_sheaf_transposes_each_order_change_once(monkeypatch):
