@@ -454,11 +454,13 @@ class Stratification:
             return child, pairs_of(child), swaps
 
         # the distinct orders, numbered in the order of their first cells,
-        # and the cells of each order not yet reached (None once reached)
+        # and the cells of each order not yet reached (None once reached);
+        # the numbering by id is freed before the walk starts
         number: Dict[int, int] = {}
         order_of = [number.setdefault(id(indexings[c.id]), len(number))
                     for c in cells]
         unreached: List[Optional[List[int]]] = [[] for _ in number]
+        del number
         for c in cells:
             unreached[order_of[c.id]].append(c.id)
         for root, members in enumerate(unreached):

@@ -112,23 +112,6 @@ def test_transpose_to_rejects_incompatible_target_unchanged(case):
     assert _state(red) == before
 
 
-def _components(strat: Stratification) -> int:
-    seen, count = set(), 0
-    for cell in strat.cells:
-        if cell.id in seen:
-            continue
-        count += 1
-        stack = [cell.id]
-        seen.add(cell.id)
-        while stack:
-            u = stack.pop()
-            for w in strat.faces[u] | strat.cofaces[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
-
-
 def _order_components(strat: Stratification) -> int:
     """The components of the graph whose vertices are the distinct cell
     orders, two of them joined when a face relation of codimension 1 joins
@@ -253,15 +236,16 @@ def _sheaf_case(case):
 
 @pytest.mark.parametrize("case", ["monodromy", "c9-3x3"])
 def test_build_sheaf_reduces_one_order_per_component(monkeypatch, case):
-    """`build_sheaf` reduces one order per connected component of the face
-    poset, and its stalks are those of fresh reductions."""
+    """`build_sheaf` reduces one order per component of the graph of the
+    distinct cell orders joined along codimension-1 face relations, and its
+    stalks are those of fresh reductions."""
     fib = _sheaf_case(case)
     K = fib.complex
     for degree in (None, 1):
         strat = build_stratification(fib)
         made = _count_reductions(monkeypatch)
         sheaf = build_sheaf(strat, degree)
-        assert len(made) == _components(strat)
+        assert len(made) == _order_components(strat)
         monkeypatch.undo()
         for cell in strat.cells:
             pairs = reduce_pairs(K, strat.indexings[cell.id])
