@@ -51,6 +51,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import accumulate
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .complexes import (
@@ -453,49 +454,54 @@ class Stratification:
             swaps = child.transpose_to(b)
             return child, pairs_of(child), swaps
 
-        # the distinct orders, numbered in the order of their first cells,
-        # and the cells of each order not yet reached (None once reached);
-        # the numbering by id is freed before the walk starts
+        # the distinct orders, numbered in the order of their first cells:
+        # the cells of order k are grouped[first[k]:first[k + 1]]. Flat
+        # lists, not one list per order, give the cyclic garbage collector
+        # no new containers to trace, and the numbering by id is freed so
+        # that it adds nothing to the walk's peak memory.
         number: Dict[int, int] = {}
         order_of = [number.setdefault(id(indexings[c.id]), len(number))
                     for c in cells]
-        unreached: List[Optional[List[int]]] = [[] for _ in number]
+        first = [0] * (len(number) + 1)
         del number
-        for c in cells:
-            unreached[order_of[c.id]].append(c.id)
-        for root, members in enumerate(unreached):
-            if members is None:
+        for k in order_of:
+            first[k + 1] += 1
+        first = list(accumulate(first))
+        grouped = sorted(range(len(order_of)), key=order_of.__getitem__)
+        reached = [False] * (len(first) - 1)
+        for root in range(len(reached)):
+            if reached[root]:
                 continue
-            unreached[root] = None
-            a = indexings[members[0]]
+            reached[root] = True
+            a = indexings[grouped[first[root]]]
             red = Reduction(K, a)
             pairs = pairs_of(red)
             yield None, a, pairs, [], []
-            queue = deque([(a, members, red, pairs)])
+            queue = deque([(root, a, red, pairs)])
             while queue:
-                a, members, red, pairs_a = queue.popleft()
-                # the cells of each order that a tree step from a reaches,
-                # and the relations that each step from a serves, by the
-                # number of the step's order
-                reached: Dict[int, List[int]] = {}
+                k_a, a, red, pairs_a = queue.popleft()
+                # the orders that tree steps from a reach, and the relations
+                # that each step from a serves, by the number of the step's
+                # order
+                tree: List[int] = []
                 served: Dict[int, List[Tuple[int, int]]] = {}
-                for u in members:
+                for u in grouped[first[k_a]:first[k_a + 1]]:
                     dim = cells[u].dim
                     for w in faces[u] | up[u]:
                         codim = cells[w].dim - dim   # negative for a face
                         k = order_of[w]
-                        if codim in (1, -1) and unreached[k] is not None:
-                            reached[k] = unreached[k]
-                            unreached[k] = None
+                        if codim in (1, -1) and not reached[k]:
+                            reached[k] = True
+                            tree.append(k)
                         if cofaces and codim > 0:
                             served.setdefault(k, []).append((u, w))
                 # the tree steps first, in the order found, so that the tree
                 # does not depend on `cofaces`
-                for k, ws in reached.items():
-                    b = indexings[ws[0]]
+                for k in tree:
+                    b = indexings[grouped[first[k]]]
                     child, pairs, swaps = transposed(red, b)
                     yield a, b, pairs, swaps, served.pop(k, [])
-                    queue.append((b, ws, child, pairs))
+                    queue.append((k, b, child, pairs))
                 for relations in served.values():
                     b = indexings[relations[0][1]]
                     if b is a:
