@@ -39,13 +39,20 @@ differ) and `distinct_transitions` (distinct (face order, coface order)
 pairs among them), with `sheaf_sha256`, a digest of the degree-1 sheaf's
 stalks and morphisms (`sheaf_digest`); no stage's time or peak RSS
 includes this counting.
-A stage whose first run takes under REPEAT_UNDER_S seconds runs REPEATS
-times in all: its record holds every run's time as `runs_s` and the least as
-`s`. Each walk after the first runs on a fresh `Stratification` of the same
-cells and faces, built untimed, so that every run fills a cold table; the
-last one is what the sheaf stage uses. Each record also holds the process's
+At rung n every stage runs REPEATS[n] times, on every checkout alike: its
+record holds that count as `repeats`, every run's time as `runs_s` and the
+least as `s`. Each walk after the first runs on a fresh `Stratification`
+of the same cells and faces, built untimed, so that every run fills a cold
+table; the last one is what the sheaf stage uses. Each record also holds the process's
 peak RSS after the stage, which includes everything the earlier stages keep
 alive.
+
+After the in-process stages come the command-line stages (CLI_STAGES):
+`pdbundle stratify`, and `sheaf`, `sections` and `monodromy` at `--degree
+1`, on the rung's fibration (made by the checkout's own `gen-image`, untimed),
+writing to `--output`. Each run is a child of its own, and its record holds
+the wall times, the peak of the children's `ru_maxrss` (`peak_rss_mb`, each
+run's in `runs_peak_rss_mb`), and the output's size (`bytes`) and SHA-256.
 
 A child sets `RLIMIT_AS` on itself only (AS_MB), and is stopped at the wall
 limit (WALL_S).
@@ -70,6 +77,8 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -78,13 +87,23 @@ VINE_STEPS = (12, 120)
 PENTAGON = [(3, 1), (6, 2), (5, 4), (2, 6), (1, 3)]   # in tenths of a weight
 STAGES = (["load"] + [f"vineyard-{steps}" for steps in VINE_STEPS]
           + ["stratify", "walk", "sheaf", "monodromy", "sections"])
+# each a run of the command line on the rung's fibration, writing to --output
+CLI_STAGES = {"cli-stratify": ["stratify"],
+              "cli-sheaf": ["sheaf", "--degree", "1"],
+              "cli-sections": ["sections", "--degree", "1"],
+              "cli-monodromy": ["monodromy", "--degree", "1"]}
 SIZES = range(2, 8)
-# the stages each stage reads its input from
+# the stages each stage reads its input from; a command runs when the
+# in-process stages of its output have finished
 READS = {"walk": ("stratify",), "sheaf": ("walk",), "monodromy": ("sheaf",),
-         "sections": ("sheaf",)}
+         "sections": ("sheaf",), "cli-stratify": ("walk",),
+         "cli-sheaf": ("sheaf",), "cli-sections": ("sections",),
+         "cli-monodromy": ("monodromy",)}
 AS_MB, WALL_S = 3072, 600
 LOAD_REPEATS = 5
-REPEATS, REPEAT_UNDER_S = 5, 10.0
+# the runs of every stage at each rung, the same for every checkout; at the
+# rungs whose stages take minutes one run each keeps the child in WALL_S
+REPEATS = {2: 5, 3: 5, 4: 5, 5: 3, 6: 1, 7: 1}
 
 
 def c9_ppm(n: int) -> str:
@@ -241,7 +260,7 @@ def run_rung(src: str, n: int) -> None:
             continue
         runs = []
         try:
-            while not runs or len(runs) < REPEATS and runs[0] < REPEAT_UNDER_S:
+            for _ in range(REPEATS[n]):
                 t0 = time.perf_counter()
                 counts = stage()
                 seconds = time.perf_counter() - t0
@@ -251,7 +270,7 @@ def run_rung(src: str, n: int) -> None:
             continue
         finished.add(name)
         print(json.dumps({"stage": name, "s": round(min(runs), 6),
-                          "runs_s": [round(s, 6) for s in runs],
+                          "runs_s": [round(s, 6) for s in runs], "repeats": REPEATS[n],
                           "peak_rss_mb": round(peak_rss_mb(), 1), **counts}),
               flush=True)
     # counted after the last stage, so that no stage's time or peak RSS
@@ -270,8 +289,67 @@ def run_rung(src: str, n: int) -> None:
               flush=True)
 
 
+def run_cli(src: str, argv: list, cwd: str):
+    """One run of the checkout's command line in a child under AS_MB and
+    WALL_S: (wall seconds, the child's ru_maxrss in MB), or the outcome
+    "timeout", "memory" or "exit N"."""
+    limit = AS_MB * 1024 * 1024
+
+    def limit_as():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    with tempfile.TemporaryFile("w+") as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "pdbundle.cli", *argv],
+                                cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+                                stdout=subprocess.DEVNULL, stderr=err,
+                                preexec_fn=limit_as)
+        timer = threading.Timer(WALL_S, proc.kill)
+        timer.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - t0
+        timer.cancel()
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        text = err.read()
+    if seconds >= WALL_S:
+        return "timeout"
+    if code != 0:
+        return "memory" if "MemoryError" in text else f"exit {code}"
+    return seconds, usage.ru_maxrss / 1024
+
+
+def cli_stage(src: str, argv: list, fib: str, tmp: str, repeats: int):
+    """`repeats` runs of the command line writing to --output: their wall
+    times, the peak of the children's ru_maxrss, and the output's size and
+    SHA-256; or the outcome of the first run that did not finish."""
+    out = os.path.join(tmp, "out")
+    runs, digests = [], set()
+    for _ in range(repeats):
+        result = run_cli(src, argv + ["--input", fib, "--output", out], tmp)
+        if isinstance(result, str):
+            return result
+        digest = hashlib.sha256()
+        with open(out, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        digests.add(digest.hexdigest())
+        size = os.path.getsize(out)
+        os.remove(out)
+        runs.append(result)
+    if len(digests) > 1:
+        return "output differs between runs"
+    return {"s": round(min(s for s, _ in runs), 6),
+            "runs_s": [round(s, 6) for s, _ in runs], "repeats": repeats,
+            "peak_rss_mb": round(max(mb for _, mb in runs), 1),
+            "runs_peak_rss_mb": [round(mb, 1) for _, mb in runs],
+            "bytes": size, "sha256": digests.pop()}
+
+
 def measure(src: str, n: int) -> dict:
-    """Rung n in a child process: its stages, each a record or an outcome."""
+    """Rung n: its in-process stages in one child process, then each
+    command line stage in children of its own; each stage a record or an
+    outcome."""
     cmd = [sys.executable, __file__, "--child", str(n), src]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=WALL_S)
@@ -293,6 +371,16 @@ def measure(src: str, n: int) -> dict:
         if name not in stages:
             stages[name] = failure or "not run"
             failure = None
+    with tempfile.TemporaryDirectory(prefix="ladder-") as tmp:
+        ppm, fib = os.path.join(tmp, "c9.ppm"), os.path.join(tmp, "c9.json")
+        Path(ppm).write_text(c9_ppm(n))
+        subprocess.run([sys.executable, "-m", "pdbundle.cli", "gen-image",
+                        "--input", ppm, "--output", fib], cwd=tmp, check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+        for name, argv in CLI_STAGES.items():
+            finished = all(isinstance(stages[r], dict) for r in READS[name])
+            stages[name] = (cli_stage(src, argv, fib, tmp, REPEATS[n]) if finished
+                            else "not run")
     rung = {"rung": f"c9-{n}x{n}", "n": n, "stages": stages}
     if err.strip() and "MemoryError" not in err:
         rung["stderr"] = err.strip().splitlines()[-1]
@@ -330,17 +418,23 @@ def main() -> int:
                       "the degree-1 sheaf with sections, its count times their "
                       "number; the components found once by "
                       "sections_by_component, timed apart as enumerate_s); a stage "
-                      "runs when the stages it reads have finished (%s); a "
-                      "stage whose first run takes under %g s runs %d times, with "
-                      "every run in runs_s and the least in s; peak_rss_mb is "
+                      "runs when the stages it reads have finished (%s); at "
+                      "rung n every stage runs repeats times, as REPEATS gives "
+                      "it, with every run in runs_s and the least in s; "
+                      "peak_rss_mb is "
                       "the process peak after each stage; distinct_orders, "
                       "identities, moved_relations, distinct_transitions and "
-                      "sheaf_sha256 are counted after the last stage"
+                      "sheaf_sha256 are counted after the last stage; "
+                      "cli-CMD runs the command line (%s) on the rung's "
+                      "fibration with --output, each run a child of its own, "
+                      "with the wall time, the peak of the children's "
+                      "ru_maxrss, and the output's bytes and sha256"
                       % (LOAD_REPEATS, list(VINE_STEPS),
                          ", ".join(f"{k} reads {' and '.join(v)}"
                                    for k, v in READS.items()),
-                         REPEAT_UNDER_S, REPEATS),
+                         ", ".join(f"{k}: {' '.join(v)}" for k, v in CLI_STAGES.items())),
             "limits": {"address_space_mb": AS_MB, "wall_s": WALL_S},
+            "repeats": {f"c9-{n}x{n}": REPEATS[n] for n in SIZES},
             "machine": {"python": platform.python_version(),
                         "cpus": os.cpu_count()},
         })

@@ -10,7 +10,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .complexes import (
     InvariantError,
@@ -23,17 +23,18 @@ from .complexes import (
 from .generators import gen_image_fibration, gen_instability, gen_monodromy
 from .persistence import reduce_pairs
 from .serialize import (
+    Write,
     canonical_dumps,
     diagrams_to_json,
     fibration_from_json,
     fibration_to_json,
     filtered_complex_from_json,
     mapping_to_json,
-    monodromy_to_json,
-    sections_to_json,
-    sheaf_to_json,
-    stratification_to_json,
     vines_to_csv,
+    write_monodromy,
+    write_sections,
+    write_sheaf,
+    write_stratification,
 )
 from .sheaf import (
     build_sheaf,
@@ -55,15 +56,61 @@ def _read_json(path: str) -> Dict:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
+# the most characters sent to stdout or the output file in one write
+CHUNK_CHARS = 1 << 20
+
+
 def _write_text(path: Optional[str], text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
+    _write_stream(path, lambda write: write(text))
+
+
+def _write_stream(path: Optional[str], emit: Callable[[Write], None]) -> None:
+    """Send what emit writes to stdout (path None or '-') or to the file at
+    path, in chunks of at most CHUNK_CHARS characters. The file is opened
+    when the first chunk is full or emit returns, so an emit that raises
+    before it writes creates no file; an OSError opening, writing or closing
+    it raises ValidationError. stdout is looked up at each write."""
+    fh = None
+
+    def send(chunk: str) -> None:
+        nonlocal fh
+        if path is None or path == "-":
+            sys.stdout.write(chunk)
+            return
         try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            if fh is None:
+                fh = open(path, "w", encoding="utf-8")
+            fh.write(chunk)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+    parts: List[str] = []
+    size = 0
+
+    def flush() -> None:
+        nonlocal size
+        text = "".join(parts)
+        parts.clear()
+        size = 0
+        for i in range(0, len(text), CHUNK_CHARS):
+            send(text[i:i + CHUNK_CHARS])
+
+    def write(text: str) -> None:
+        nonlocal size
+        parts.append(text)
+        size += len(text)
+        if size >= CHUNK_CHARS:
+            flush()
+
+    try:
+        emit(write)
+        flush()
+    finally:
+        if fh is not None:
+            try:
+                fh.close()
+            except OSError as exc:
+                raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_stratification(args: argparse.Namespace):
@@ -88,34 +135,34 @@ def cmd_ph(args: argparse.Namespace) -> None:
 
 def cmd_stratify(args: argparse.Namespace) -> None:
     strat = _load_stratification(args)
-    _write_text(args.output, canonical_dumps(stratification_to_json(strat)))
+    _write_stream(args.output, functools.partial(write_stratification, strat))
 
 
 def cmd_sheaf(args: argparse.Namespace) -> None:
     strat = _load_stratification(args)
     sheaf = build_sheaf(strat, degree=args.degree)
-    _write_text(args.output, canonical_dumps(sheaf_to_json(sheaf)))
+    _write_stream(args.output, functools.partial(write_sheaf, sheaf))
 
 
 def cmd_sections(args: argparse.Namespace) -> None:
     strat = _load_stratification(args)
     sheaf = build_sheaf(strat, degree=args.degree)
     by_component = sections_by_component(sheaf)
-    out = sections_to_json(sheaf, by_component)
     # a section is its component's root element: one exact certificate per
     # component against the fibration makes the same checks for each section
-    checks = out["continuity_checks_per_section"] = []
+    checks: List[int] = []
     for component in by_component:
         if component[2]:
             checks += [bundle_section(sheaf, component, seed=args.seed)] * len(component[2])
-    _write_text(args.output, canonical_dumps(out))
+    _write_stream(args.output,
+                  functools.partial(write_sections, sheaf, by_component, checks))
 
 
 def cmd_monodromy(args: argparse.Namespace) -> None:
     strat = _load_stratification(args)
     sheaf = build_sheaf(strat, degree=args.degree)
     report = monodromy_scan(sheaf)
-    _write_text(args.output, canonical_dumps(monodromy_to_json(sheaf, report)))
+    _write_stream(args.output, functools.partial(write_monodromy, sheaf, report))
 
 
 def cmd_vineyard(args: argparse.Namespace) -> None:

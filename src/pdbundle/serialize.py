@@ -26,8 +26,8 @@ import json
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from .complexes import (
     SimplicialComplex,
@@ -58,75 +58,71 @@ def canonical_dumps(obj) -> str:
     once in the tree, such as the pair set that cells share, is written once
     per indent level: memoised on its id, which stays stable while the tree
     is alive."""
-    memo: Dict[Tuple[int, str], str] = {}
+    return _encode(obj, "\n", {}) + "\n"
 
-    def write(o, nl: str) -> str:
-        # nl: the newline and indent of the line o starts on
-        if isinstance(o, str):
-            return _encode_str(o)
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            inner = nl + "  "
-            sep = "," + inner
-            if type(o[0]) is str:
-                try:
-                    return f"[{inner}{sep.join(map(_encode_str, o))}{nl}]"
-                except TypeError:   # not every item is a str
-                    pass
-            elif type(o[0]) is int:
-                if {*map(type, o)} == _INT_ONLY:   # no bool among them
-                    return f"[{inner}{sep.join(map(int.__repr__, o))}{nl}]"
-            elif isinstance(o[0], (list, tuple)):
-                key = (id(o), nl)
-                text = memo.get(key)
-                if text is None:
-                    text = memo[key] = (
-                        f"[{inner}{sep.join([write(x, inner) for x in o])}{nl}]")
-                return text
-            return f"[{inner}{sep.join([write(x, inner) for x in o])}{nl}]"
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            for k in o:
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-            inner = nl + "  "
-            sep = "," + inner
-            parts = []
-            for k in sorted(o):
-                v = o[k]
-                kind = type(v)
-                parts += (sep, _encode_str(k), ": ",
-                          _encode_str(v) if kind is str
-                          else int.__repr__(v) if kind is int else write(v, inner))
-            parts[0] = "{" + inner
-            parts.append(nl + "}")
-            return "".join(parts)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            if o != o:
-                return "NaN"
-            if o == math.inf:
-                return "Infinity"
-            if o == -math.inf:
-                return "-Infinity"
-            return float.__repr__(o)
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    try:
-        return write(obj, "\n") + "\n"
-    finally:
-        # write refers to itself through its closure, so without this the
-        # memo and its texts would live on until the cyclic collector runs
-        memo.clear()
+def _encode(o, nl: str, memo: Dict[Tuple[int, str], str]) -> str:
+    """The canonical text of o, which starts on the line whose newline and
+    indent is nl. A list of lists is memoised in memo on its id and nl, so
+    memo must not outlive o."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        if type(o[0]) is str:
+            try:
+                return f"[{inner}{sep.join(map(_encode_str, o))}{nl}]"
+            except TypeError:   # not every item is a str
+                pass
+        elif type(o[0]) is int:
+            if {*map(type, o)} == _INT_ONLY:   # no bool among them
+                return f"[{inner}{sep.join(map(int.__repr__, o))}{nl}]"
+        elif isinstance(o[0], (list, tuple)):
+            key = (id(o), nl)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = (
+                    f"[{inner}{sep.join([_encode(x, inner, memo) for x in o])}{nl}]")
+            return text
+        return f"[{inner}{sep.join([_encode(x, inner, memo) for x in o])}{nl}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for k in o:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        inner = nl + "  "
+        sep = "," + inner
+        parts = []
+        for k in sorted(o):
+            v = o[k]
+            kind = type(v)
+            parts += (sep, _encode_str(k), ": ",
+                      _encode_str(v) if kind is str
+                      else int.__repr__(v) if kind is int else _encode(v, inner, memo))
+        parts[0] = "{" + inner
+        parts.append(nl + "}")
+        return "".join(parts)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _require(obj, key, kind, where):
@@ -398,6 +394,180 @@ def monodromy_to_json(sheaf: CellularSheaf, report: MonodromyReport) -> Dict:
         "obstructed_seeds": sorted(
             [cid, element(e)] for cid, e in report.obstructed_seeds),
     }
+
+
+# -- writers -----------------------------------------------------------------
+#
+# Each writer sends `canonical_dumps` of its builder's document to a write
+# callable, one record (a cell, face relation, edge, vertex, component,
+# section, loop or seed) a call, each record from a fixed template. What can
+# raise runs before the first call. A part that records share (an element, a
+# corner point, a pair set or stalk, a morphism object) is formatted once per
+# indent level; the small, cold parts go through `_encode`.
+
+Write = Callable[[str], None]
+
+# the newline and indent of a line at each nesting depth
+_NL = tuple("\n" + "  " * depth for depth in range(8))
+
+
+def _once(fn: Callable, key: Optional[Callable] = None) -> Callable:
+    """fn, called once per distinct key(x), or per distinct x without key."""
+    memo: Dict = {}
+
+    def once(x):
+        k = x if key is None else key(x)
+        value = memo.get(k)
+        if value is None:
+            value = memo[k] = fn(x)
+        return value
+    return once
+
+
+def _join(texts: Iterable[str], nl: str) -> str:
+    """The JSON list of the item texts, on the line at nl."""
+    inner = nl + "  "
+    body = ("," + inner).join(texts)
+    return f"[{inner}{body}{nl}]" if body else "[]"   # an item text is never empty
+
+
+def _write_list(write: Write, texts: Iterable[str], nl: str) -> None:
+    """`_join(texts, nl)`, one write per item."""
+    items = iter(texts)
+    first = next(items, None)
+    if first is None:
+        write("[]")
+        return
+    inner = nl + "  "
+    write("[" + inner + first)
+    sep = "," + inner
+    for text in items:
+        write(sep + text)
+    write(nl + "]")
+
+
+def _point_text(p: Point, depth: int) -> str:
+    """`point_to_json(p)` at depth; a rational's text needs no escaping."""
+    nl, inner = _NL[depth], _NL[depth + 1]
+    return f'[{inner}"{format_rational(p[0])}",{inner}"{format_rational(p[1])}"{nl}]'
+
+
+def _element_text(K: SimplicialComplex, depth: int) -> Callable[[Element], str]:
+    return _once(lambda e: _encode(element_to_json(K, e), _NL[depth], {}))
+
+
+def _elements_text(K: SimplicialComplex, depth: int) -> Callable:
+    """The text of a pair set or stalk at depth, as `elements_to_json`
+    gives it."""
+    order = _shared_elements(K)
+    element = _element_text(K, depth + 1)
+    return lambda elements: _join(map(element, sorted(elements, key=order)), _NL[depth])
+
+
+def _mapping_text(K: SimplicialComplex, depth: int) -> Callable:
+    """The text of a bijection of elements at depth, as `mapping_to_json`
+    gives it."""
+    order = _shared_elements(K)
+    element = _element_text(K, depth + 2)
+    pair, inner = _NL[depth + 1], _NL[depth + 2]
+    return lambda mapping: _join(
+        [f"[{inner}{element(e)},{inner}{element(img)}{pair}]"
+         for e, img in sorted(mapping.items(), key=lambda item: order(item[0]))],
+        _NL[depth])
+
+
+def write_stratification(strat: Stratification, write: Write) -> None:
+    """`canonical_dumps(stratification_to_json(strat))`, one cell and one
+    face relation a write; the pair-set walk runs before the first."""
+    pair_set = _once(_elements_text(strat.fib.complex, 3))
+    pairs = [pair_set(strat.cell_pairs(c.id)) for c in strat.cells]
+    corner = _once(lambda p: _point_text(p, 5), id)
+    triangles = _once(lambda ts: _encode(list(ts), _NL[3], {}))
+
+    def geometry(pieces) -> str:
+        return _join([_join(map(corner, piece), _NL[4]) for piece in pieces], _NL[3])
+
+    write('{\n  "cells": ')
+    _write_list(write, (
+        f'{{\n      "dim": {c.dim},\n      "geometry": {geometry(c.pieces)},\n'
+        f'      "id": {c.id},\n      "pairs": {p},\n'
+        f'      "representative_point": {_point_text(c.rep, 3)},\n'
+        f'      "triangles": {triangles(c.triangles)}\n    }}'
+        for c, p in zip(strat.cells, pairs)), _NL[1])
+    write(',\n  "face_relations": ')
+    # the cells are in id order, so the relations come sorted
+    _write_list(write, (f"[\n      {c.id},\n      {coface}\n    ]"
+                        for c in strat.cells for coface in sorted(strat.cofaces_of(c.id))),
+                _NL[1])
+    write("\n}\n")
+
+
+def write_sheaf(sheaf: CellularSheaf, write: Write) -> None:
+    """`canonical_dumps(sheaf_to_json(sheaf))`, one edge and one vertex a
+    write."""
+    K = sheaf.fib.complex
+    morphism = _once(_mapping_text(K, 3), id)
+    stalk = _once(_elements_text(K, 3))
+    morphisms, stalks = sheaf.morphisms, sheaf.stalks
+    write(f'{{\n  "degree": {_encode(sheaf.degree, _NL[1], {})},\n  "edges": ')
+    _write_list(write, (
+        f'{{\n      "coface": {coface},\n      "face": {face},\n'
+        f'      "morphism": {morphism(morphisms[face, coface])}\n    }}'
+        for face, coface in sheaf.edges()), _NL[1])
+    write(',\n  "vertices": ')
+    _write_list(write, (
+        f'{{\n      "cell": {c.id},\n      "dim": {c.dim},\n'
+        f'      "representative_point": {_point_text(c.rep, 3)},\n'
+        f'      "stalk": {stalk(stalks[c.id])}\n    }}'
+        for c in sheaf.strat.cells), _NL[1])
+    write("\n}\n")
+
+
+def write_sections(sheaf: CellularSheaf, by_component: List[Component],
+                   checks: List[int], write: Write) -> None:
+    """`canonical_dumps` of `sections_to_json(sheaf, by_component)` with
+    `checks` as its "continuity_checks_per_section", one component and one
+    section a write."""
+    element = _element_text(sheaf.fib.complex, 5)
+    per_component = [len(roots) for _, _, roots in by_component]
+    write('{\n  "components": ')
+    _write_list(write, (_encode(cells, _NL[2], {}) for cells, _, _ in by_component),
+                _NL[1])
+    write(f',\n  "continuity_checks_per_section": {_encode(checks, _NL[1], {})},\n'
+          f'  "degree": {_encode(sheaf.degree, _NL[1], {})},\n'
+          f'  "global_section_count": {math.prod(per_component)},\n  "sections": ')
+
+    def sections() -> Iterator[str]:
+        for cells, gauges, roots in by_component:
+            heads = [f"[\n          {c},\n          " for c in cells]
+            for x in roots:
+                rows = _join([head + element(gauges[c][x]) + "\n        ]"
+                              for c, head in zip(cells, heads)], _NL[3])
+                yield f'{{\n      "assignment": {rows}\n    }}'
+    _write_list(write, sections(), _NL[1])
+    write(f',\n  "sections_per_component": {_encode(per_component, _NL[1], {})}\n}}\n')
+
+
+def write_monodromy(sheaf: CellularSheaf, report: MonodromyReport,
+                    write: Write) -> None:
+    """`canonical_dumps(monodromy_to_json(sheaf, report))`, one loop and one
+    obstructed seed a write."""
+    K = sheaf.fib.complex
+    permutation = _mapping_text(K, 3)
+    write(f'{{\n  "degree": {_encode(sheaf.degree, _NL[1], {})},\n  "loops": ')
+    _write_list(write, (
+        f'{{\n      "cell_cycle": {_encode(loop.cycle, _NL[3], {})},\n'
+        f'      "nontrivial": {"true" if loop.nontrivial else "false"},\n'
+        f'      "permutation": {permutation(loop.permutation)},\n'
+        f'      "zero_cell": {loop.zero_cell}\n    }}'
+        for loop in report.loops), _NL[1])
+    order, element = _shared_elements(K), _element_text(K, 3)
+    write(f',\n  "nontrivial_loop_count": '
+          f'{sum(1 for loop in report.loops if loop.nontrivial)},\n'
+          f'  "obstructed_seeds": ')
+    _write_list(write, (f"[\n      {cid},\n      {element(e)}\n    ]" for cid, e in sorted(
+        report.obstructed_seeds, key=lambda seed: (seed[0], order(seed[1])))), _NL[1])
+    write("\n}\n")
 
 
 def vines_to_csv(K: SimplicialComplex, vines) -> str:
