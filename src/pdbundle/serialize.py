@@ -10,15 +10,27 @@ spaces of indent per level, "," after every item but the last and ": " after
 each key. It writes them with `str.join` instead of the standard library's
 pure-Python indenting encoder.
 
-The builders format each distinct part of their output once. Cells with
-equal pair sets or stalks, and edges with one morphism object, share one
-list object; `json.dumps` writes a shared subtree as it writes a copy, and
-`canonical_dumps` encodes a shared list of lists once per indent level.
-Each distinct element is one `[birth, death]` list per output, and each
-corner point that the cells of one base triangle share is one `[x, y]`
+The builders (`*_to_json`) format each distinct part of their output once.
+Cells with equal pair sets or stalks, and edges with one morphism object,
+share one list object; `json.dumps` writes a shared subtree as it writes a
+copy, and `canonical_dumps` encodes a shared list of lists once per indent
+level. Each distinct element is one `[birth, death]` list per output, and
+each corner point that the cells of one base triangle share is one `[x, y]`
 list, keyed by the element or by the point object, never by hashing a
 `Fraction`; they are lists of strs, which `canonical_dumps` joins wherever
 they occur.
+
+The writers (`write_stratification`, `write_sheaf`, `write_sections`,
+`write_monodromy`) stream the same bytes as `canonical_dumps` of the
+matching builder, without building the tree: each sends its text to a write
+callable one record at a time (a cell, face relation, edge, vertex,
+component, section, loop or obstructed seed), every record from a fixed
+key template, and formats each element, corner point, pair set or stalk
+and morphism object once per indent level. A writer raises nothing once it
+has written: what can fail (the pair-set walk, which `write_stratification`
+runs before its first write; the onto check of `build_sheaf`, the section
+certificates and `monodromy_scan`, which its caller runs first) is done
+before the first write. The builders remain the writers' oracle.
 """
 from __future__ import annotations
 
@@ -230,17 +242,24 @@ def element_to_json(K: SimplicialComplex, e: Element) -> List[str]:
     return [K.ids[b], "inf" if d is None else K.ids[d]]
 
 
+def _once(fn: Callable, key: Optional[Callable] = None) -> Callable:
+    """fn, called once per distinct key(x), or per distinct x without key;
+    later calls return the first result."""
+    memo: Dict = {}
+
+    def once(x):
+        k = x if key is None else key(x)
+        value = memo.get(k)
+        if value is None:
+            value = memo[k] = fn(x)
+        return value
+    return once
+
+
 def _shared_elements(K: SimplicialComplex) -> Callable[[Element], List[str]]:
     """`element_to_json` that builds one list per distinct element and
     returns that list wherever the element occurs again."""
-    texts: Dict[Element, List[str]] = {}
-
-    def to_json(e: Element) -> List[str]:
-        text = texts.get(e)
-        if text is None:
-            text = texts[e] = element_to_json(K, e)
-        return text
-    return to_json
+    return _once(lambda e: element_to_json(K, e))
 
 
 def _sorted_mapping(element: Callable[[Element], List[str]],
@@ -287,14 +306,7 @@ def _shared_points() -> Callable[[Point], List[str]]:
     share do, across triangles too. Keyed by identity: hashing a `Fraction`
     costs more than its text. The points must outlive the returned
     function."""
-    texts: Dict[int, List[str]] = {}
-
-    def to_json(p: Point) -> List[str]:
-        text = texts.get(id(p))
-        if text is None:
-            text = texts[id(p)] = point_to_json(p)
-        return text
-    return to_json
+    return _once(point_to_json, id)
 
 
 def stratification_to_json(strat: Stratification) -> Dict:
@@ -397,31 +409,11 @@ def monodromy_to_json(sheaf: CellularSheaf, report: MonodromyReport) -> Dict:
 
 
 # -- writers -----------------------------------------------------------------
-#
-# Each writer sends `canonical_dumps` of its builder's document to a write
-# callable, one record (a cell, face relation, edge, vertex, component,
-# section, loop or seed) a call, each record from a fixed template. What can
-# raise runs before the first call. A part that records share (an element, a
-# corner point, a pair set or stalk, a morphism object) is formatted once per
-# indent level; the small, cold parts go through `_encode`.
 
 Write = Callable[[str], None]
 
 # the newline and indent of a line at each nesting depth
 _NL = tuple("\n" + "  " * depth for depth in range(8))
-
-
-def _once(fn: Callable, key: Optional[Callable] = None) -> Callable:
-    """fn, called once per distinct key(x), or per distinct x without key."""
-    memo: Dict = {}
-
-    def once(x):
-        k = x if key is None else key(x)
-        value = memo.get(k)
-        if value is None:
-            value = memo[k] = fn(x)
-        return value
-    return once
 
 
 def _join(texts: Iterable[str], nl: str) -> str:

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdbundle
+import pdbundle.cli
 from pdbundle.cli import build_parser, main
-from pdbundle.complexes import SimplicialComplex
+from pdbundle.complexes import InvariantError, SimplicialComplex
+from pdbundle.persistence import Reduction
 from pdbundle.serialize import (
     canonical_dumps,
     complex_from_json,
@@ -22,6 +24,7 @@ from pdbundle.serialize import (
     fibration_from_json,
     fibration_to_json,
 )
+from pdbundle.stratify import Stratification
 
 F = Fraction
 
@@ -401,6 +404,53 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
             assert code == 1 and out == "", (argv, target, err)
             assert len(err.splitlines()) == 1, (argv, target, err)
             assert err.startswith(f"error: cannot write {target}: "), (argv, err)
+
+
+def _raise_invariant(*args, **kwargs):
+    raise InvariantError("injected fault")
+
+
+def _faulty_walk(self, cofaces=False):
+    raise InvariantError("injected fault in the walk")
+    yield
+
+
+def _no_swap(red, s, t, earlier):
+    # the walk's relabelling falls behind its pair set: build_sheaf's onto
+    # check fails
+    EXCHANGE(red, s, t, earlier)
+    return False
+
+
+EXCHANGE = Reduction._exchange
+
+
+@pytest.mark.parametrize("fault, commands", [
+    ((Stratification, "walk", _faulty_walk), [["stratify"]]),
+    ((Reduction, "_exchange", _no_swap),
+     [["sheaf"], ["sections", "--degree", "all"], ["monodromy", "--degree", "all"]]),
+    # at degree 1 the example has no section to certify
+    ((pdbundle.cli, "bundle_section", _raise_invariant), [["sections", "--degree", "0"]]),
+    ((pdbundle.cli, "monodromy_scan", _raise_invariant), [["monodromy"]]),
+])
+def test_a_fault_before_the_output_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                  fault, commands):
+    """A fault in the walk, in build_sheaf's onto check, in a section's
+    certificate or in monodromy_scan exits 2 with one line on stderr,
+    before the first character of the output is written, even in chunks
+    of one character, and before --output is opened."""
+    mono = str(tmp_path / "mono.json")
+    assert main(["gen-monodromy", "--output", mono]) == 0
+    monkeypatch.setattr(*fault)
+    monkeypatch.setattr(pdbundle.cli, "CHUNK_CHARS", 1)
+    target = tmp_path / "out.json"
+    for argv in commands:
+        for output in ([], ["--output", str(target)]):
+            code, out, err = run(argv + ["--input", mono] + output, capsys)
+            assert code == 2 and out == "", (argv, output, err)
+            assert len(err.splitlines()) == 1, (argv, err)
+            assert err.startswith("internal invariant violated: "), (argv, err)
+            assert not target.exists()
 
 
 def test_outputs_byte_identical_across_runs(tmp_path, capsys):

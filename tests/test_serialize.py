@@ -1,6 +1,9 @@
 """`canonical_dumps` against its oracle, the standard library encoder with
-the same options; the builders that hand it shared lists; and the sections
-document against the per-section builder it replaced."""
+the same options; the builders that hand it shared lists; the sections
+document against the per-section builder it replaced; and the streaming
+writers against `canonical_dumps` of the builders and against the oracle."""
+import contextlib
+import io
 import json
 import math
 import random
@@ -10,12 +13,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import etale_oracle
-from pdbundle.serialize import (canonical_dumps, sections_to_json, sheaf_to_json,
-                                stratification_to_json)
-from pdbundle.sheaf import build_sheaf, sections_by_component
-from pdbundle.stratify import build_stratification, merge_cells
+import pdbundle.cli
+from pdbundle.cli import main
+from pdbundle.complexes import SimplicialComplex
+from pdbundle.serialize import (canonical_dumps, fibration_to_json, monodromy_to_json,
+                                sections_to_json, sheaf_to_json, stratification_to_json,
+                                write_monodromy, write_sections, write_sheaf,
+                                write_stratification)
+from pdbundle.sheaf import build_sheaf, bundle_section, monodromy_scan, sections_by_component
+from pdbundle.stratify import BaseMesh, PLFibration, build_stratification, merge_cells
 
-from conftest import MESHES, random_fibration
+from conftest import MESHES, mono_fibration, random_fibration
 
 
 def oracle_dumps(obj) -> str:
@@ -118,3 +126,114 @@ def test_sections_to_json_matches_per_section_builder(seed, mesh, degree, merged
     want = etale_oracle.sections_to_json(sheaf, etale_oracle.sections_by_component(sheaf))
     assert canonical_dumps(sections_to_json(sheaf, sections_by_component(sheaf))) == (
         canonical_dumps(want))
+
+
+def written(writer, *args) -> str:
+    parts = []
+    writer(*args, parts.append)
+    return "".join(parts)
+
+
+def check_writers(strat, degree) -> dict:
+    """Each writer's text against `canonical_dumps` of its builder's
+    document and against the standard library encoder; returns the
+    documents by writer."""
+    sheaf = build_sheaf(strat, degree)
+    by_component = sections_by_component(sheaf)
+    checks = [bundle_section(sheaf, c) for c in by_component for _ in c[2]]
+    sections = sections_to_json(sheaf, by_component)
+    sections["continuity_checks_per_section"] = checks
+    report = monodromy_scan(sheaf)
+    docs = {
+        "stratify": (written(write_stratification, strat),
+                     stratification_to_json(strat)),
+        "sheaf": (written(write_sheaf, sheaf), sheaf_to_json(sheaf)),
+        "sections": (written(write_sections, sheaf, by_component, checks), sections),
+        "monodromy": (written(write_monodromy, sheaf, report),
+                      monodromy_to_json(sheaf, report)),
+    }
+    for name, (text, doc) in docs.items():
+        assert text == canonical_dumps(doc), (name, degree)
+        assert text == oracle_dumps(doc), (name, degree)
+    return {name: doc for name, (_, doc) in docs.items()}
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), mesh=st.sampled_from(sorted(MESHES)),
+       degree=st.sampled_from([None, 0, 1]), merged=st.booleans())
+def test_writers_match_builders(seed, mesh, degree, merged):
+    strat = build_stratification(random_fibration(random.Random(seed), mesh))
+    check_writers(merge_cells(strat) if merged else strat, degree)
+
+
+@pytest.mark.parametrize("degree", [None, 0, 1])
+def test_writers_on_merged_monodromy_cells(mono_fib, degree):
+    """Merged cells of several pieces and triangles; at degree 1 a
+    nontrivial loop and obstructed seeds."""
+    docs = check_writers(merge_cells(build_stratification(mono_fib)), degree)
+    cells = docs["stratify"]["cells"]
+    assert any(len(c["geometry"]) > 1 for c in cells)
+    assert any(len(c["triangles"]) > 1 for c in cells)
+    if degree == 1:
+        assert docs["monodromy"]["nontrivial_loop_count"] > 0
+        assert docs["monodromy"]["obstructed_seeds"]
+
+
+def test_writers_on_empty_lists():
+    """Empty pair sets and stalks, no sections, no loops and no obstructed
+    seeds: an empty complex, and a complex with no pair of degree 2."""
+    mesh = BaseMesh([(0, 0), (4, 0), (0, 4)], [(0, 1, 2)])
+    empty = build_stratification(PLFibration(SimplicialComplex([]), mesh, []))
+    for degree in (None, 0):
+        docs = check_writers(empty, degree)
+        assert all(c["pairs"] == [] for c in docs["stratify"]["cells"])
+        assert all(v["stalk"] == [] for v in docs["sheaf"]["vertices"])
+        assert docs["sections"]["sections"] == []
+        assert docs["monodromy"]["loops"] == []
+        assert docs["monodromy"]["obstructed_seeds"] == []
+    docs = check_writers(build_stratification(mono_fibration()), 2)
+    assert all(e["morphism"] == [] for e in docs["sheaf"]["edges"])
+    assert all(loop["permutation"] == [] for loop in docs["monodromy"]["loops"])
+
+
+class Chunks(io.StringIO):
+    """stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_output_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    """Every streamed command gives the same bytes, to stdout and to
+    --output, whether its text goes out in chunks of a few characters or
+    of a mebibyte, and no chunk is longer than CHUNK_CHARS."""
+    mono = tmp_path / "mono.json"
+    mono.write_text(canonical_dumps(fibration_to_json(mono_fibration())),
+                    encoding="utf-8")
+    commands = [["stratify"], ["stratify", "--merge-cells"]] + [
+        [cmd, "--degree", degree] for cmd in ("sheaf", "sections", "monodromy")
+        for degree in ("1", "all")]
+
+    def outputs():
+        texts = []
+        for argv in commands:
+            out = Chunks()
+            with contextlib.redirect_stdout(out):
+                assert main(argv + ["--input", str(mono)]) == 0
+            assert max(out.sizes) <= pdbundle.cli.CHUNK_CHARS
+            target = tmp_path / "out.json"
+            assert main(argv + ["--input", str(mono), "--output", str(target)]) == 0
+            assert target.read_text(encoding="utf-8") == out.getvalue()
+            texts.append(out.getvalue())
+        return texts
+
+    default = outputs()
+    assert max(map(len, default)) < pdbundle.cli.CHUNK_CHARS
+    for chunk in (1, 3, 64):
+        monkeypatch.setattr(pdbundle.cli, "CHUNK_CHARS", chunk)
+        assert outputs() == default
