@@ -43,9 +43,9 @@ At rung n every stage runs REPEATS[n] times, on every checkout alike: its
 record holds that count as `repeats`, every run's time as `runs_s` and the
 least as `s`. Each walk after the first runs on a fresh `Stratification`
 of the same cells and faces, built untimed, so that every run fills a cold
-table; the last one is what the sheaf stage uses. Each record also holds the process's
-peak RSS after the stage, which includes everything the earlier stages keep
-alive.
+table; the last one is what the sheaf stage uses. Each record also holds
+the process's peak RSS after the stage, which includes everything the
+earlier stages keep alive.
 
 After the in-process stages come the command-line stages (CLI_STAGES):
 `pdbundle stratify`, and `sheaf`, `sections` and `monodromy` at `--degree
@@ -270,7 +270,8 @@ def run_rung(src: str, n: int) -> None:
             continue
         finished.add(name)
         print(json.dumps({"stage": name, "s": round(min(runs), 6),
-                          "runs_s": [round(s, 6) for s in runs], "repeats": REPEATS[n],
+                          "runs_s": [round(s, 6) for s in runs],
+                          "repeats": REPEATS[n],
                           "peak_rss_mb": round(peak_rss_mb(), 1), **counts}),
               flush=True)
     # counted after the last stage, so that no stage's time or peak RSS
@@ -309,6 +310,7 @@ def run_cli(src: str, argv: list, cwd: str):
         _, status, usage = os.wait4(proc.pid, 0)
         seconds = time.perf_counter() - t0
         timer.cancel()
+        # reaped by wait4, which alone gives the child's rusage
         proc.returncode = code = os.waitstatus_to_exitcode(status)
         err.seek(0)
         text = err.read()

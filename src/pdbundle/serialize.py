@@ -26,11 +26,11 @@ matching builder, without building the tree: each sends its text to a write
 callable one record at a time (a cell, face relation, edge, vertex,
 component, section, loop or obstructed seed), every record from a fixed
 key template, and formats each element, corner point, pair set or stalk
-and morphism object once per indent level. A writer raises nothing once it
-has written: what can fail (the pair-set walk, which `write_stratification`
-runs before its first write; the onto check of `build_sheaf`, the section
-certificates and `monodromy_scan`, which its caller runs first) is done
-before the first write. The builders remain the writers' oracle.
+and morphism object once per indent level. What can fail is done before
+the first write: the pair-set walk, which `write_stratification` runs
+first, and the onto check of `build_sheaf`, the section certificates and
+`monodromy_scan`, which the caller runs before it calls a writer. The
+builders remain the writers' oracle.
 """
 from __future__ import annotations
 
@@ -488,9 +488,8 @@ def write_stratification(strat: Stratification, write: Write) -> None:
         for c, p in zip(strat.cells, pairs)), _NL[1])
     write(',\n  "face_relations": ')
     # the cells are in id order, so the relations come sorted
-    _write_list(write, (f"[\n      {c.id},\n      {coface}\n    ]"
-                        for c in strat.cells for coface in sorted(strat.cofaces_of(c.id))),
-                _NL[1])
+    _write_list(write, (f"[\n      {c.id},\n      {coface}\n    ]" for c in strat.cells
+                        for coface in sorted(strat.cofaces_of(c.id))), _NL[1])
     write("\n}\n")
 
 
@@ -557,8 +556,9 @@ def write_monodromy(sheaf: CellularSheaf, report: MonodromyReport,
     write(f',\n  "nontrivial_loop_count": '
           f'{sum(1 for loop in report.loops if loop.nontrivial)},\n'
           f'  "obstructed_seeds": ')
-    _write_list(write, (f"[\n      {cid},\n      {element(e)}\n    ]" for cid, e in sorted(
-        report.obstructed_seeds, key=lambda seed: (seed[0], order(seed[1])))), _NL[1])
+    seeds = sorted(report.obstructed_seeds, key=lambda seed: (seed[0], order(seed[1])))
+    _write_list(write, (f"[\n      {cid},\n      {element(e)}\n    ]" for cid, e in seeds),
+                _NL[1])
     write("\n}\n")
 
 

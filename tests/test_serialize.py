@@ -20,7 +20,8 @@ from pdbundle.serialize import (canonical_dumps, fibration_to_json, monodromy_to
                                 sections_to_json, sheaf_to_json, stratification_to_json,
                                 write_monodromy, write_sections, write_sheaf,
                                 write_stratification)
-from pdbundle.sheaf import build_sheaf, bundle_section, monodromy_scan, sections_by_component
+from pdbundle.sheaf import (build_sheaf, bundle_section, monodromy_scan,
+                            sections_by_component)
 from pdbundle.stratify import BaseMesh, PLFibration, build_stratification, merge_cells
 
 from conftest import MESHES, mono_fibration, random_fibration
