@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pdbundle.cli
 from pdbundle.cli import main
 from pdbundle.complexes import InvariantError, ValidationError, check_monotone
 from pdbundle.generators import gen_image_fibration
@@ -284,9 +285,10 @@ def test_vineyard_path_not_utf8_exits_1(mono_file):
 def test_walk_that_misses_a_swap_exits_2(mono_file, mono_complex, monkeypatch):
     """A transposition that changes the pair set but reports no swap leaves
     the walk's relabelling behind its pair set: an internal fault, caught by
-    the onto check, not bad input. Pair sets are read off each cell's own
-    reduction whatever the swaps say, so `stratify` prints what it prints
-    without the fault."""
+    the onto check, not bad input, before the first character of the output
+    is written, even in chunks of one character, and before --output is
+    opened. Pair sets are read off each cell's own reduction whatever the
+    swaps say, so `stratify` prints what it prints without the fault."""
     stratify = ["stratify", "--input", str(mono_file)]
     expected = run_main(stratify)
     assert expected[0] == 0
@@ -303,10 +305,16 @@ def test_walk_that_misses_a_swap_exits_2(mono_file, mono_complex, monkeypatch):
         path_vineyard(mono_complex, samples)
     path_file = mono_file.parent / "circle.json"
     path_file.write_text(json.dumps(circle(9)), encoding="utf-8")
+    monkeypatch.setattr(pdbundle.cli, "CHUNK_CHARS", 1)
+    target = mono_file.parent / "no-swap.out"
     for argv in (["vineyard", "--input", str(mono_file), "--path", str(path_file)],
-                 ["sheaf", "--input", str(mono_file)]):
-        code, out, err = run_main(argv)
-        assert code == 2 and out == "", (argv, err)
-        assert len(err.splitlines()) == 1, err
-        assert err.startswith("internal invariant violated: "), err
+                 ["sheaf", "--input", str(mono_file)],
+                 ["sections", "--input", str(mono_file), "--degree", "all"],
+                 ["monodromy", "--input", str(mono_file), "--degree", "all"]):
+        for output in ([], ["--output", str(target)]):
+            code, out, err = run_main(argv + output)
+            assert code == 2 and out == "", (argv, err)
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith("internal invariant violated: "), err
+            assert not target.exists()
     assert run_main(stratify) == expected
